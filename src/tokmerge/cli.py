@@ -179,6 +179,12 @@ def _config_from_args(args) -> CompressionConfig:
 def cmd_compress(args) -> int:
     stream = load_token_stream(args.tokens, _parse_grid(args.grid))
     cfg = _config_from_args(args)
+    inner = bool(args.hidden or args.last_attn)
+    if inner and not (args.hidden and args.last_attn):
+        raise ConfigError("--hidden and --last-attn must be given together")
+    if inner and not cfg.inner_enabled:
+        raise ConfigError("--hidden/--last-attn ask for the inner merge, "
+                          "but the config sets inner_enabled to false")
 
     imp = None
     if args.attn:
@@ -194,9 +200,7 @@ def cmd_compress(args) -> int:
     out = Path(args.out)
     save_compressed(run.compressed, run.report, out)
 
-    if args.hidden or args.last_attn:
-        if not (args.hidden and args.last_attn):
-            raise ConfigError("--hidden and --last-attn must be given together")
+    if inner:
         hidden = _load_array(Path(args.hidden), 2, "hidden-state")
         last = _load_array(Path(args.last_attn), 1, "last-attention")
         result = inner_merge(InnerMergeInput(hidden, last), cfg.inner_ratio_R)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -260,6 +261,25 @@ class TokenProvenance:
             raise DataError(f"unknown provenance kind {self.kind!r}")
 
 
+def _first_repeat(frames: np.ndarray, slots: np.ndarray) -> int:
+    """Index of the first (frame, slot) pair equal to an earlier one, or -1.
+
+    A stable lexsort keeps equal pairs in index order, so the smallest index
+    that follows an equal pair in sorted order is the first repeat.
+    """
+    order = np.lexsort((slots, frames))
+    f, s = frames[order], slots[order]
+    repeat = (f[1:] == f[:-1]) & (s[1:] == s[:-1])
+    return int(order[1:][repeat].min()) if repeat.any() else -1
+
+
+def _int64_coords(values, count: int) -> np.ndarray:
+    try:
+        return np.fromiter(values, dtype=np.int64, count=count).reshape(-1, 2)
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise DataError(f"provenance coordinates must be int64 integers: {exc}") from None
+
+
 @dataclass(frozen=True)
 class CompressedVideo:
     """Surviving tokens (M x d float32) plus per-token provenance."""
@@ -275,16 +295,20 @@ class CompressedVideo:
         if len(prov) != tok.shape[0]:
             raise DataError(
                 f"{tok.shape[0]} tokens but {len(prov)} provenance records")
-        coords = [(p.frame, p.spatial_index) for p in prov]
-        if any(b <= a for a, b in zip(coords, coords[1:])):
+        coords = _int64_coords(
+            chain.from_iterable((p.frame, p.spatial_index) for p in prov), 2 * len(prov))
+        f, s = coords[:, 0], coords[:, 1]
+        if ((f[1:] < f[:-1]) | ((f[1:] == f[:-1]) & (s[1:] <= s[:-1]))).any():
             raise DataError("provenance not strictly ascending by (frame, slot)")
-        seen = set(coords)
-        for p in prov:
-            for m in p.members:
-                m = (int(m[0]), int(m[1]))
-                if m in seen:
-                    raise DataError(f"token coordinate {m} appears twice")
-                seen.add(m)
+        if any(len(m) != 2 for p in prov for m in p.members):
+            raise DataError("provenance members must be (frame, slot) pairs")
+        members = _int64_coords(
+            chain.from_iterable(chain.from_iterable(p.members for p in prov)), -1)
+        coords = np.concatenate((coords, members))
+        repeat = _first_repeat(coords[:, 0], coords[:, 1])
+        if repeat >= 0:
+            m = (int(coords[repeat, 0]), int(coords[repeat, 1]))
+            raise DataError(f"token coordinate {m} appears twice")
         tok.setflags(write=False)
         object.__setattr__(self, "tokens", tok)
         object.__setattr__(self, "provenance", prov)
@@ -369,30 +393,36 @@ TOKENS_FILE = "tokens.npy"
 META_FILE = "compressed.json"
 
 
+def _members_json(members) -> str:
+    if not members:
+        return "[]"
+    pairs = ",\n".join(f"    [\n     {f},\n     {s}\n    ]" for f, s in members)
+    return f"[\n{pairs}\n   ]"
+
+
 def save_compressed(cv: CompressedVideo, report: CompressionReport, out_dir) -> None:
     """Write tokens.npy plus a compressed.json carrying provenance + report.
 
+    compressed.json is byte-identical to ``json.dump(doc, fh, indent=1)``
+    plus a newline, where ``doc`` is ``{"provenance": [{"frame",
+    "spatial_index", "kind", "members": [[f, s], ...]}, ...], "report":
+    report_to_dict(report)}``. The provenance part is formatted directly
+    from that fixed schema, since the pure-Python indenting encoder would
+    walk every member coordinate; the report is still encoded by ``json``.
     Loading the directory back reproduces the inputs bit-exactly (float32
     token payload; JSON floats round-trip via repr).
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     np.save(out / TOKENS_FILE, cv.tokens)
-    doc = {
-        "provenance": [
-            {
-                "frame": p.frame,
-                "spatial_index": p.spatial_index,
-                "kind": p.kind,
-                "members": [list(m) for m in p.members],
-            }
-            for p in cv.provenance
-        ],
-        "report": report_to_dict(report),
-    }
+    records = ",\n".join(
+        f'  {{\n   "frame": {p.frame},\n   "spatial_index": {p.spatial_index},'
+        f'\n   "kind": "{p.kind}",\n   "members": {_members_json(p.members)}\n  }}'
+        for p in cv.provenance)
+    provenance = f"[\n{records}\n ]" if records else "[]"
+    report_json = json.dumps(report_to_dict(report), indent=1).replace("\n", "\n ")
     with open(out / META_FILE, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write(f'{{\n "provenance": {provenance},\n "report": {report_json}\n}}\n')
 
 
 def load_compressed(out_dir) -> tuple[CompressedVideo, CompressionReport]:

@@ -85,9 +85,7 @@ def similarity_assign(
     cn = np.linalg.norm(cand_vecs, axis=1)
     rn = np.linalg.norm(ret_vecs, axis=1)
     denom = cn[:, None] * rn[None, :]
-    sims = np.zeros_like(dots)
-    nz = denom > 0
-    sims[nz] = dots[nz] / denom[nz]
+    sims = np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0)
     best = np.argmax(sims, axis=1)  # first max = smallest retained index
     return {int(c): int(retained[b]) for c, b in zip(candidates, best)}
 

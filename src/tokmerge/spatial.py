@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -101,13 +102,20 @@ def build_importance(
     grid: tuple[int, int],
     pooled_grid: tuple[int, int] | None = None,
 ) -> ImportanceMap:
-    """Assemble an ImportanceMap from per-frame raw scores (B, N_v)."""
+    """Assemble an ImportanceMap from per-frame raw scores (B, N_v).
+
+    Pooling to the stream grid itself is the identity (every bin is one
+    score), so that case reshapes instead of averaging bin by bin.
+    """
     raw_scores = np.asarray(raw_scores, dtype=np.float64)
     h, w = grid
-    pg = pooled_grid or grid
-    pooled = np.stack([pool_importance(f.reshape(h, w), pg) for f in raw_scores])
+    pg = tuple(pooled_grid or grid)
+    if pg == (h, w):
+        pooled = raw_scores.reshape(-1, h, w).copy()
+    else:
+        pooled = np.stack([pool_importance(f.reshape(h, w), pg) for f in raw_scores])
     return ImportanceMap(raw=raw_scores, pooled=pooled, grid=tuple(grid),
-                         pooled_grid=tuple(pg))
+                         pooled_grid=pg)
 
 
 def importance_from_attention(attn: np.ndarray, grid, pooled_grid=None) -> ImportanceMap:
@@ -135,15 +143,18 @@ def importance_from_qk(q: np.ndarray, k: np.ndarray, grid, pooled_grid=None) -> 
 # ---------------------------------------------------------------------------
 
 def attention_select(scores: np.ndarray, keep: int) -> np.ndarray:
-    """Ascending indices of the ``keep`` largest scores (ties: smaller index)."""
+    """Ascending indices of the ``keep`` largest scores (ties: smaller index).
+
+    Selects along the last axis, so a 2-D array selects in every row.
+    """
     scores = np.asarray(scores, dtype=np.float64)
-    n = scores.shape[0]
+    n = scores.shape[-1]
     if keep > n:
         raise DataError(f"cannot keep {keep} of {n} tokens")
     if keep < 0:
         raise DataError(f"keep must be non-negative, got {keep}")
-    order = np.argsort(-scores, kind="stable")[:keep]
-    return np.sort(order)
+    order = np.argsort(-scores, axis=-1, kind="stable")[..., :keep]
+    return np.sort(order, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -244,6 +255,11 @@ def auto_knn_k(n: int) -> int:
 # Spatial merge
 # ---------------------------------------------------------------------------
 
+def _absorbed(later: range, slot: int) -> tuple[tuple[int, int], ...]:
+    """Coordinates of ``slot`` in the frames its temporal merge absorbed."""
+    return tuple(zip(later, repeat(slot)))
+
+
 def spatial_merge(
     tmr: TemporalMergeResult,
     imp: ImportanceMap | None,
@@ -284,58 +300,72 @@ def spatial_merge(
         scores = imp.token_scores()
         rate = target / survivors
 
-    entries = []  # (frame0, slot, values, kind, members)
-
-    def temporal_members(slot: int, start: int, end: int) -> tuple:
-        return tuple((f0, slot) for f0 in range(start, end - 1))
-
+    # one block of (0-based frame, slot, representative) arrays per selection
+    # or representative set; the representative index points into the
+    # concatenated representative values, -1 marks a token kept from the stream
+    frames, slots, reps = [], [], []
+    rep_values, rep_members = [], []
+    n_reps = 0
     for seg in tmr.segments:
         surv = seg.survivor_idx
         red = seg.redundant_idx
-        for frame in range(seg.start, seg.end):
-            f0 = frame - 1
-            if surv.size == 0:
-                continue
+        if surv.size:
+            seg_frames = np.arange(seg.start - 1, seg.end - 1)
             if pass_through:
-                kept = surv
+                kept = np.broadcast_to(surv, (seg_frames.size, surv.size))
             else:
                 keep = math.ceil(rate * surv.size)
-                kept = surv[attention_select(scores[f0, surv], keep)]
-            for slot in kept:
-                entries.append((f0, int(slot), stream.data[f0, slot], "selected", ()))
+                kept = surv[attention_select(scores[seg_frames[:, None], surv], keep)]
+            f0s = np.repeat(seg_frames, kept.shape[1])
+            kept = kept.ravel()
+            frames.append(f0s)
+            slots.append(kept)
+            reps.append(np.full(kept.size, -1))
         if red.size == 0:
             continue
         f0 = seg.start - 1
+        later = range(seg.start, seg.end - 1)  # 0-based frames merged away
+        red_slots = red.tolist()
         if pass_through:
-            for pos, slot in enumerate(red):
-                entries.append((f0, int(slot), seg.merged_values[pos],
-                                "temporal_rep",
-                                temporal_members(int(slot), seg.start, seg.end)))
+            centers = np.arange(red.size)
+            values = seg.merged_values
+            members = [_absorbed(later, slot) for slot in red_slots]
         else:
             n_red = int(red.size)
             centers_wanted = math.ceil(rate * n_red)
             k = cfg.knn_k if cfg.knn_k is not None else auto_knn_k(n_red)
             k = min(max(k, 1), max(n_red - 1, 1))
             state = dpc_knn_cluster(seg.merged_values, k, centers_wanted)
-            reps, centers = merge_clusters(seg.merged_values, state)
-            for r, center in enumerate(centers):
-                slot = int(red[center])
-                members = list(temporal_members(slot, seg.start, seg.end))
-                for m in np.flatnonzero(state.assignment == center):
-                    if m == center:
-                        continue
-                    m_slot = int(red[m])
-                    members.append((f0, m_slot))
-                    members.extend(temporal_members(m_slot, seg.start, seg.end))
-                entries.append((f0, slot, reps[r], "cluster_rep", tuple(members)))
+            values, centers = merge_clusters(seg.merged_values, state)
+            members = []
+            for center in centers.tolist():
+                group = list(_absorbed(later, red_slots[center]))
+                for m in np.flatnonzero(state.assignment == center).tolist():
+                    if m != center:
+                        group.append((f0, red_slots[m]))
+                        group.extend(_absorbed(later, red_slots[m]))
+                members.append(tuple(group))
+        frames.append(np.full(centers.size, f0))
+        slots.append(red[centers])
+        reps.append(n_reps + np.arange(centers.size))
+        rep_values.append(values)
+        rep_members.extend(members)
+        n_reps += centers.size
 
-    entries.sort(key=lambda e: (e[0], e[1]))
-    if entries:
-        tokens = np.stack([e[2] for e in entries]).astype(np.float32)
-    else:
-        tokens = np.empty((0, stream.dim), dtype=np.float32)
-    provenance = tuple(
-        TokenProvenance(frame=f0, spatial_index=slot, kind=kind, members=members)
-        for f0, slot, _, kind, members in entries
-    )
+    frames, slots, reps = (np.concatenate(x) for x in (frames, slots, reps))
+    order = np.lexsort((slots, frames))
+    frames, slots, reps = frames[order], slots[order], reps[order]
+
+    # one gather from the stream at every output coordinate; representative
+    # rows are then overwritten with their merged values
+    tokens = stream.data.reshape(b * n_v, -1).take(frames * n_v + slots, axis=0)
+    if n_reps:
+        is_rep = reps >= 0
+        tokens[is_rep] = np.concatenate(rep_values)[reps[is_rep]]
+    rep_kind = "temporal_rep" if pass_through else "cluster_rep"
+    reps = reps.tolist()
+    provenance = tuple(map(
+        TokenProvenance, frames.tolist(), slots.tolist(),
+        ["selected" if r < 0 else rep_kind for r in reps],
+        [() if r < 0 else rep_members[r] for r in reps]))
     return CompressedVideo(tokens=tokens, provenance=provenance)

@@ -163,6 +163,23 @@ class TestCompress:
         meta = json.loads((out / "inner.json").read_text())
         assert len(meta["retained_indices"]) == 12
 
+    def test_inner_dumps_with_inner_disabled_exit_1(self, tmp_path, capsys):
+        spec, stream, tokens = write_corpus(tmp_path)
+        rng = np.random.default_rng(3)
+        np.save(tmp_path / "hidden.npy", rng.standard_normal((24, 8)))
+        np.save(tmp_path / "last.npy", rng.random(24))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"inner_enabled": False}))
+        out = tmp_path / "out"
+        rc = main(["compress", "--tokens", str(tokens), "--grid", "2x3",
+                   "--config", str(cfg_path), "--out", str(out),
+                   "--hidden", str(tmp_path / "hidden.npy"),
+                   "--last-attn", str(tmp_path / "last.npy")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "--hidden/--last-attn" in err and "inner_enabled" in err
+        assert not out.exists()
+
 
 class TestSegment:
     def test_identical_frames_single_segment(self, tmp_path, capsys):

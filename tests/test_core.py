@@ -1,6 +1,7 @@
 """Core type, config, and I/O round-trip tests."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -174,6 +175,50 @@ class TestCompressedIO:
         with pytest.raises(DataError, match="twice"):
             CompressedVideo(tokens, prov)
 
+    def test_member_repeating_a_survivor_is_named(self):
+        # (3, 1) is a later record's survivor; (1, 0) repeats later but
+        # sorts first, and the error must still name the earlier repeat
+        prov = (TokenProvenance(0, 0, "temporal_rep", ((3, 1),)),
+                TokenProvenance(3, 1, "selected"),
+                TokenProvenance(3, 2, "cluster_rep", ((1, 0), (1, 0))))
+        with pytest.raises(DataError, match=re.escape("(3, 1) appears twice")):
+            CompressedVideo(np.zeros((3, 2), dtype=np.float32), prov)
+
+    def test_members_repeating_each_other_are_named_in_record_order(self):
+        prov = (TokenProvenance(0, 0, "temporal_rep", ((4, 0), (2, 0))),
+                TokenProvenance(0, 1, "temporal_rep", ((4, 0), (2, 0))))
+        with pytest.raises(DataError, match=re.escape("(4, 0) appears twice")):
+            CompressedVideo(np.zeros((2, 2), dtype=np.float32), prov)
+
+    def test_member_that_is_not_a_pair_rejected(self):
+        prov = (TokenProvenance(0, 0, "temporal_rep", ((1, 0, 2),)),)
+        with pytest.raises(DataError, match="pairs"):
+            CompressedVideo(np.zeros((1, 2), dtype=np.float32), prov)
+
+    def test_members_of_compensating_lengths_rejected(self):
+        # 3 + 1 elements would read as the pairs (1, 0) and (2, 5)
+        prov = (TokenProvenance(0, 0, "temporal_rep", ((1, 0, 2), (5,))),)
+        with pytest.raises(DataError, match="pairs"):
+            CompressedVideo(np.zeros((1, 2), dtype=np.float32), prov)
+
+    @pytest.mark.parametrize("prov", [
+        (TokenProvenance(2**63, 0, "selected"),),
+        (TokenProvenance(0, 0, "temporal_rep", ((2**63, 1),)),),
+    ])
+    def test_coordinate_beyond_int64_rejected(self, prov):
+        with pytest.raises(DataError, match="int64"):
+            CompressedVideo(np.zeros((1, 2), dtype=np.float32), prov)
+
+    def test_load_coordinate_beyond_int64_rejected(self, tmp_path):
+        save_compressed(small_cv(), small_report(), tmp_path)
+        meta = tmp_path / "compressed.json"
+        doc = json.loads(meta.read_text(encoding="utf-8"))
+        doc["provenance"][0]["members"] = [[2**63, 0]]
+        meta.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(DataError, match="int64"):
+            load_compressed(tmp_path)
+
     def test_inconsistent_counts_rejected(self):
         with pytest.raises(DataError):
             CompressionReport(10, 12, 3, 0.5, 0.3, (), 1.0, 1.0)
+

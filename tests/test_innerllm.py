@@ -84,6 +84,17 @@ class TestAssignment:
             got = similarity_assign(candidates, retained, hidden)
             assert got == cosine_argmax_oracle(candidates, retained, hidden)
 
+    def test_zero_norm_vectors_score_zero(self):
+        # candidate 3 is the zero vector: every similarity is 0, so the
+        # smallest retained index wins; retained 0 is zero too and never
+        # beats a positive similarity
+        hidden = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.2], [0.0, 0.0],
+                           [-2.0, 0.3]])
+        retained, candidates = np.array([0, 1, 2]), np.array([3, 4])
+        got = similarity_assign(candidates, retained, hidden)
+        assert got == {3: 0, 4: 2}
+        assert got == cosine_argmax_oracle(candidates, retained, hidden)
+
     def test_empty_retained_rejected(self):
         with pytest.raises(DataError):
             similarity_assign(np.array([0]), np.array([], dtype=int), np.ones((1, 2)))

@@ -136,6 +136,14 @@ class TestPoolImportance:
         out = pool_importance(raw, (4, 4))
         np.testing.assert_allclose(out.mean(), raw.mean(), rtol=1e-12)
 
+    def test_identity_pooling_matches_bin_loop(self):
+        rng = np.random.default_rng(16)
+        raw = np.round(rng.random((5, 12)), 1)  # repeated scores, as in ties
+        imp = build_importance(raw, (3, 4))
+        expect = np.stack([pool_importance(f.reshape(3, 4), (3, 4)) for f in raw])
+        np.testing.assert_array_equal(imp.pooled, expect)
+        np.testing.assert_array_equal(imp.token_scores(), raw)
+
     def test_oversized_pooled_grid_rejected(self):
         with pytest.raises(DataError):
             pool_importance(np.ones((3, 3)), (4, 2))
@@ -153,6 +161,12 @@ class TestAttentionSelect:
     def test_tie_break_toward_smaller_index(self):
         np.testing.assert_array_equal(
             attention_select(np.full(5, 0.7), 3), [0, 1, 2])
+
+    def test_rows_select_like_single_frames(self):
+        scores = np.round(np.random.default_rng(17).random((6, 9)), 1)
+        got = attention_select(scores, 4)
+        for row, expect in zip(scores, got):
+            np.testing.assert_array_equal(attention_select(row, 4), expect)
 
     def test_keep_too_large(self):
         with pytest.raises(DataError):
@@ -360,3 +374,59 @@ def test_cluster_representatives_at_center_slots():
         assert p.frame == seg.start - 1
         assert p.spatial_index in set(seg.redundant_idx)
         assert p.members  # absorbed occurrences recorded
+
+
+def reassembly_oracle(tmr, imp, cfg):
+    """Per-token reassembly: one entry per output token, then a sort."""
+    stream = tmr.stream
+    b, n_v = stream.frames, stream.tokens_per_frame
+    target = math.ceil(cfg.target_ratio * b * n_v)
+    pass_through = tmr.survivor_count <= target
+    rate = target / tmr.survivor_count
+    entries = []
+    for seg in tmr.segments:
+        def absorbed(slot, seg=seg):
+            return [(f, int(slot)) for f in range(seg.start, seg.end - 1)]
+        for f0 in range(seg.start - 1, seg.end - 1):
+            kept = seg.survivor_idx
+            if not pass_through and kept.size:
+                scores = imp.token_scores()[f0, kept]
+                kept = kept[attention_select(scores, math.ceil(rate * kept.size))]
+            for slot in kept:
+                entries.append((f0, int(slot), stream.data[f0, slot], "selected", []))
+        red, f0 = seg.redundant_idx, seg.start - 1
+        if red.size == 0:
+            continue
+        if pass_through:
+            for pos, slot in enumerate(red):
+                entries.append((f0, int(slot), seg.merged_values[pos],
+                                "temporal_rep", absorbed(slot)))
+            continue
+        k = cfg.knn_k or min(max(2, math.isqrt(red.size)), red.size - 1)
+        state = dpc_knn_cluster(seg.merged_values, min(max(k, 1), max(red.size - 1, 1)),
+                                math.ceil(rate * red.size))
+        reps, centers = merge_clusters(seg.merged_values, state)
+        for rep, center in zip(reps, centers):
+            members = absorbed(red[center])
+            for m in range(red.size):
+                if m != center and state.assignment[m] == center:
+                    members += [(f0, int(red[m]))] + absorbed(red[m])
+            entries.append((f0, int(red[center]), rep, "cluster_rep", members))
+    entries.sort(key=lambda e: e[:2])
+    tokens = np.array([e[2] for e in entries], dtype=np.float32)
+    return tokens, [(f, s, kind, tuple(m)) for f, s, _, kind, m in entries]
+
+
+@pytest.mark.parametrize("seed,ratio", [(20, 1.0), (21, 0.5), (22, 0.25),
+                                        (23, 0.1), (24, 0.6)])
+def test_reassembly_matches_per_token_oracle(seed, ratio):
+    rng = np.random.default_rng(seed)
+    _, tmr, imp = make_pipeline_inputs(rng, b=7, grid=(3, 4), d=6,
+                                       redundant_run=(1, 5, 7))
+    cfg = CompressionConfig(target_ratio=ratio)
+    cv = spatial_merge(tmr, imp, cfg)
+    tokens, prov = reassembly_oracle(tmr, imp, cfg)
+    assert any(p.members for p in cv.provenance)
+    np.testing.assert_array_equal(cv.tokens, tokens)
+    assert [(p.frame, p.spatial_index, p.kind, p.members)
+            for p in cv.provenance] == prov
