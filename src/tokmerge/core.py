@@ -47,6 +47,8 @@ class VideoTokenStream:
 
     data: np.ndarray
     grid: tuple[int, int]
+    # float32 sum of squares of every token, (B, N_v), read-only
+    sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arr = np.asarray(self.data)
@@ -62,12 +64,19 @@ class VideoTokenStream:
         if h < 1 or w < 1 or h * w != n_v:
             raise DataError(
                 f"grid {h}x{w} does not tile {n_v} tokens per frame")
-        finite = np.isfinite(arr)
-        if not finite.all():
-            offset = int(np.flatnonzero(~finite.ravel())[0])
-            raise DataError(f"non-finite value at flat offset {offset}")
+        # A NaN or +-inf entry makes its token's sum of squares non-finite,
+        # so finite norms certify finite data. A non-finite norm without a
+        # non-finite entry is the sum overflowing float32 on large finite
+        # entries (a single one beyond ~1.8e19 suffices); those are accepted.
+        sq_norms = np.einsum("bkd,bkd->bk", arr, arr)
+        if not np.isfinite(sq_norms).all():
+            offset = _first_non_finite(arr)
+            if offset is not None:
+                raise DataError(f"non-finite value at flat offset {offset}")
         arr.setflags(write=False)
+        sq_norms.setflags(write=False)
         object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "sq_norms", sq_norms)
         object.__setattr__(self, "grid", (int(h), int(w)))
 
     @property
@@ -83,12 +92,19 @@ class VideoTokenStream:
         return self.data.shape[2]
 
 
+def _first_non_finite(arr: np.ndarray) -> int | None:
+    """Flat offset of the first NaN or +-inf entry of ``arr``, or None."""
+    bad = np.flatnonzero(~np.isfinite(arr.ravel()))
+    return int(bad[0]) if bad.size else None
+
+
 def load_token_stream(path, grid: tuple[int, int]) -> VideoTokenStream:
     """Load a ``(B, N_v, d)`` float token file and validate it against ``grid``.
 
     64-bit input is narrowed to 32-bit. Raises DataError for a malformed
     header, wrong rank, a grid that does not tile the frame, non-float
-    payloads, or non-finite values (reported with their flat offset).
+    payloads, non-finite values, or 64-bit values beyond float32 range (the
+    last two reported with their flat offset). Every message names the file.
     """
     path = Path(path)
     if not path.exists():
@@ -101,7 +117,18 @@ def load_token_stream(path, grid: tuple[int, int]) -> VideoTokenStream:
         raise DataError(f"{path}: rank {arr.ndim}, expected 3")
     if arr.dtype not in (np.float32, np.float64):
         raise DataError(f"{path}: dtype {arr.dtype}, expected float32/float64")
-    return VideoTokenStream(arr.astype(np.float32, copy=False), grid)
+    if arr.dtype == np.float64:
+        with np.errstate(over="ignore"):
+            narrow = arr.astype(np.float32)
+        offset = _first_non_finite(narrow)
+        if offset is not None and np.isfinite(arr.flat[offset]):
+            raise DataError(
+                f"{path}: value out of float32 range at flat offset {offset}")
+        arr = narrow
+    try:
+        return VideoTokenStream(arr, grid)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def save_stream(stream: VideoTokenStream, path) -> None:

@@ -66,23 +66,63 @@ class RedundancyMask:
         return bits[:, : self.n_tokens].astype(bool)
 
 
+# Squared norms below this floor are left to the exact recheck, so that
+# float32 underflow stays negligible in the error band.
+_NORM_FLOOR = 2.0**-60
+# Pairs rechecked in float64 per chunk, bounding the gathered rows.
+_RECHECK_CHUNK = 4096
+
+
+def _exact_similarity(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Float64 cosine of row pairs: zero norm gives 0, clipped to [-1, 1]."""
+    dots = np.einsum("nd,nd->n", a, b, dtype=np.float64)
+    denom = (np.sqrt(np.einsum("nd,nd->n", a, a, dtype=np.float64))
+             * np.sqrt(np.einsum("nd,nd->n", b, b, dtype=np.float64)))
+    sim = np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0)
+    return np.clip(sim, -1.0, 1.0)
+
+
 def pairwise_redundancy(stream: VideoTokenStream, tau: float) -> RedundancyMask:
     """Mask of slots whose consecutive-frame cosine similarity exceeds tau.
 
-    Zero-norm vectors compare as similarity 0; similarities are clipped to
-    [-1, 1] so tau = 1 never marks anything. B = 1 yields an empty mask.
+    The similarity is defined in float64 (float32 tokens, float64 dot
+    products and norms); zero-norm vectors compare as similarity 0, and
+    similarities are clipped to [-1, 1] so tau = 1 never marks anything.
+    B = 1 yields an empty mask.
+
+    The mask is decided from float32 dot products and ``stream.sq_norms``;
+    a pair whose approximate similarity lies within a proven error band of
+    tau is recomputed with the float64 definition, so the mask is the one
+    the definition gives.
     """
     x = stream.data
-    b, n_v, _ = x.shape
+    b, n_v, d = x.shape
     if b == 1:
         return RedundancyMask.from_bool(np.zeros((0, n_v), dtype=bool), n_v)
-    norms = np.sqrt(np.einsum("bkd,bkd->bk", x, x, dtype=np.float64))
-    dots = np.einsum("bkd,bkd->bk", x[:-1], x[1:], dtype=np.float64)
-    denom = norms[:-1] * norms[1:]
-    sim = np.zeros_like(dots)
-    nz = denom > 0
-    sim[nz] = np.clip(dots[nz] / denom[nz], -1.0, 1.0)
-    return RedundancyMask.from_bool(sim > tau, n_v)
+    dots = np.einsum("bkd,bkd->bk", x[:-1], x[1:])
+    na, nb = stream.sq_norms[:-1], stream.sq_norms[1:]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        prod = na.astype(np.float64) * nb
+        approx = dots / np.sqrt(prod)
+    # Error band. Let u = 2**-24 and g = d*u / (1 - d*u). Whatever its
+    # summation order, a float32 dot product of length d errs by at most
+    # g * sum|a_i*b_i| <= g * |a|*|b|, and each float32 squared norm errs by
+    # at most g relatively, so |approx - sim| <= 2g / (1 - g) + 2**-50 for
+    # the exact cosine sim. The float64 definition errs from sim by at most
+    # about 2*d*2**-53. For d*u <= 1/8 both together stay below 4*d*u; the
+    # floor on the squared norms keeps float32 underflow (d * 2**-150
+    # absolute) negligible, and 1e-12 is a further margin. Outside the band
+    # approx and the definition lie on the same side of tau, also after
+    # clipping, since |sim| <= 1.
+    band = 4 * d * 2.0**-24 + 1e-12 if d <= 2**21 else np.inf
+    sure = ((np.minimum(na, nb) >= _NORM_FLOOR) & np.isfinite(prod)
+            & np.isfinite(approx) & (np.abs(approx - tau) > band))
+    mask = approx > tau
+    frame, slot = np.nonzero(~sure)
+    for lo in range(0, frame.size, _RECHECK_CHUNK):
+        f, k = frame[lo : lo + _RECHECK_CHUNK], slot[lo : lo + _RECHECK_CHUNK]
+        mask[f, k] = _exact_similarity(x[f, k], x[f + 1, k]) > tau
+    return RedundancyMask.from_bool(mask, n_v)
 
 
 def _check_span(mask: RedundancyMask, t_s: int, t_e: int) -> None:

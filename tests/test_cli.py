@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -79,6 +80,26 @@ class TestCompress:
                    "--grid", "2x3", "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "absent.npy" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value, dtype, text", [
+        (np.nan, np.float32, "non-finite value at flat offset 35"),
+        (-1e39, np.float64, "value out of float32 range at flat offset 35"),
+    ])
+    def test_bad_token_value_exit_2_names_file(self, tmp_path, capsys,
+                                                value, dtype, text):
+        spec, stream, tokens = write_corpus(tmp_path)
+        arr = stream.data.astype(dtype)
+        arr.flat[35] = value
+        np.save(tokens, arr)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow warning fails here
+            rc = main(["compress", "--tokens", str(tokens), "--grid", "2x3",
+                       "--out", str(tmp_path / "o"), "--tau", "1.0"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{tokens}: {text}" in err
+        assert "RuntimeWarning" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_compression_without_attention_exit_2(self, tmp_path):
         spec, stream, tokens = write_corpus(tmp_path)

@@ -2,6 +2,7 @@
 
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -15,10 +16,12 @@ from tokmerge import (
     VideoTokenStream,
     load_compressed,
     load_token_stream,
+    pairwise_redundancy,
     save_compressed,
     save_stream,
     validate_config,
 )
+from test_temporal import reference_mask
 
 
 class TestTokenStreamIO:
@@ -69,6 +72,91 @@ class TestTokenStreamIO:
         missing = tmp_path / "nope.npy"
         with pytest.raises(DataError, match="nope.npy"):
             load_token_stream(missing, (1, 1))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("index", [(0, 0, 0), (1, 2, 3), (2, 3, 7)])
+    def test_non_finite_named_by_flat_offset(self, tmp_path, value, index):
+        arr = np.ones((3, 4, 8), dtype=np.float32)
+        arr[index] = value
+        offset = np.ravel_multi_index(index, arr.shape)
+        with pytest.raises(DataError, match=f"^non-finite value at flat offset {offset}$"):
+            VideoTokenStream(arr, (2, 2))
+        path = tmp_path / "bad.npy"
+        np.save(path, arr)
+        with pytest.raises(DataError, match=re.escape(
+                f"{path}: non-finite value at flat offset {offset}")):
+            load_token_stream(path, (2, 2))
+
+    def test_non_finite_after_overflowing_norm(self):
+        arr = np.ones((2, 4, 8), dtype=np.float32)
+        arr[0, 1] = 1e20  # finite, but its squared norm overflows float32
+        arr[1, 3, 5] = np.nan
+        with pytest.raises(DataError, match=f"flat offset {32 + 3 * 8 + 5}$"):
+            VideoTokenStream(arr, (2, 2))
+
+    def test_overflowing_norms_accepted(self):
+        rng = np.random.default_rng(13)
+        data = rng.standard_normal((3, 4, 64)).astype(np.float32)
+        data[:, :2] = np.sign(data[:, :2]) * np.float32(1e20)
+        data[:, 0] = data[0, 0]
+        data[1, 2] = data[0, 2] * np.float32(1e20)
+        stream = VideoTokenStream(data, (2, 2))
+        np.testing.assert_array_equal(stream.data, data)
+        assert not np.isfinite(stream.sq_norms[:, :2]).any()
+        for tau in (0.0, 0.5, 0.99):
+            got = pairwise_redundancy(stream, tau).to_bool()
+            np.testing.assert_array_equal(got, reference_mask(data, tau))
+            assert got[:, 0].all()
+
+    def test_sq_norms_field(self):
+        arr = np.arange(16, dtype=np.float32).reshape(2, 2, 4)
+        stream = VideoTokenStream(arr, (1, 2))
+        np.testing.assert_array_equal(
+            stream.sq_norms, np.einsum("bkd,bkd->bk", arr, arr))
+        assert not stream.sq_norms.flags.writeable
+        assert "sq_norms" not in repr(stream)
+        with pytest.raises(TypeError):
+            VideoTokenStream(arr, (1, 2), sq_norms=stream.sq_norms)
+
+    def test_contract_errors_name_file(self, tmp_path):
+        path = tmp_path / "t.npy"
+        np.save(path, np.ones((2, 4, 8), dtype=np.float32))
+        with pytest.raises(DataError, match=re.escape(f"{path}: grid 3x2")):
+            load_token_stream(path, (3, 2))
+        np.save(path, np.ones((2, 0, 8), dtype=np.float32))
+        with pytest.raises(DataError, match=re.escape(f"{path}: token array has empty axis")):
+            load_token_stream(path, (0, 0))
+
+    @pytest.mark.parametrize("value", [1e39, -1e39, 3.5e38])
+    def test_float64_beyond_float32_range(self, tmp_path, value):
+        arr = np.ones((2, 4, 8))
+        arr[1, 0, 2] = value
+        arr[1, 3, 0] = np.nan
+        path = tmp_path / "wide.npy"
+        np.save(path, arr)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=re.escape(
+                    f"{path}: value out of float32 range at flat offset 34")):
+                load_token_stream(path, (2, 2))
+
+    def test_float64_non_finite_before_out_of_range(self, tmp_path):
+        arr = np.ones((2, 4, 8))
+        arr[0, 1, 1] = -np.inf
+        arr[1, 0, 2] = 1e39
+        path = tmp_path / "wide.npy"
+        np.save(path, arr)
+        with pytest.raises(DataError, match="non-finite value at flat offset 9$"):
+            load_token_stream(path, (2, 2))
+
+    def test_float64_largest_float32_accepted(self, tmp_path):
+        arr = np.ones((2, 4, 8))
+        arr[0, 0, 0] = np.finfo(np.float32).max
+        arr[0, 0, 1] = -np.finfo(np.float32).max
+        path = tmp_path / "wide.npy"
+        np.save(path, arr)
+        loaded = load_token_stream(path, (2, 2))
+        np.testing.assert_array_equal(loaded.data, arr.astype(np.float32))
 
     def test_data_is_read_only(self):
         stream = VideoTokenStream(np.ones((1, 1, 2), dtype=np.float32), (1, 1))

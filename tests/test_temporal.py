@@ -11,6 +11,7 @@ from tokmerge import (
     optimal_segmentation,
     pairwise_redundancy,
     segment_gain,
+    temporal,
 )
 
 
@@ -26,6 +27,28 @@ def direct_cosine_mask(data, tau):
             sim = 0.0 if nu == 0 or nv == 0 else float(u @ v) / (nu * nv)
             rows[m, k] = sim > tau
     return rows
+
+
+def reference_similarity(data):
+    """Oracle: the float64 cosine definition over the whole batch at once.
+
+    Consecutive-frame similarity of every slot from float64 ``einsum`` dot
+    products and norms of the float32 tokens; zero norm gives 0, and values
+    are clipped to [-1, 1].
+    """
+    x = np.asarray(data, dtype=np.float32)
+    norms = np.sqrt(np.einsum("bkd,bkd->bk", x, x, dtype=np.float64))
+    dots = np.einsum("bkd,bkd->bk", x[:-1], x[1:], dtype=np.float64)
+    denom = norms[:-1] * norms[1:]
+    sim = np.zeros_like(dots)
+    nz = denom > 0
+    sim[nz] = np.clip(dots[nz] / denom[nz], -1.0, 1.0)
+    return sim
+
+
+def reference_mask(data, tau):
+    """Oracle: the redundancy mask of the float64 definition."""
+    return reference_similarity(data) > tau
 
 
 def brute_force_gains(rows):
@@ -104,6 +127,39 @@ class TestPairwiseRedundancy:
         lo = pairwise_redundancy(stream, 0.5).to_bool()
         hi = pairwise_redundancy(stream, 0.9).to_bool()
         assert (lo | hi == lo).all()  # every entry true at 0.9 is true at 0.5
+
+    def test_pairs_near_tau_rechecked_exactly(self, monkeypatch):
+        """Pairs planted at cosine tau fall in the error band; their bits
+        come from the float64 recheck and equal the definition."""
+        rng = np.random.default_rng(11)
+        d, tau = 896, 0.8
+        first, other = rng.standard_normal((2, 40, d))
+        first /= np.linalg.norm(first, axis=1, keepdims=True)
+        other -= np.sum(other * first, axis=1, keepdims=True) * first
+        other /= np.linalg.norm(other, axis=1, keepdims=True)
+        second = tau * first + np.sqrt(1 - tau**2) * other
+        stream = VideoTokenStream(np.stack([first, second]).astype(np.float32), (5, 8))
+        rechecked = []
+        exact = temporal._exact_similarity
+
+        def spy(a, b):
+            rechecked.append(len(a))
+            return exact(a, b)
+
+        monkeypatch.setattr(temporal, "_exact_similarity", spy)
+        got = pairwise_redundancy(stream, tau).to_bool()
+        expected = reference_mask(stream.data, tau)
+        np.testing.assert_array_equal(got, expected)
+        assert sum(rechecked) == 40
+        assert 0 < expected.sum() < 40  # both sides of tau occur
+
+    def test_recheck_equals_batch_definition(self):
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((4, 9, 1000)).astype(np.float32)
+        x[2, 3] = 0.0
+        f, k = np.nonzero(rng.random((3, 9)) < 0.5)
+        got = temporal._exact_similarity(x[f, k], x[f + 1, k])
+        np.testing.assert_array_equal(got, reference_similarity(x)[f, k])
 
 
 class TestSegmentGain:
