@@ -7,7 +7,6 @@ closed-form transformer FLOPs model (`cost`). `synth` plants ground-truth
 corpora for testing; `cli` wires everything into the `tokmerge` command.
 """
 
-from ._kernels import BACKEND
 from .core import (
     CompressedVideo,
     CompressionConfig,
@@ -68,7 +67,6 @@ from .temporal import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "ClusterState",
     "CompressedVideo",
     "CompressionConfig",

@@ -30,7 +30,6 @@ from .core import (
     validate_config,
 )
 from .cost import (
-    CostReport,
     baseline_prefill,
     get_profile,
     pipeline_cost_report,
@@ -58,14 +57,11 @@ def _log(msg: str) -> None:
 
 @dataclass(frozen=True)
 class PipelineRun:
-    """One compression run: config, inputs, stage timings (ms), outputs."""
+    """One compression run: stage timings (ms) and outputs."""
 
-    config: CompressionConfig
-    input_paths: dict[str, str]
     stage_ms: dict[str, float]
     compressed: CompressedVideo
     report: CompressionReport
-    cost: CostReport
 
 
 def run_pipeline(
@@ -73,7 +69,6 @@ def run_pipeline(
     cfg: CompressionConfig,
     imp: ImportanceMap | None,
     profile_name: str = DEFAULT_PROFILE,
-    input_paths: dict[str, str] | None = None,
 ) -> PipelineRun:
     """Temporal -> spatial composition with report assembly."""
     profile = get_profile(profile_name)
@@ -105,8 +100,7 @@ def run_pipeline(
         baseline_flops=baseline_prefill(profile, baseline_tokens),
         per_video_histogram_bin=prune_ratio,
     )
-    return PipelineRun(config=cfg, input_paths=dict(input_paths or {}),
-                       stage_ms=timings, compressed=cv, report=report, cost=cost)
+    return PipelineRun(stage_ms=timings, compressed=cv, report=report)
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +189,7 @@ def cmd_compress(args) -> int:
         k = _load_array(Path(args.qk[1]), 3, "key")
         imp = importance_from_qk(q, k, stream.grid, cfg.pooled_grid)
 
-    run = run_pipeline(stream, cfg, imp, args.profile,
-                       input_paths={"tokens": str(args.tokens)})
+    run = run_pipeline(stream, cfg, imp, args.profile)
     out = Path(args.out)
     save_compressed(run.compressed, run.report, out)
 

@@ -42,7 +42,9 @@ class VideoTokenStream:
     """Dense ``(B, N_v, d)`` float32 token embeddings on an ``H x W`` grid.
 
     Slot ``k`` of a frame sits at grid cell ``(k // W, k % W)`` (row-major).
-    The data array is made read-only on construction.
+    Other dtypes are narrowed to float32; non-finite values and values beyond
+    float32 range are rejected with their flat offset. The data array is
+    made read-only on construction.
     """
 
     data: np.ndarray
@@ -54,8 +56,10 @@ class VideoTokenStream:
         arr = np.asarray(self.data)
         if arr.ndim != 3:
             raise DataError(f"token array has rank {arr.ndim}, expected 3")
+        source = arr
         if arr.dtype != np.float32:
-            arr = arr.astype(np.float32)
+            with np.errstate(over="ignore"):
+                arr = arr.astype(np.float32)
         arr = np.ascontiguousarray(arr)
         b, n_v, d = arr.shape
         if min(b, n_v, d) < 1:
@@ -68,10 +72,14 @@ class VideoTokenStream:
         # so finite norms certify finite data. A non-finite norm without a
         # non-finite entry is the sum overflowing float32 on large finite
         # entries (a single one beyond ~1.8e19 suffices); those are accepted.
+        # An entry that became +-inf only by narrowing was out of range.
         sq_norms = np.einsum("bkd,bkd->bk", arr, arr)
         if not np.isfinite(sq_norms).all():
             offset = _first_non_finite(arr)
             if offset is not None:
+                if np.isfinite(source.flat[offset]):
+                    raise DataError(
+                        f"value out of float32 range at flat offset {offset}")
                 raise DataError(f"non-finite value at flat offset {offset}")
         arr.setflags(write=False)
         sq_norms.setflags(write=False)
@@ -117,14 +125,6 @@ def load_token_stream(path, grid: tuple[int, int]) -> VideoTokenStream:
         raise DataError(f"{path}: rank {arr.ndim}, expected 3")
     if arr.dtype not in (np.float32, np.float64):
         raise DataError(f"{path}: dtype {arr.dtype}, expected float32/float64")
-    if arr.dtype == np.float64:
-        with np.errstate(over="ignore"):
-            narrow = arr.astype(np.float32)
-        offset = _first_non_finite(narrow)
-        if offset is not None and np.isfinite(arr.flat[offset]):
-            raise DataError(
-                f"{path}: value out of float32 range at flat offset {offset}")
-        arr = narrow
     try:
         return VideoTokenStream(arr, grid)
     except DataError as exc:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import dp_segment
 from .core import TEMPORAL_MERGE_MODES, DataError, VideoTokenStream
 
 _WORD_BITS = 64
@@ -182,9 +181,32 @@ class SegmentPlan:
 
 
 def optimal_segmentation(mask: RedundancyMask) -> SegmentPlan:
-    """Globally optimal segmentation by DP; argmax ties go to the smallest start."""
+    """Globally optimal segmentation by DP; argmax ties go to the smallest start.
+
+    ``dp[i]`` is the maximum prunable count over frames [1, i) and
+    ``prev[i]`` the start of the final segment of that optimum.
+    """
     b = mask.n_frames
-    dp, prev = dp_segment(mask.words, b)
+    words = mask.words  # row m covers the frame pair (m+1, m+2), 1-based
+    dp = np.zeros(b + 2, dtype=np.int64)
+    prev = np.zeros(b + 2, dtype=np.int64)
+    for i in range(2, b + 2):
+        best = int(dp[i - 1])  # j = i-1: single-frame segment, gain 0
+        best_j = i - 1
+        if i >= 3:
+            # AND-suffixes of rows 0..i-3: acc[t] = AND of rows t..i-3,
+            # so N(j, i) = popcount(acc[j-1]) for j = 1..i-2.
+            rows = words[: i - 2]
+            acc = np.bitwise_and.accumulate(rows[::-1], axis=0)[::-1]
+            counts = np.bitwise_count(acc).sum(axis=1).astype(np.int64)
+            js = np.arange(1, i - 1, dtype=np.int64)
+            cand = dp[1 : i - 1] + counts * (i - js - 1)
+            top = int(cand.max())
+            if top >= best:
+                best = top
+                best_j = int(js[int(np.argmax(cand))])
+        dp[i] = best
+        prev[i] = best_j
     bounds = [b + 1]
     while bounds[-1] > 1:
         bounds.append(int(prev[bounds[-1]]))
@@ -267,14 +289,11 @@ def apply_temporal_merge(
             bits = np.unpackbits(persistent.view(np.uint8), bitorder="little")
             red = np.flatnonzero(bits[:n_v]).astype(np.int64)
         surv = np.setdiff1d(all_slots, red, assume_unique=True)
-        if red.size:
+        if mode == "mean":
             occ = data[s - 1 : e - 1, red, :]
-            if mode == "mean":
-                merged = occ.mean(axis=0, dtype=np.float64).astype(np.float32)
-            else:
-                merged = occ[0].copy()
+            merged = occ.mean(axis=0, dtype=np.float64).astype(np.float32)
         else:
-            merged = np.empty((0, stream.dim), dtype=np.float32)
+            merged = data[s - 1, red, :]
         pruned += red.size * (e - s - 1)
         for arr in (red, merged, surv):
             arr.setflags(write=False)

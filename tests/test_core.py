@@ -149,6 +149,25 @@ class TestTokenStreamIO:
         with pytest.raises(DataError, match="non-finite value at flat offset 9$"):
             load_token_stream(path, (2, 2))
 
+    @pytest.mark.parametrize("value", [1e39, -1e39, 3.5e38])
+    def test_direct_float64_beyond_float32_range(self, value):
+        arr = np.ones((2, 4, 8))
+        arr[1, 0, 2] = value
+        arr[1, 3, 0] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="^value out of float32 range at flat offset 34$"):
+                VideoTokenStream(arr, (2, 2))
+
+    def test_direct_float64_non_finite_before_out_of_range(self):
+        arr = np.ones((2, 4, 8))
+        arr[0, 1, 1] = -np.inf
+        arr[1, 0, 2] = 1e39
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="^non-finite value at flat offset 9$"):
+                VideoTokenStream(arr, (2, 2))
+
     def test_float64_largest_float32_accepted(self, tmp_path):
         arr = np.ones((2, 4, 8))
         arr[0, 0, 0] = np.finfo(np.float32).max

@@ -1,52 +1,11 @@
-"""Backend equivalence: native and pure-Python DP kernels must agree exactly."""
+"""The segmentation DP on degenerate input."""
 
 import numpy as np
-import pytest
 
-from tokmerge._kernels import BACKEND, _pykernels
-from tokmerge.temporal import RedundancyMask
-
-try:
-    from tokmerge._kernels import _native
-except ImportError:
-    _native = None
-
-
-def random_mask(rng, b, n_v):
-    rows = rng.random((b - 1, n_v)) < rng.uniform(0.1, 0.95)
-    return RedundancyMask.from_bool(rows, n_v)
+from tokmerge.temporal import RedundancyMask, optimal_segmentation
 
 
 def test_python_kernel_handles_degenerate_inputs():
     mask = RedundancyMask.from_bool(np.zeros((0, 5), dtype=bool), n_tokens=5)
-    dp, prev = _pykernels.dp_segment(mask.words, 1)
-    assert dp[2] == 0 and prev[2] == 1
-
-
-@pytest.mark.skipif(_native is None, reason="native kernel not built")
-def test_backends_agree_on_random_masks():
-    rng = np.random.default_rng(0)
-    for _ in range(60):
-        b = int(rng.integers(1, 40))
-        n_v = int(rng.integers(1, 200))
-        mask = random_mask(rng, b, n_v) if b > 1 else \
-            RedundancyMask.from_bool(np.zeros((0, n_v), dtype=bool), n_v)
-        dp_py, prev_py = _pykernels.dp_segment(mask.words, b)
-        dp_nat, prev_nat = _native.dp_segment(mask.words, b)
-        np.testing.assert_array_equal(dp_py, dp_nat)
-        np.testing.assert_array_equal(prev_py, prev_nat)
-
-
-@pytest.mark.skipif(_native is None, reason="native kernel not built")
-def test_backends_agree_on_wide_rows():
-    """Token counts straddling word boundaries (63, 64, 65, 128, 129 bits)."""
-    rng = np.random.default_rng(1)
-    for n_v in (1, 63, 64, 65, 127, 128, 129, 200):
-        mask = random_mask(rng, 12, n_v)
-        dp_py, _ = _pykernels.dp_segment(mask.words, 12)
-        dp_nat, _ = _native.dp_segment(mask.words, 12)
-        np.testing.assert_array_equal(dp_py, dp_nat)
-
-
-def test_selected_backend_is_exported():
-    assert BACKEND in ("native", "python")
+    plan = optimal_segmentation(mask)
+    assert plan.dp[2] == 0 and plan.prev[2] == 1

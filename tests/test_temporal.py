@@ -76,6 +76,25 @@ def brute_force_best_total(rows):
     return best
 
 
+def reference_dp(rows):
+    """The DP recurrence in plain Python over ``brute_force_gains``.
+
+    Returns ``(dp, prev)`` for frames 1..B+1: ``dp[i] = max_j dp[j] + g[j, i]``
+    over 1 <= j < i, and ``prev[i]`` the smallest maximising ``j``.
+    """
+    b = rows.shape[0] + 1
+    g = brute_force_gains(rows)
+    dp, prev = [0] * (b + 2), [0] * (b + 2)
+    for i in range(2, b + 2):
+        prev[i] = max(range(1, i), key=lambda j: (dp[j] + g[j, i], -j))
+        dp[i] = dp[prev[i]] + g[prev[i], i]
+    return dp[1:], prev[1:]
+
+
+def random_rows(rng, b, n_v):
+    return rng.random((b - 1, n_v)) < rng.uniform(0.1, 0.95)
+
+
 def random_stream(rng, b=4, n_v=6, d=8):
     return VideoTokenStream(
         rng.standard_normal((b, n_v, d)).astype(np.float32), (1, n_v))
@@ -219,6 +238,25 @@ class TestOptimalSegmentation:
             plan = optimal_segmentation(RedundancyMask.from_bool(rows, n_v))
             assert plan.total_gain == brute_force_best_total(rows)
 
+    def assert_tables_match_reference(self, rows):
+        plan = optimal_segmentation(RedundancyMask.from_bool(rows, rows.shape[1]))
+        dp, prev = reference_dp(rows)
+        np.testing.assert_array_equal(plan.dp[1:], dp)
+        np.testing.assert_array_equal(plan.prev[1:], prev)
+
+    def test_tables_match_reference_recurrence(self):
+        rng = np.random.default_rng(0)
+        for _ in range(60):
+            b = int(rng.integers(1, 40))
+            n_v = int(rng.integers(1, 200))
+            rows = random_rows(rng, b, n_v) if b > 1 else np.zeros((0, n_v), dtype=bool)
+            self.assert_tables_match_reference(rows)
+
+    def test_tables_match_reference_across_word_boundaries(self):
+        rng = np.random.default_rng(1)
+        for n_v in (1, 63, 64, 65, 127, 128, 129, 200):
+            self.assert_tables_match_reference(random_rows(rng, 12, n_v))
+
     def test_dp_consistency_along_plan(self):
         rng = np.random.default_rng(13)
         rows = rng.random((9, 16)) < 0.6
@@ -244,6 +282,17 @@ class TestApplyTemporalMerge:
         assert seg.survivor_idx.size == 0
         np.testing.assert_array_equal(seg.merged_values, frame)
         assert tmr.survivor_count == 4
+
+    def test_first_mode_keeps_first_occurrence(self):
+        rng = np.random.default_rng(8)
+        base = rng.standard_normal((6, 12)).astype(np.float32)
+        data = np.stack([base + 0.05 * rng.standard_normal((6, 12)).astype(np.float32)
+                         for _ in range(5)])
+        stream, plan, tmr = self._merge(data, (2, 3), 0.8, "first")
+        assert plan.total_gain > 0
+        for seg in tmr.segments:
+            np.testing.assert_array_equal(
+                seg.merged_values, stream.data[seg.start - 1, seg.redundant_idx])
 
     def test_identical_frames_mean_mode_same_values(self):
         frame = np.random.default_rng(4).standard_normal((4, 8)).astype(np.float32)
