@@ -14,6 +14,7 @@ from .core import (
     ConfigError,
     DataError,
     ModelProfile,
+    ProvenanceArrays,
     TokenProvenance,
     VideoTokenStream,
     load_compressed,
@@ -79,6 +80,7 @@ __all__ = [
     "InnerMergeResult",
     "ModelProfile",
     "PROFILES",
+    "ProvenanceArrays",
     "RedundancyMask",
     "SegmentPlan",
     "SynthSpec",

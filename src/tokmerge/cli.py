@@ -190,12 +190,19 @@ def cmd_compress(args) -> int:
         imp = importance_from_qk(q, k, stream.grid, cfg.pooled_grid)
 
     run = run_pipeline(stream, cfg, imp, args.profile)
+    if inner:
+        # the inner merge runs on the compressed tokens: one row per token
+        final = run.report.final_count
+        hidden = _load_array(Path(args.hidden), 2, "hidden-state")
+        last = _load_array(Path(args.last_attn), 1, "last-attention")
+        for path, rows in ((args.hidden, hidden.shape[0]), (args.last_attn, last.shape[0])):
+            if rows != final:
+                raise DataError(f"{path}: {rows} rows, but the compressed video has "
+                                f"final_count {final} tokens")
     out = Path(args.out)
     save_compressed(run.compressed, run.report, out)
 
     if inner:
-        hidden = _load_array(Path(args.hidden), 2, "hidden-state")
-        last = _load_array(Path(args.last_attn), 1, "last-attention")
         result = inner_merge(InnerMergeInput(hidden, last), cfg.inner_ratio_R)
         np.save(out / "inner_tokens.npy", result.updated)
         with open(out / "inner.json", "w", encoding="utf-8") as fh:

@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
-from itertools import chain
+from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -300,45 +302,98 @@ def _first_repeat(frames: np.ndarray, slots: np.ndarray) -> int:
     return int(order[1:][repeat].min()) if repeat.any() else -1
 
 
-def _int64_coords(values, count: int) -> np.ndarray:
+class ProvenanceArrays(NamedTuple):
+    """Provenance of M survivors as int64 arrays, members in CSR layout.
+
+    ``frames``/``slots`` (M,) are the survivors' coordinates and ``kinds``
+    (M,) index PROVENANCE_KINDS; survivor ``i`` absorbed the (frame, slot)
+    rows ``member_offsets[i]:member_offsets[i + 1]`` of ``members`` (P, 2).
+    """
+
+    frames: np.ndarray
+    slots: np.ndarray
+    kinds: np.ndarray
+    member_offsets: np.ndarray
+    members: np.ndarray
+
+
+_RECORD_FIELDS = ("frame", "spatial_index", "kind", "members")
+
+
+def _int64(values: list, field: str) -> np.ndarray:
+    """int64 array of integers (Python, numpy or JSON ones; not booleans)."""
+    for v in [] if set(map(type, values)) <= {int} else values:
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+            raise DataError(f"provenance coordinates must be int64 integers: {field} {v!r}")
     try:
-        return np.fromiter(values, dtype=np.int64, count=count).reshape(-1, 2)
-    except (OverflowError, TypeError, ValueError) as exc:
-        raise DataError(f"provenance coordinates must be int64 integers: {exc}") from None
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        bad = next(v for v in values if not -2**63 <= v < 2**63)
+        raise DataError(f"provenance coordinates must be int64 integers: {field} {bad}") from None
 
 
-@dataclass(frozen=True)
+def _provenance_arrays(frames: list, slots: list, kinds: list, members: list) -> ProvenanceArrays:
+    """ProvenanceArrays from per-record columns, ``members`` holding pair lists."""
+    try:
+        pairs = [m for ms in members for m in ms]
+        if not set(map(len, pairs)) <= {2}:
+            raise TypeError
+    except TypeError:
+        raise DataError("provenance members must be (frame, slot) pairs") from None
+    for kind in kinds:
+        if kind not in PROVENANCE_KINDS:
+            raise DataError(f"unknown provenance kind {kind!r}")
+    return ProvenanceArrays(
+        _int64(frames, "frame"), _int64(slots, "spatial_index"),
+        np.array([PROVENANCE_KINDS.index(k) for k in kinds], dtype=np.int64),
+        np.cumsum([0] + list(map(len, members))),
+        _int64([v for m in pairs for v in m], "members").reshape(-1, 2))
+
+
 class CompressedVideo:
-    """Surviving tokens (M x d float32) plus per-token provenance."""
+    """Surviving tokens (M x d float32) plus their provenance.
 
-    tokens: np.ndarray
-    provenance: tuple[TokenProvenance, ...]
+    Provenance is passed as TokenProvenance records or as ProvenanceArrays
+    and held, validated and read-only, as ``provenance_arrays``;
+    ``provenance`` derives the records on first read.
+    """
 
-    def __post_init__(self):
-        tok = np.ascontiguousarray(np.asarray(self.tokens, dtype=np.float32))
+    def __init__(self, tokens, provenance):
+        tok = np.ascontiguousarray(np.asarray(tokens, dtype=np.float32))
         if tok.ndim != 2:
             raise DataError(f"tokens must be 2-D, got rank {tok.ndim}")
-        prov = tuple(self.provenance)
-        if len(prov) != tok.shape[0]:
-            raise DataError(
-                f"{tok.shape[0]} tokens but {len(prov)} provenance records")
-        coords = _int64_coords(
-            chain.from_iterable((p.frame, p.spatial_index) for p in prov), 2 * len(prov))
-        f, s = coords[:, 0], coords[:, 1]
+        if not isinstance(provenance, ProvenanceArrays):
+            records = tuple(provenance)
+            provenance = _provenance_arrays(
+                *([getattr(p, key) for p in records] for key in _RECORD_FIELDS))
+        pa = ProvenanceArrays(*(np.array(a, dtype=np.int64) for a in provenance))
+        f, s, kinds, offsets, members = pa
+        if f.shape != (tok.shape[0],):
+            raise DataError(f"{tok.shape[0]} tokens but {f.size} provenance records")
+        if members.ndim != 2 or members.shape[1] != 2:
+            raise DataError("provenance members must be (frame, slot) pairs")
+        if not (s.shape == kinds.shape == (offsets.size - 1,) == f.shape
+                and offsets[0] == 0 and offsets[-1] == len(members)
+                and (offsets[1:] >= offsets[:-1]).all()
+                and ((kinds >= 0) & (kinds < len(PROVENANCE_KINDS))).all()):
+            raise DataError("provenance arrays are inconsistent")
         if ((f[1:] < f[:-1]) | ((f[1:] == f[:-1]) & (s[1:] <= s[:-1]))).any():
             raise DataError("provenance not strictly ascending by (frame, slot)")
-        if any(len(m) != 2 for p in prov for m in p.members):
-            raise DataError("provenance members must be (frame, slot) pairs")
-        members = _int64_coords(
-            chain.from_iterable(chain.from_iterable(p.members for p in prov)), -1)
-        coords = np.concatenate((coords, members))
-        repeat = _first_repeat(coords[:, 0], coords[:, 1])
+        f, s = np.concatenate((f, members[:, 0])), np.concatenate((s, members[:, 1]))
+        repeat = _first_repeat(f, s)
         if repeat >= 0:
-            m = (int(coords[repeat, 0]), int(coords[repeat, 1]))
-            raise DataError(f"token coordinate {m} appears twice")
-        tok.setflags(write=False)
-        object.__setattr__(self, "tokens", tok)
-        object.__setattr__(self, "provenance", prov)
+            raise DataError(f"token coordinate {(int(f[repeat]), int(s[repeat]))} appears twice")
+        for arr in (tok, *pa):
+            arr.setflags(write=False)
+        self.tokens, self.provenance_arrays = tok, pa
+
+    @cached_property
+    def provenance(self) -> tuple[TokenProvenance, ...]:
+        """One TokenProvenance record per token, derived from the arrays."""
+        frames, slots, kinds, offsets, members = (a.tolist() for a in self.provenance_arrays)
+        members = list(map(tuple, members))
+        return tuple(map(TokenProvenance, frames, slots, [PROVENANCE_KINDS[k] for k in kinds],
+                         [tuple(members[a:b]) for a, b in zip(offsets, offsets[1:])]))
 
     @property
     def count(self) -> int:
@@ -420,39 +475,55 @@ TOKENS_FILE = "tokens.npy"
 META_FILE = "compressed.json"
 
 
-def _members_json(members) -> str:
-    if not members:
+def _record_template(kind: str, n_members: int) -> str:
+    """A provenance record as ``json.dumps(doc, indent=1)`` nests it in
+    compressed.json, with ``%d`` for each of its integers."""
+    members = ",\n".join(["    [\n     %d,\n     %d\n    ]"] * n_members)
+    members = f"[\n{members}\n   ]" if n_members else "[]"
+    return (f'  {{\n   "frame": %d,\n   "spatial_index": %d,\n   "kind": "{kind}",'
+            f'\n   "members": {members}\n  }}')
+
+
+def _provenance_json(pa: ProvenanceArrays) -> str:
+    """The provenance list as compressed.json holds it: every integer in
+    document order, formatted into one template per (kind, member count)."""
+    if not pa.frames.size:
         return "[]"
-    pairs = ",\n".join(f"    [\n     {f},\n     {s}\n    ]" for f, s in members)
-    return f"[\n{pairs}\n   ]"
+    values = np.insert(pa.members.ravel(), np.repeat(2 * pa.member_offsets[:-1], 2),
+                       np.stack((pa.frames, pa.slots), axis=1).ravel())
+    counts = np.diff(pa.member_offsets)
+    width = int(counts.max()) + 1
+    keys, which = np.unique(pa.kinds * width + counts, return_inverse=True)
+    templates = np.array([_record_template(PROVENANCE_KINDS[k // width], k % width)
+                          for k in keys.tolist()], dtype=object)
+    return ("[\n" + ",\n".join(templates[which].tolist()) + "\n ]") % tuple(values.tolist())
 
 
 def save_compressed(cv: CompressedVideo, report: CompressionReport, out_dir) -> None:
     """Write tokens.npy plus a compressed.json carrying provenance + report.
 
     compressed.json is byte-identical to ``json.dump(doc, fh, indent=1)``
-    plus a newline, where ``doc`` is ``{"provenance": [{"frame",
-    "spatial_index", "kind", "members": [[f, s], ...]}, ...], "report":
-    report_to_dict(report)}``. The provenance part is formatted directly
-    from that fixed schema, since the pure-Python indenting encoder would
-    walk every member coordinate; the report is still encoded by ``json``.
-    Loading the directory back reproduces the inputs bit-exactly (float32
-    token payload; JSON floats round-trip via repr).
+    plus a newline, for ``doc = {"provenance": [{"frame", "spatial_index",
+    "kind", "members": [[f, s], ...]}, ...], "report": report_to_dict(report)}``;
+    the provenance is formatted from its arrays rather than by the
+    pure-Python indenting encoder. Loading the directory back reproduces
+    the inputs bit-exactly (float32 tokens; JSON floats round-trip via repr).
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     np.save(out / TOKENS_FILE, cv.tokens)
-    records = ",\n".join(
-        f'  {{\n   "frame": {p.frame},\n   "spatial_index": {p.spatial_index},'
-        f'\n   "kind": "{p.kind}",\n   "members": {_members_json(p.members)}\n  }}'
-        for p in cv.provenance)
-    provenance = f"[\n{records}\n ]" if records else "[]"
+    provenance = _provenance_json(cv.provenance_arrays)
     report_json = json.dumps(report_to_dict(report), indent=1).replace("\n", "\n ")
     with open(out / META_FILE, "w", encoding="utf-8") as fh:
         fh.write(f'{{\n "provenance": {provenance},\n "report": {report_json}\n}}\n')
 
 
 def load_compressed(out_dir) -> tuple[CompressedVideo, CompressionReport]:
+    """Read a directory written by save_compressed.
+
+    Provenance coordinates must be JSON integers and members [frame, slot]
+    pairs; a violation raises DataError naming the file and the field.
+    """
     out = Path(out_dir)
     tokens_path = out / TOKENS_FILE
     meta_path = out / META_FILE
@@ -463,15 +534,15 @@ def load_compressed(out_dir) -> tuple[CompressedVideo, CompressionReport]:
     tokens = np.load(tokens_path, allow_pickle=False)
     if tokens.ndim != 2:
         raise DataError(f"{tokens_path}: rank {tokens.ndim}, expected 2")
-    with open(meta_path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    prov = tuple(
-        TokenProvenance(
-            frame=int(p["frame"]),
-            spatial_index=int(p["spatial_index"]),
-            kind=p["kind"],
-            members=tuple((int(a), int(b)) for a, b in p["members"]),
-        )
-        for p in doc["provenance"]
-    )
-    return CompressedVideo(tokens, prov), report_from_dict(doc["report"])
+    try:
+        with open(meta_path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        columns = [[p[key] for p in doc["provenance"]] for key in _RECORD_FIELDS]
+        return (CompressedVideo(tokens, _provenance_arrays(*columns)),
+                report_from_dict(doc["report"]))
+    except (json.JSONDecodeError, DataError) as exc:
+        raise DataError(f"{meta_path}: {exc}") from None
+    except KeyError as exc:
+        raise DataError(f"{meta_path}: missing field {exc}") from None
+    except TypeError:
+        raise DataError(f"{meta_path}: provenance must be a list of objects") from None

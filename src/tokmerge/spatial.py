@@ -10,11 +10,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
-from .core import CompressedVideo, CompressionConfig, DataError, TokenProvenance
+from .core import (
+    PROVENANCE_KINDS,
+    CompressedVideo,
+    CompressionConfig,
+    DataError,
+    ProvenanceArrays,
+)
 from .temporal import TemporalMergeResult
 
 
@@ -255,11 +260,6 @@ def auto_knn_k(n: int) -> int:
 # Spatial merge
 # ---------------------------------------------------------------------------
 
-def _absorbed(later: range, slot: int) -> tuple[tuple[int, int], ...]:
-    """Coordinates of ``slot`` in the frames its temporal merge absorbed."""
-    return tuple(zip(later, repeat(slot)))
-
-
 def spatial_merge(
     tmr: TemporalMergeResult,
     imp: ImportanceMap | None,
@@ -273,6 +273,10 @@ def spatial_merge(
     (ceil(r * count) kept) and each segment's redundant set is
     cluster-merged to ceil(r * count) representatives placed at their
     center's spatial index. Output is ordered by (frame, spatial index).
+
+    A representative's members are its own slot in the segment's later
+    frames, then, for each other slot of its cluster in ascending order,
+    that slot in every frame of the segment.
     """
     stream = tmr.stream
     b, n_v = stream.frames, stream.tokens_per_frame
@@ -300,72 +304,62 @@ def spatial_merge(
         scores = imp.token_scores()
         rate = target / survivors
 
-    # one block of (0-based frame, slot, representative) arrays per selection
-    # or representative set; the representative index points into the
-    # concatenated representative values, -1 marks a token kept from the stream
-    frames, slots, reps = [], [], []
-    rep_values, rep_members = [], []
-    n_reps = 0
+    # one block of (0-based frame, slot) arrays per selection or
+    # representative set. Sorted by (frame, slot), representatives keep the
+    # order they are made in, and so do their values and member blocks.
+    frames, slots, is_rep, rep_values, rep_counts, members = [], [], [], [], [], []
     for seg in tmr.segments:
         surv = seg.survivor_idx
         red = seg.redundant_idx
+        f0, length = seg.start - 1, seg.length
+        seg_frames = np.arange(f0, f0 + length)
         if surv.size:
-            seg_frames = np.arange(seg.start - 1, seg.end - 1)
             if pass_through:
                 kept = np.broadcast_to(surv, (seg_frames.size, surv.size))
             else:
                 keep = math.ceil(rate * surv.size)
                 kept = surv[attention_select(scores[seg_frames[:, None], surv], keep)]
-            f0s = np.repeat(seg_frames, kept.shape[1])
-            kept = kept.ravel()
-            frames.append(f0s)
-            slots.append(kept)
-            reps.append(np.full(kept.size, -1))
+            frames.append(np.repeat(seg_frames, kept.shape[1]))
+            slots.append(kept.ravel())
+            is_rep.append(np.zeros(kept.size, dtype=bool))
         if red.size == 0:
             continue
-        f0 = seg.start - 1
-        later = range(seg.start, seg.end - 1)  # 0-based frames merged away
-        red_slots = red.tolist()
-        if pass_through:
-            centers = np.arange(red.size)
-            values = seg.merged_values
-            members = [_absorbed(later, slot) for slot in red_slots]
-        else:
+        values, centers = seg.merged_values, np.arange(red.size)
+        assignment = centers
+        if not pass_through:
             n_red = int(red.size)
             centers_wanted = math.ceil(rate * n_red)
             k = cfg.knn_k if cfg.knn_k is not None else auto_knn_k(n_red)
             k = min(max(k, 1), max(n_red - 1, 1))
             state = dpc_knn_cluster(seg.merged_values, k, centers_wanted)
             values, centers = merge_clusters(seg.merged_values, state)
-            members = []
-            for center in centers.tolist():
-                group = list(_absorbed(later, red_slots[center]))
-                for m in np.flatnonzero(state.assignment == center).tolist():
-                    if m != center:
-                        group.append((f0, red_slots[m]))
-                        group.extend(_absorbed(later, red_slots[m]))
-                members.append(tuple(group))
+            assignment = state.assignment
+        # each cluster's slots, center first, in every frame of the segment;
+        # the center's own first-frame occurrence is the representative
+        idx = np.arange(red.size)
+        order = np.lexsort((idx, idx != assignment, assignment))
+        coords = np.stack((np.tile(seg_frames, red.size),
+                           np.repeat(red[order], length)), axis=1)
+        members.append(np.delete(coords, np.flatnonzero(order == assignment[order]) * length,
+                                 axis=0))
+        rep_counts.append(np.bincount(assignment)[centers] * length - 1)
         frames.append(np.full(centers.size, f0))
         slots.append(red[centers])
-        reps.append(n_reps + np.arange(centers.size))
+        is_rep.append(np.ones(centers.size, dtype=bool))
         rep_values.append(values)
-        rep_members.extend(members)
-        n_reps += centers.size
 
-    frames, slots, reps = (np.concatenate(x) for x in (frames, slots, reps))
+    frames, slots, is_rep = (np.concatenate(x) for x in (frames, slots, is_rep))
     order = np.lexsort((slots, frames))
-    frames, slots, reps = frames[order], slots[order], reps[order]
+    frames, slots, is_rep = frames[order], slots[order], is_rep[order]
 
     # one gather from the stream at every output coordinate; representative
     # rows are then overwritten with their merged values
     tokens = stream.data.reshape(b * n_v, -1).take(frames * n_v + slots, axis=0)
-    if n_reps:
-        is_rep = reps >= 0
-        tokens[is_rep] = np.concatenate(rep_values)[reps[is_rep]]
-    rep_kind = "temporal_rep" if pass_through else "cluster_rep"
-    reps = reps.tolist()
-    provenance = tuple(map(
-        TokenProvenance, frames.tolist(), slots.tolist(),
-        ["selected" if r < 0 else rep_kind for r in reps],
-        [() if r < 0 else rep_members[r] for r in reps]))
-    return CompressedVideo(tokens=tokens, provenance=provenance)
+    counts = np.zeros(frames.size, dtype=np.int64)
+    if rep_values:
+        tokens[is_rep] = np.concatenate(rep_values)
+        counts[is_rep] = np.concatenate(rep_counts)
+    kind = PROVENANCE_KINDS.index("temporal_rep" if pass_through else "cluster_rep")
+    return CompressedVideo(tokens, ProvenanceArrays(
+        frames, slots, is_rep * kind, np.concatenate(([0], np.cumsum(counts))),
+        np.concatenate(members) if members else np.empty((0, 2), dtype=np.int64)))

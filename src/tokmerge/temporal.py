@@ -263,8 +263,11 @@ def apply_temporal_merge(
     """Merge each segment's persistent slots into their first occurrence.
 
     mode="mean" replaces the first-frame value with the arithmetic mean of
-    all occurrences in the segment; mode="first" keeps it verbatim. The
-    number of removed occurrences equals ``plan.total_gain``.
+    all occurrences in the segment: a float64 sum in frame order starting
+    from +0.0 (so a slot whose occurrences are all -0.0 merges to +0.0),
+    divided by the segment length and narrowed to float32. mode="first"
+    keeps it verbatim. The number of removed occurrences equals
+    ``plan.total_gain``.
     """
     if mode not in TEMPORAL_MERGE_MODES:
         raise DataError(f"unknown merge mode {mode!r}")
@@ -289,9 +292,13 @@ def apply_temporal_merge(
             bits = np.unpackbits(persistent.view(np.uint8), bitorder="little")
             red = np.flatnonzero(bits[:n_v]).astype(np.int64)
         surv = np.setdiff1d(all_slots, red, assume_unique=True)
-        if mode == "mean":
-            occ = data[s - 1 : e - 1, red, :]
-            merged = occ.mean(axis=0, dtype=np.float64).astype(np.float32)
+        if mode == "mean" and red.size:
+            # numpy reduces axis 0 frame by frame, starting from +0.0, so
+            # summing the slot span in place and then picking ``red`` gives
+            # the bits of the mean over a gathered copy of the occurrences
+            lo = red[0]
+            block = data[s - 1 : e - 1, lo : red[-1] + 1].sum(axis=0, dtype=np.float64)
+            merged = (block[red - lo] / (e - s)).astype(np.float32)
         else:
             merged = data[s - 1, red, :]
         pruned += red.size * (e - s - 1)

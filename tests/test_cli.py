@@ -166,11 +166,16 @@ class TestCompress:
                    "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert rc == 1
 
+    # final_count of write_corpus() at the default target ratio 1.0: the
+    # inner-merge dumps hold one row per compressed token
+    FINAL_COUNT = 18
+
     def test_inner_dumps_processed(self, tmp_path):
         spec, stream, tokens = write_corpus(tmp_path)
+        n = self.FINAL_COUNT
         rng = np.random.default_rng(3)
-        hidden = rng.standard_normal((24, 8)).astype(np.float32)
-        last = rng.random(24)
+        hidden = rng.standard_normal((n, 8)).astype(np.float32)
+        last = rng.random(n)
         np.save(tmp_path / "hidden.npy", hidden)
         np.save(tmp_path / "last.npy", last)
         out = tmp_path / "out"
@@ -179,10 +184,30 @@ class TestCompress:
                    "--hidden", str(tmp_path / "hidden.npy"),
                    "--last-attn", str(tmp_path / "last.npy")])
         assert rc == 0
+        assert load_compressed(out)[1].final_count == n
         inner = np.load(out / "inner_tokens.npy")
-        assert inner.shape == (24 - 12, 8)  # R=50 drops half
+        assert inner.shape == (n - n // 2, 8)  # R=50 drops half
         meta = json.loads((out / "inner.json").read_text())
-        assert len(meta["retained_indices"]) == 12
+        assert len(meta["retained_indices"]) == n - n // 2
+
+    @pytest.mark.parametrize("hidden_rows,last_rows", [(24, 18), (18, 17), (0, 18)])
+    def test_inner_dumps_not_final_count_exit_2(self, tmp_path, capsys,
+                                                hidden_rows, last_rows):
+        spec, stream, tokens = write_corpus(tmp_path)
+        rng = np.random.default_rng(3)
+        np.save(tmp_path / "hidden.npy", rng.standard_normal((hidden_rows, 8)))
+        np.save(tmp_path / "last.npy", rng.random(last_rows))
+        out = tmp_path / "out"
+        rc = main(["compress", "--tokens", str(tokens), "--grid", "2x3",
+                   "--out", str(out),
+                   "--hidden", str(tmp_path / "hidden.npy"),
+                   "--last-attn", str(tmp_path / "last.npy")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        bad, rows = (("hidden.npy", hidden_rows) if hidden_rows != self.FINAL_COUNT
+                     else ("last.npy", last_rows))
+        assert f"{bad}: {rows} rows" in err and f"final_count {self.FINAL_COUNT}" in err
+        assert not out.exists()
 
     def test_inner_dumps_with_inner_disabled_exit_1(self, tmp_path, capsys):
         spec, stream, tokens = write_corpus(tmp_path)

@@ -325,6 +325,43 @@ class TestCompressedIO:
         with pytest.raises(DataError, match="int64"):
             load_compressed(tmp_path)
 
+    @pytest.mark.parametrize("edit,field,shown", [
+        (lambda prov: prov[0].update(frame=0.7), "frame", "0.7"),
+        (lambda prov: prov[1].update(spatial_index=True), "spatial_index", "True"),
+        (lambda prov: prov[0].update(frame="0"), "frame", "'0'"),
+        (lambda prov: prov[2]["members"][1].__setitem__(0, False), "members", "False"),
+        (lambda prov: prov[0]["members"][0].append(2), "members", "(frame, slot) pairs"),
+        (lambda prov: prov[2]["members"].append(3), "members", "(frame, slot) pairs"),
+        (lambda prov: prov[2].pop("spatial_index"), "spatial_index", "missing field"),
+        (lambda prov: prov[1].update(kind="merged"), "kind", "'merged'"),
+    ], ids=["float-frame", "bool-slot", "string-frame", "bool-member", "triple-member",
+            "scalar-member", "missing-slot", "unknown-kind"])
+    def test_load_malformed_provenance_names_file_and_field(self, tmp_path, edit,
+                                                            field, shown):
+        save_compressed(small_cv(), small_report(), tmp_path)
+        meta = tmp_path / "compressed.json"
+        doc = json.loads(meta.read_text(encoding="utf-8"))
+        edit(doc["provenance"])
+        meta.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(DataError) as info:
+            load_compressed(tmp_path)
+        message = str(info.value)
+        assert message.startswith(f"{meta}: ") and field in message and shown in message
+
+    def test_load_provenance_not_a_list_of_objects(self, tmp_path):
+        save_compressed(small_cv(), small_report(), tmp_path)
+        meta = tmp_path / "compressed.json"
+        doc = json.loads(meta.read_text(encoding="utf-8"))
+        doc["provenance"] = [[0, 0, "selected", []]]
+        meta.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(DataError, match=f"^{re.escape(str(meta))}: provenance must be"):
+            load_compressed(tmp_path)
+
+    def test_provenance_records_derived_once(self):
+        cv = small_cv()
+        assert cv.provenance is cv.provenance
+        assert [p.kind for p in cv.provenance] == ["temporal_rep", "selected", "cluster_rep"]
+
     def test_inconsistent_counts_rejected(self):
         with pytest.raises(DataError):
             CompressionReport(10, 12, 3, 0.5, 0.3, (), 1.0, 1.0)

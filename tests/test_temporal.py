@@ -91,6 +91,14 @@ def reference_dp(rows):
     return dp[1:], prev[1:]
 
 
+def reference_merged_values(data, s, e, red, mode):
+    """Oracle: a segment's merged values from a gathered copy of every
+    occurrence of its redundant slots ``red`` in frames [s, e) (1-based)."""
+    if mode == "first":
+        return data[s - 1, red, :]
+    return data[s - 1 : e - 1, red, :].mean(axis=0, dtype=np.float64).astype(np.float32)
+
+
 def random_rows(rng, b, n_v):
     return rng.random((b - 1, n_v)) < rng.uniform(0.1, 0.95)
 
@@ -341,3 +349,85 @@ class TestApplyTemporalMerge:
         wrong_mask = pairwise_redundancy(other, 0.8)
         with pytest.raises(DataError):
             apply_temporal_merge(other, plan, wrong_mask, "mean")
+
+
+class TestMergedValuesBitExact:
+    """merged_values equal the gathered-mean oracle bit for bit."""
+
+    @staticmethod
+    def merge_segment(data, red, mode):
+        """Merge frames 2..B of ``data`` as one segment persistent on ``red``.
+
+        Frame 1 is a segment of its own (the first pair has no redundant
+        slot), so the merged segment starts at frame 2; with ``red`` empty
+        the optimum is one segment over every frame.
+        """
+        b, n_v, _ = data.shape
+        rows = np.zeros((b - 1, n_v), dtype=bool)
+        rows[1:, red] = True
+        mask = RedundancyMask.from_bool(rows, n_v)
+        plan = optimal_segmentation(mask)
+        tmr = apply_temporal_merge(VideoTokenStream(data, (1, n_v)), plan, mask, mode)
+        seg = tmr.segments[-1]
+        assert (seg.start, seg.end) == ((2 if len(red) else 1), b + 1)
+        np.testing.assert_array_equal(seg.redundant_idx, red)
+        return seg
+
+    @staticmethod
+    def assert_bits_equal(a, b):
+        assert a.dtype == b.dtype == np.float32 and a.shape == b.shape
+        assert np.array_equal(a.view(np.uint32), b.view(np.uint32))
+
+    @staticmethod
+    def scaled_tokens(rng, b, n_v, d):
+        """Tokens with per-token scales 1e-30..1e30, float32 subnormals included."""
+        scale = 10.0 ** rng.integers(-30, 31, (b, n_v, 1))
+        data = (rng.standard_normal((b, n_v, d)) * scale).astype(np.float32)
+        data[:, 0, : d // 2] = np.float32(1e-40) * rng.integers(1, 100, (b, d // 2))
+        assert (np.abs(data[:, 0, : d // 2]) < np.finfo(np.float32).tiny).all()
+        return data
+
+    @pytest.mark.parametrize("length", [2, 3, 9, 33, 129, 300])
+    @pytest.mark.parametrize("layout", ["scattered", "contiguous", "empty"])
+    def test_mean_matches_gathered_oracle(self, length, layout):
+        rng = np.random.default_rng(length)
+        n_v, d = 24, 7
+        data = self.scaled_tokens(rng, length + 1, n_v, d)
+        red = {"scattered": np.array([0, 3, 4, 11, 17, 23]),
+               "contiguous": np.arange(5, 15),
+               "empty": np.array([], dtype=np.int64)}[layout]
+        # slots 4 and 11 hold unit-scale tokens whose first two occurrences
+        # in the segment cancel, so any other summation order loses the
+        # later terms
+        data[:, [4, 11]] = rng.standard_normal((length + 1, 2, d))
+        big = np.float32(1e30) * rng.standard_normal(d).astype(np.float32)
+        data[1, [4, 11]], data[2, [4, 11]] = big, -big
+        seg = self.merge_segment(data, red, "mean")
+        self.assert_bits_equal(
+            seg.merged_values, reference_merged_values(data, seg.start, seg.end, red, "mean"))
+
+    @pytest.mark.parametrize("length", [2, 3, 9, 33, 129, 300])
+    def test_signed_zero_slots(self, length):
+        """An all -0.0 slot merges to +0.0, as a sum from +0.0 gives."""
+        rng = np.random.default_rng(100 + length)
+        n_v, d = 6, 5
+        data = rng.standard_normal((length + 1, n_v, d)).astype(np.float32)
+        data[:, 1] = np.float32(-0.0)
+        data[:, 4] = np.where(rng.random((length + 1, d)) < 0.5, np.float32(-0.0),
+                              np.float32(0.0))
+        data[:, 4, 0] = np.float32(-0.0)  # one all -0.0 component in the mixed slot
+        red = np.array([1, 2, 4])
+        seg = self.merge_segment(data, red, "mean")
+        self.assert_bits_equal(
+            seg.merged_values, reference_merged_values(data, seg.start, seg.end, red, "mean"))
+        merged = seg.merged_values
+        assert not np.signbit(merged[0]).any() and not np.signbit(merged[2]).any()
+
+    @pytest.mark.parametrize("length", [2, 9, 300])
+    def test_first_mode_unchanged(self, length):
+        rng = np.random.default_rng(200 + length)
+        data = self.scaled_tokens(rng, length + 1, 10, 4)
+        red = np.array([0, 2, 3, 9])
+        seg = self.merge_segment(data, red, "first")
+        self.assert_bits_equal(
+            seg.merged_values, reference_merged_values(data, seg.start, seg.end, red, "first"))
