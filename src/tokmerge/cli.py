@@ -35,7 +35,7 @@ from .cost import (
     pipeline_cost_report,
     retained_for_ratio,
 )
-from .innerllm import InnerMergeInput, inner_merge
+from .innerllm import InnerMergeInput, check_hidden, check_last_attn, inner_merge
 from .spatial import ImportanceMap, importance_from_attention, importance_from_qk, spatial_merge
 from .synth import SynthSpec, generate
 from .temporal import apply_temporal_merge, optimal_segmentation, pairwise_redundancy
@@ -143,7 +143,8 @@ def _load_json(path: Path) -> dict:
     return doc
 
 
-def _load_array(path: Path, rank: int, what: str) -> np.ndarray:
+def _load_array(path: Path, rank: int, what: str, check=None) -> np.ndarray:
+    """Load a ``.npy`` array of the given rank; ``check`` validates it further."""
     if not path.exists():
         raise DataError(f"{what} file not found: {path}")
     try:
@@ -152,6 +153,11 @@ def _load_array(path: Path, rank: int, what: str) -> np.ndarray:
         raise DataError(f"malformed array file {path}: {exc}") from exc
     if arr.ndim != rank:
         raise DataError(f"{path}: rank {arr.ndim}, expected {rank}")
+    if check is not None:
+        try:
+            arr = check(arr)
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from None
     return arr
 
 
@@ -191,19 +197,21 @@ def cmd_compress(args) -> int:
 
     run = run_pipeline(stream, cfg, imp, args.profile)
     if inner:
-        # the inner merge runs on the compressed tokens: one row per token
+        # the inner merge runs on the compressed tokens: one row per token;
+        # its dumps are validated before any output is written
         final = run.report.final_count
-        hidden = _load_array(Path(args.hidden), 2, "hidden-state")
-        last = _load_array(Path(args.last_attn), 1, "last-attention")
+        hidden = _load_array(Path(args.hidden), 2, "hidden-state", check_hidden)
+        last = _load_array(Path(args.last_attn), 1, "last-attention", check_last_attn)
         for path, rows in ((args.hidden, hidden.shape[0]), (args.last_attn, last.shape[0])):
             if rows != final:
                 raise DataError(f"{path}: {rows} rows, but the compressed video has "
                                 f"final_count {final} tokens")
+        inner_input = InnerMergeInput(hidden, last)
     out = Path(args.out)
     save_compressed(run.compressed, run.report, out)
 
     if inner:
-        result = inner_merge(InnerMergeInput(hidden, last), cfg.inner_ratio_R)
+        result = inner_merge(inner_input, cfg.inner_ratio_R)
         np.save(out / "inner_tokens.npy", result.updated)
         with open(out / "inner.json", "w", encoding="utf-8") as fh:
             json.dump({

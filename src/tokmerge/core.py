@@ -531,7 +531,10 @@ def load_compressed(out_dir) -> tuple[CompressedVideo, CompressionReport]:
         raise DataError(f"token file not found: {tokens_path}")
     if not meta_path.exists():
         raise DataError(f"metadata file not found: {meta_path}")
-    tokens = np.load(tokens_path, allow_pickle=False)
+    try:
+        tokens = np.load(tokens_path, allow_pickle=False)
+    except ValueError as exc:
+        raise DataError(f"malformed array file {tokens_path}: {exc}") from exc
     if tokens.ndim != 2:
         raise DataError(f"{tokens_path}: rank {tokens.ndim}, expected 2")
     try:

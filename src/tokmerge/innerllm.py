@@ -14,24 +14,60 @@ import numpy as np
 
 from .core import DataError
 
+# Candidate rows scored per block, and retained rows gathered per block by
+# the exact recheck. A block's float32 similarities take
+# _ASSIGN_CHUNK * N_r * 4 bytes (98 MB for N_r = 12,500 retained tokens), so
+# the assignment holds O(chunk * N) memory rather than the dense N_c x N_r
+# matrix; blocks this tall keep the float32 product near its BLAS speed.
+_ASSIGN_CHUNK = 2048
+# Float64 row norms that certify a row for the float32 decision (0 also
+# does). Retained rows are scaled to unit length, so only float64 overflow
+# and underflow bound theirs; candidate rows enter the float32 product
+# unscaled, so theirs keep float32 overflow and underflow negligible. Other
+# rows are decided by the exact recheck.
+_RETAINED_NORMS = (2.0**-400, 2.0**400)
+_CANDIDATE_NORMS = (2.0**-60, 2.0**60)
+
+
+def check_hidden(hidden) -> np.ndarray:
+    """Hidden states as a C-contiguous float32 (N, d) array of finite values.
+
+    Finiteness is the precondition of the error band in similarity_assign.
+    """
+    with np.errstate(over="ignore"):  # beyond float32 range reads as inf
+        hidden = np.ascontiguousarray(np.asarray(hidden, dtype=np.float32))
+    if hidden.ndim != 2:
+        raise DataError(f"hidden states must be 2-D, got rank {hidden.ndim}")
+    if not np.isfinite(hidden).all():
+        row = np.argmin(np.isfinite(hidden).all(axis=1))
+        raise DataError(f"hidden state row {row} is not finite in float32")
+    return hidden
+
+
+def check_last_attn(last_attn) -> np.ndarray:
+    """Attention scores as a float64 (N,) array of finite non-negative values."""
+    attn = np.asarray(last_attn, dtype=np.float64).ravel()
+    if not np.isfinite(attn).all():
+        raise DataError(
+            f"non-finite attention score at index {np.argmin(np.isfinite(attn))}")
+    if (attn < 0).any():
+        raise DataError("attention scores must be non-negative")
+    return attn
+
 
 @dataclass(frozen=True)
 class InnerMergeInput:
     """Layer-K vision-token hidden states plus the last prompt token's attention row."""
 
-    hidden: np.ndarray     # (N, d)
-    last_attn: np.ndarray  # (N,), non-negative
+    hidden: np.ndarray     # (N, d), finite
+    last_attn: np.ndarray  # (N,), finite and non-negative
 
     def __post_init__(self):
-        hidden = np.ascontiguousarray(np.asarray(self.hidden, dtype=np.float32))
-        attn = np.asarray(self.last_attn, dtype=np.float64).ravel()
-        if hidden.ndim != 2:
-            raise DataError(f"hidden states must be 2-D, got rank {hidden.ndim}")
+        hidden = check_hidden(self.hidden)
+        attn = check_last_attn(self.last_attn)
         if attn.shape[0] != hidden.shape[0]:
             raise DataError(
                 f"{attn.shape[0]} attention scores for {hidden.shape[0]} tokens")
-        if (attn < 0).any():
-            raise DataError("attention scores must be non-negative")
         object.__setattr__(self, "hidden", hidden)
         object.__setattr__(self, "last_attn", attn)
 
@@ -62,62 +98,179 @@ def rank_by_last_attention(last_attn: np.ndarray, ratio_r: float) -> tuple[np.nd
     return retained, candidates
 
 
+def _certified(norms: np.ndarray, bounds: tuple[float, float]) -> np.ndarray:
+    return (norms == 0) | ((norms >= bounds[0]) & (norms <= bounds[1]))
+
+
+def _norms(rows: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.einsum("nd,nd->n", rows, rows, dtype=np.float64))
+
+
+def _unit_rows(hidden: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Float64 norms of ``hidden[idx]`` and its rows as float32 unit rows.
+
+    Each row is scaled in float64 and narrowed to float32; a zero or
+    uncertified norm gives a zero row.
+    """
+    rows = hidden[idx]
+    norms = _norms(rows)
+    scale = np.divide(1.0, norms, out=np.zeros_like(norms),
+                      where=_certified(norms, _RETAINED_NORMS) & (norms > 0))
+    with np.errstate(over="ignore", invalid="ignore"):  # uncertified rows
+        units = rows.astype(np.float32, copy=False)
+        np.multiply(units, scale[:, None], out=units, casting="same_kind")
+    units[scale == 0] = 0.0
+    return norms, units
+
+
+def _exact_argmax(hidden: np.ndarray, cand: int, cols: np.ndarray) -> int:
+    """Position in ``cols`` of the first maximum of the float64 cosine.
+
+    The cosine is ``dots / (cn * rn)`` with float64 norms and a zero
+    denominator giving 0. Each dot product is summed over its own pair of
+    rows, so equal retained vectors score equal bits and the smaller
+    position wins.
+    """
+    c = hidden[[cand]].astype(np.float64)
+    cn = np.linalg.norm(c, axis=1)
+    sims = np.empty(cols.size)
+    for lo in range(0, cols.size, _ASSIGN_CHUNK):
+        r = hidden[cols[lo : lo + _ASSIGN_CHUNK]].astype(np.float64)
+        dots = np.einsum("nd,d->n", r, c[0])
+        denom = cn * np.linalg.norm(r, axis=1)
+        sims[lo : lo + r.shape[0]] = np.divide(
+            dots, denom, out=np.zeros_like(dots), where=denom > 0)
+    return int(np.argmax(sims))
+
+
 def similarity_assign(
     candidates: np.ndarray,
     retained: np.ndarray,
     hidden: np.ndarray,
-) -> dict[int, int]:
-    """Map each candidate to its most cosine-similar retained token.
+) -> np.ndarray:
+    """Retained index of each candidate's most cosine-similar retained token.
 
-    Ties go to the smaller retained index; zero-norm vectors have
-    similarity 0 against everything.
+    Returns an int64 array aligned with ``candidates``. The similarity is
+    the float64 cosine of the hidden rows; zero-norm vectors have
+    similarity 0 against everything, and ties go to the earlier retained
+    position (the smaller index for ascending ``retained``).
+
+    Candidates are scored in blocks of ``_ASSIGN_CHUNK`` rows against
+    float32 unit rows of the retained tokens. A row whose best score leads
+    the runner-up by more than twice a proven error band is decided there;
+    every other row is recomputed in float64 against the retained tokens
+    within that band.
     """
     candidates = np.asarray(candidates, dtype=np.int64)
     retained = np.asarray(retained, dtype=np.int64)
     if candidates.size == 0:
-        return {}
+        return np.empty(0, dtype=np.int64)
     if retained.size == 0:
         raise DataError("cannot assign candidates: retained set is empty")
-    hidden = np.asarray(hidden, dtype=np.float64)
-    cand_vecs = hidden[candidates]
-    ret_vecs = hidden[retained]
-    dots = cand_vecs @ ret_vecs.T
-    cn = np.linalg.norm(cand_vecs, axis=1)
-    rn = np.linalg.norm(ret_vecs, axis=1)
-    denom = cn[:, None] * rn[None, :]
-    sims = np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0)
-    best = np.argmax(sims, axis=1)  # first max = smallest retained index
-    return {int(c): int(retained[b]) for c, b in zip(candidates, best)}
+    hidden = np.asarray(hidden)
+    d = hidden.shape[1]
+    # Error band. Let u = 2**-24. A retained unit row entry is the float32
+    # entry times a float64 reciprocal norm (relative error below
+    # (d + 4) * 2**-53), rounded to float32 (relative error u, or 2**-150
+    # absolute when subnormal); float64 input is narrowed to float32 first
+    # (another u). So it lies within 2.01*u of the exact unit vector's entry
+    # for d <= 2**21. A candidate row c enters the float32 product as it is
+    # (float64 input narrowed, relative error u), and its scores are compared
+    # in units of its float64 norm |c|. Whatever its summation order, the
+    # float32 product errs by at most g * sum|c_i*r_i| <= 1.01 * g * |c|
+    # with g = d*u / (1 - d*u) <= 8/7 * d*u for d*u <= 1/8, and by at most
+    # d * 2**-150 from underflow, negligible for a certified |c| >= 2**-60;
+    # by Cauchy-Schwarz the rounded inputs add at most 3.05 * u * |c|. So a
+    # score is within 3.05*u + 1.16*d*u of the exact cosine, and the float64
+    # cosine, in any summation order, within about (2*d + 6) * 2**-53 of it.
+    # All together stay below (2*d + 3) * u, and 1e-12 is a further margin.
+    # So when the best float32 score leads every other by more than twice
+    # the band, the float64 cosine has its unique maximum there too; and a
+    # retained token scoring more than twice the band below the best can
+    # never be the float64 maximum.
+    band = (2 * d + 3) * 2.0**-24 + 1e-12 if d <= 2**21 else np.inf
+    r_norms, r_units = _unit_rows(hidden, retained)
+    all_certified = bool(_certified(r_norms, _RETAINED_NORMS).all())
+    targets = np.empty(candidates.size, dtype=np.int64)
+    block = np.empty((min(candidates.size, _ASSIGN_CHUNK), retained.size), dtype=np.float32)
+    for lo in range(0, candidates.size, _ASSIGN_CHUNK):
+        cand = candidates[lo : lo + _ASSIGN_CHUNK]
+        rows = hidden[cand]
+        c_norms = _norms(rows)
+        certified = _certified(c_norms, _CANDIDATE_NORMS) & all_certified
+        with np.errstate(over="ignore", invalid="ignore"):  # uncertified rows
+            sims = np.matmul(rows.astype(np.float32, copy=False), r_units.T,
+                             out=block[: cand.size])
+            at = np.arange(cand.size), sims.argmax(axis=1)
+            top = sims[at].astype(np.float64)
+            sims[at] = -np.inf
+            gap = top - sims.max(axis=1)
+            sims[at] = top
+        # a zero candidate scores 0 everywhere, exactly as in float64
+        sure = (c_norms == 0) | (certified & (gap > 2 * band * c_norms))
+        targets[lo : lo + cand.size] = retained[at[1]]
+        for i in np.flatnonzero(~sure):
+            near = (np.flatnonzero(sims[i] >= top[i] - 2 * band * c_norms[i])
+                    if certified[i] else np.arange(retained.size))
+            targets[lo + i] = retained[near[_exact_argmax(hidden, cand[i], retained[near])]]
+    return targets
 
 
 def merge_assigned(
     hidden: np.ndarray,
     retained: np.ndarray,
-    assignment: dict[int, int],
+    candidates: np.ndarray,
+    targets: np.ndarray,
 ) -> InnerMergeResult:
-    """Average each retained token with its assigned candidates.
+    """Average each retained token with the candidates assigned to it.
 
-    A retained token with n assignees becomes the unweighted mean of the
-    n + 1 hidden states; unassigned retained tokens pass through unchanged.
+    ``targets[i]`` is the retained index that ``candidates[i]`` merges into.
+    A retained token with n assignees becomes the mean of the n + 1 hidden
+    states: a float64 sum from +0.0 of its own row, then of its candidates
+    in ascending index order, divided by n + 1 and narrowed to the hidden
+    dtype. Unassigned retained tokens pass through unchanged (a -0.0 entry
+    becomes +0.0).
     """
     hidden = np.asarray(hidden)
     retained = np.asarray(retained, dtype=np.int64)
-    ret_pos = {int(r): i for i, r in enumerate(retained)}
-    groups: dict[int, list[int]] = {int(r): [int(r)] for r in retained}
-    for cand, ret in assignment.items():
-        if ret not in groups:
-            raise DataError(f"assignment target {ret} is not a retained index")
-        groups[ret].append(int(cand))
-    updated = np.empty((retained.shape[0], hidden.shape[1]), dtype=hidden.dtype)
-    for ret, members in groups.items():
-        updated[ret_pos[ret]] = hidden[members].mean(
-            axis=0, dtype=np.float64).astype(hidden.dtype)
-    return InnerMergeResult(retained_indices=retained, updated=updated,
-                            assignment=dict(assignment))
+    candidates = np.asarray(candidates, dtype=np.int64).ravel()
+    targets = np.asarray(targets, dtype=np.int64).ravel()
+    if candidates.size != targets.size:
+        raise DataError(f"{targets.size} targets for {candidates.size} candidates")
+    group = np.zeros(targets.size, dtype=np.int64)
+    if retained.size:
+        order = np.argsort(retained, kind="stable")
+        slot = np.searchsorted(retained, targets, sorter=order)
+        group = order[np.minimum(slot, retained.size - 1)]
+    missing = targets[retained[group] != targets] if retained.size else targets
+    if missing.size:
+        raise DataError(f"assignment target {missing[0]} is not a retained index")
+
+    # Rows start as the retained rows plus 0 (so -0.0 becomes +0.0, as a
+    # float64 sum from +0.0 gives), which is already the mean of a group
+    # without candidates. The others are summed in float64 in rounds,
+    # largest group first: round j adds the j-th candidate of every group
+    # that has one, so each row is summed in member order.
+    updated = hidden[retained]
+    updated += 0
+    sizes = np.bincount(group, minlength=retained.size)
+    members = candidates[np.lexsort((candidates, group))]
+    starts = np.cumsum(sizes) - sizes
+    by_size = np.argsort(-sizes, kind="stable")
+    n_active = np.searchsorted(-sizes[by_size], -np.arange(sizes.max(initial=0)))
+    merged = by_size[: n_active[0] if n_active.size else 0]
+    acc = updated[merged].astype(np.float64)
+    for j, k in enumerate(n_active):
+        acc[:k] += hidden[members[starts[merged[:k]] + j]]
+    acc /= (sizes[merged] + 1)[:, None]
+    updated[merged] = acc
+    return InnerMergeResult(
+        retained_indices=retained, updated=updated,
+        assignment=dict(zip(candidates.tolist(), targets.tolist())))
 
 
 def inner_merge(inp: InnerMergeInput, ratio_r: float) -> InnerMergeResult:
     """rank -> assign -> merge, as one call."""
     retained, candidates = rank_by_last_attention(inp.last_attn, ratio_r)
-    assignment = similarity_assign(candidates, retained, inp.hidden)
-    return merge_assigned(inp.hidden, retained, assignment)
+    targets = similarity_assign(candidates, retained, inp.hidden)
+    return merge_assigned(inp.hidden, retained, candidates, targets)

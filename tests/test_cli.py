@@ -209,6 +209,34 @@ class TestCompress:
         assert f"{bad}: {rows} rows" in err and f"final_count {self.FINAL_COUNT}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("bad_file,row,value,message", [
+        ("hidden.npy", 4, np.nan, "row 4 is not finite"),
+        ("hidden.npy", 0, np.inf, "row 0 is not finite"),
+        ("hidden.npy", 2, 1e300, "row 2 is not finite in float32"),
+        ("last.npy", 5, -0.1, "must be non-negative"),
+        ("last.npy", 7, np.nan, "non-finite attention score at index 7"),
+        ("last.npy", 0, np.inf, "non-finite attention score at index 0")])
+    def test_inner_dumps_invalid_values_exit_2(self, tmp_path, capsys,
+                                               bad_file, row, value, message):
+        spec, stream, tokens = write_corpus(tmp_path)
+        rng = np.random.default_rng(3)
+        arrays = {"hidden.npy": rng.standard_normal((self.FINAL_COUNT, 8)),
+                  "last.npy": rng.random(self.FINAL_COUNT)}
+        arrays[bad_file][row] = value
+        for name, arr in arrays.items():
+            np.save(tmp_path / name, arr)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["compress", "--tokens", str(tokens), "--grid", "2x3",
+                       "--out", str(out),
+                       "--hidden", str(tmp_path / "hidden.npy"),
+                       "--last-attn", str(tmp_path / "last.npy")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{tmp_path / bad_file}: " in err and message in err
+        assert not out.exists()
+
     def test_inner_dumps_with_inner_disabled_exit_1(self, tmp_path, capsys):
         spec, stream, tokens = write_corpus(tmp_path)
         rng = np.random.default_rng(3)

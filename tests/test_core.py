@@ -316,6 +316,13 @@ class TestCompressedIO:
         with pytest.raises(DataError, match="int64"):
             CompressedVideo(np.zeros((1, 2), dtype=np.float32), prov)
 
+    def test_load_tokens_not_npy_rejected(self, tmp_path):
+        save_compressed(small_cv(), small_report(), tmp_path)
+        tokens = tmp_path / "tokens.npy"
+        tokens.write_bytes(b"not an array file")
+        with pytest.raises(DataError, match=f"^malformed array file {re.escape(str(tokens))}"):
+            load_compressed(tmp_path)
+
     def test_load_coordinate_beyond_int64_rejected(self, tmp_path):
         save_compressed(small_cv(), small_report(), tmp_path)
         meta = tmp_path / "compressed.json"

@@ -1,6 +1,7 @@
 """Inner-merge tests: ranking, cosine assignment, group means, conservation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,10 +10,92 @@ from tokmerge import (
     DataError,
     InnerMergeInput,
     inner_merge,
+    innerllm,
     merge_assigned,
     rank_by_last_attention,
     similarity_assign,
 )
+
+
+def reference_similarities(candidates, retained, hidden):
+    """The former dense similarity matrix: one float64 N_c x N_r BLAS
+    product, ``dots / (cn * rn)`` with a zero denominator as 0."""
+    candidates = np.asarray(candidates, dtype=np.int64)
+    retained = np.asarray(retained, dtype=np.int64)
+    hidden = np.asarray(hidden, dtype=np.float64)
+    cand_vecs = hidden[candidates]
+    ret_vecs = hidden[retained]
+    dots = cand_vecs @ ret_vecs.T
+    cn = np.linalg.norm(cand_vecs, axis=1)
+    rn = np.linalg.norm(ret_vecs, axis=1)
+    denom = cn[:, None] * rn[None, :]
+    return np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0)
+
+
+def reference_assign(candidates, retained, hidden):
+    """The former ``similarity_assign``: first maximum of each row."""
+    sims = reference_similarities(candidates, retained, hidden)
+    return np.asarray(retained, dtype=np.int64)[np.argmax(sims, axis=1)]
+
+
+def exact_cosine_argmax(cand, retained, hidden):
+    """First maximum of the correctly rounded cosine of float32 rows.
+
+    Products of float32 values are exact in float64 and ``math.fsum``
+    rounds each sum once, so equal and power-of-two scaled vectors score
+    equal bits and the smaller retained index wins.
+    """
+    u = np.asarray(hidden[cand], dtype=np.float64)
+    nu = math.sqrt(math.fsum(u * u))
+    best, best_sim = None, -math.inf
+    for r in retained:
+        v = np.asarray(hidden[r], dtype=np.float64)
+        denom = nu * math.sqrt(math.fsum(v * v))
+        sim = math.fsum(u * v) / denom if denom > 0 else 0.0
+        if sim > best_sim:
+            best, best_sim = int(r), sim
+    return best
+
+
+# Float64 cosines of d <= 896 computed in different summation orders
+# differ by less than this.
+ORDER_NOISE = 1e-12
+
+
+def assert_matches_reference(got, candidates, retained, hidden):
+    """``got`` equals the former dense assignment on every row where that
+    one is decided by more than ORDER_NOISE, and the exactly rounded first
+    maximum on the other rows.
+
+    The former single BLAS product rounds each column in its own summation
+    order, so on an exact tie (equal or power-of-two scaled retained
+    vectors) it can pick a later index; there its choice is not a property
+    of the data.
+    """
+    sims = reference_similarities(candidates, retained, hidden)
+    ref = np.asarray(retained)[np.argmax(sims, axis=1)]
+    top2 = np.sort(sims, axis=1)[:, -2:]
+    clear = (top2[:, -1] - top2[:, 0] > ORDER_NOISE) | (sims.shape[1] == 1)
+    np.testing.assert_array_equal(got[clear], ref[clear])
+    for i in np.flatnonzero(~clear):
+        assert got[i] == exact_cosine_argmax(candidates[i], retained, hidden)
+
+
+def reference_merge(hidden, retained, candidates, targets):
+    """The former dict-and-loop ``merge_assigned``: each group gathered as
+    [retained, candidates ascending] and averaged with a float64 ``mean``."""
+    hidden = np.asarray(hidden)
+    retained = np.asarray(retained, dtype=np.int64)
+    ret_pos = {int(r): i for i, r in enumerate(retained)}
+    groups: dict[int, list[int]] = {int(r): [int(r)] for r in retained}
+    for cand, ret in sorted(zip(np.asarray(candidates).tolist(),
+                                np.asarray(targets).tolist())):
+        groups[ret].append(cand)
+    updated = np.empty((retained.shape[0], hidden.shape[1]), dtype=hidden.dtype)
+    for ret, members in groups.items():
+        updated[ret_pos[ret]] = hidden[members].mean(
+            axis=0, dtype=np.float64).astype(hidden.dtype)
+    return updated
 
 
 def cosine_argmax_oracle(candidates, retained, hidden):
@@ -28,6 +111,28 @@ def cosine_argmax_oracle(candidates, retained, hidden):
                 best, best_sim = r, sim
         out[int(c)] = int(best)
     return out
+
+
+def band(d):
+    return (2 * d + 3) * 2.0**-24 + 1e-12
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and np.array_equal(
+        a.view(np.uint32 if a.dtype == np.float32 else np.uint64),
+        b.view(np.uint32 if b.dtype == np.float32 else np.uint64))
+
+
+def count_rechecks(monkeypatch):
+    calls = []
+    exact = innerllm._exact_argmax
+
+    def counting(hidden, cand, cols):
+        calls.append(int(cand))
+        return exact(hidden, cand, cols)
+
+    monkeypatch.setattr(innerllm, "_exact_argmax", counting)
+    return calls
 
 
 class TestRanking:
@@ -65,13 +170,14 @@ class TestRanking:
 class TestAssignment:
     def test_single_retained_token(self):
         hidden = np.random.default_rng(1).standard_normal((5, 4))
-        assignment = similarity_assign(np.array([1, 2, 3, 4]), np.array([0]), hidden)
-        assert assignment == {1: 0, 2: 0, 3: 0, 4: 0}
+        targets = similarity_assign(np.array([1, 2, 3, 4]), np.array([0]), hidden)
+        assert targets.dtype == np.int64
+        np.testing.assert_array_equal(targets, [0, 0, 0, 0])
 
     def test_exact_match_wins(self):
         hidden = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 2.0]])
-        assignment = similarity_assign(np.array([2]), np.array([0, 1]), hidden)
-        assert assignment == {2: 1}  # cos = 1 with token 1
+        targets = similarity_assign(np.array([2]), np.array([0, 1]), hidden)
+        np.testing.assert_array_equal(targets, [1])  # cos = 1 with token 1
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(2)
@@ -82,7 +188,8 @@ class TestAssignment:
             if candidates.size == 0:
                 continue
             got = similarity_assign(candidates, retained, hidden)
-            assert got == cosine_argmax_oracle(candidates, retained, hidden)
+            assert (dict(zip(candidates.tolist(), got.tolist()))
+                    == cosine_argmax_oracle(candidates, retained, hidden))
 
     def test_zero_norm_vectors_score_zero(self):
         # candidate 3 is the zero vector: every similarity is 0, so the
@@ -92,24 +199,120 @@ class TestAssignment:
                            [-2.0, 0.3]])
         retained, candidates = np.array([0, 1, 2]), np.array([3, 4])
         got = similarity_assign(candidates, retained, hidden)
-        assert got == {3: 0, 4: 2}
-        assert got == cosine_argmax_oracle(candidates, retained, hidden)
+        np.testing.assert_array_equal(got, [0, 2])
+        assert (dict(zip(candidates.tolist(), got.tolist()))
+                == cosine_argmax_oracle(candidates, retained, hidden))
 
     def test_empty_retained_rejected(self):
         with pytest.raises(DataError):
             similarity_assign(np.array([0]), np.array([], dtype=int), np.ones((1, 2)))
 
+    def test_no_candidates(self):
+        targets = similarity_assign(np.array([], dtype=int), np.array([0]), np.ones((1, 2)))
+        assert targets.dtype == np.int64 and targets.size == 0
+
+    @pytest.mark.parametrize("n,d", [(64, 16), (3174, 896)])
+    def test_matches_reference_on_random_states(self, n, d):
+        rng = np.random.default_rng(n)
+        hidden = rng.standard_normal((n, d), dtype=np.float32)
+        retained, candidates = rank_by_last_attention(rng.random(n), 50)
+        np.testing.assert_array_equal(similarity_assign(candidates, retained, hidden),
+                                      reference_assign(candidates, retained, hidden))
+
+    @pytest.mark.parametrize("n_cand", [1, 4, 5, 9])
+    def test_chunk_edges(self, monkeypatch, n_cand):
+        # candidate counts of 1, exactly one chunk, one chunk plus one and
+        # several chunks; 11 retained rows are normalised in three chunks
+        monkeypatch.setattr(innerllm, "_ASSIGN_CHUNK", 4)
+        rng = np.random.default_rng(n_cand)
+        hidden = rng.standard_normal((11 + n_cand, 6), dtype=np.float32)
+        hidden[11:] = hidden[rng.integers(0, 11, n_cand)] + 0.05 * rng.standard_normal(
+            (n_cand, 6), dtype=np.float32)
+        hidden[3] = hidden[7]  # a duplicated retained vector in another chunk
+        retained, candidates = np.arange(11), np.arange(11, 11 + n_cand)
+        assert_matches_reference(similarity_assign(candidates, retained, hidden),
+                                 candidates, retained, hidden)
+
+    def test_duplicate_retained_vectors_smallest_index_wins(self, monkeypatch):
+        # Wide enough that a single BLAS product can score the copies with
+        # different roundings; the recheck sums each pair on its own, so
+        # equal vectors tie exactly and the smaller index wins.
+        monkeypatch.setattr(innerllm, "_ASSIGN_CHUNK", 64)
+        rng = np.random.default_rng(7)
+        n_r, d = 600, 96
+        hidden = rng.standard_normal((n_r + 40, d), dtype=np.float32)
+        pairs = [(0, n_r - 1), (5, 300), (299, 598), (17, 18)]
+        for p, q in pairs:
+            hidden[q] = hidden[p]
+        for i in range(40):
+            p = pairs[i % len(pairs)][0]
+            hidden[n_r + i] = hidden[p] + 1e-3 * rng.standard_normal(d, dtype=np.float32)
+        calls = count_rechecks(monkeypatch)
+        targets = similarity_assign(np.arange(n_r, n_r + 40), np.arange(n_r), hidden)
+        np.testing.assert_array_equal(targets, [pairs[i % len(pairs)][0] for i in range(40)])
+        assert len(calls) == 40  # every row is an exact tie
+
+    @pytest.mark.parametrize("lead", [0.0, 0.25, 0.75, 1.5, 3.0])
+    def test_near_ties_at_band_edge(self, monkeypatch, lead):
+        # candidate c has cosine cos_a with retained 1 and cos_a - delta
+        # with retained 2, where delta is `lead` times twice the band
+        d = 64
+        delta = lead * 2 * band(d)
+        cos_a = 0.6
+        cos_b = cos_a - delta
+        hidden = np.zeros((4, d))
+        hidden[0, 3] = 1.0                  # orthogonal retained token
+        hidden[1, 0], hidden[1, 1] = cos_a, math.sqrt(1 - cos_a**2)
+        hidden[2, 0], hidden[2, 2] = cos_b, math.sqrt(1 - cos_b**2)
+        hidden[3, 0] = 1.0                  # the candidate
+        for dtype in (np.float64, np.float32):
+            h = hidden.astype(dtype)
+            calls = count_rechecks(monkeypatch)
+            got = similarity_assign(np.array([3]), np.array([0, 1, 2]), h)
+            assert_matches_reference(got, np.array([3]), np.array([0, 1, 2]), h)
+            np.testing.assert_array_equal(got, [1])
+            # a lead of more than twice the band is decided in float32
+            assert len(calls) == (0 if lead >= 1.5 else 1)
+
+    def test_zero_subnormal_and_huge_rows(self):
+        rng = np.random.default_rng(11)
+        n, d = 48, 12
+        hidden = rng.standard_normal((n, d)).astype(np.float32)
+        hidden[[2, 9]] = 0.0
+        hidden[[4, 30]] = 1e-42 * np.sign(rng.standard_normal((2, d)))  # subnormal
+        hidden[[6, 31]] *= 1e30
+        hidden[[7, 33]] *= -1e30
+        hidden[35] = 1e-42 * hidden[6] / np.abs(hidden[6]).max()
+        retained, candidates = rank_by_last_attention(rng.random(n), 50)
+        assert_matches_reference(similarity_assign(candidates, retained, hidden),
+                                 candidates, retained, hidden)
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e200])
+    def test_float64_beyond_float32_range(self, monkeypatch, scale):
+        # norms outside the certified range skip the float32 decision
+        rng = np.random.default_rng(3)
+        hidden = rng.standard_normal((12, 5))
+        hidden[[1, 8]] *= scale
+        retained, candidates = np.arange(6), np.arange(6, 12)
+        calls = count_rechecks(monkeypatch)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = similarity_assign(candidates, retained, hidden)
+            np.testing.assert_array_equal(got, reference_assign(candidates, retained, hidden))
+        assert len(calls) == 6  # one uncertified retained row rechecks every row
+
 
 class TestMerge:
     def test_no_candidates_identity(self):
         hidden = np.random.default_rng(3).standard_normal((4, 3)).astype(np.float32)
-        result = merge_assigned(hidden, np.arange(4), {})
+        result = merge_assigned(hidden, np.arange(4), [], [])
         np.testing.assert_array_equal(result.updated, hidden)
+        assert result.assignment == {}
 
     def test_two_assignees_mean(self):
         hidden = np.array([[3.0, 0.0], [0.0, 3.0], [3.0, 3.0]], dtype=np.float32)
-        result = merge_assigned(hidden, np.array([0]), {1: 0, 2: 0})
+        result = merge_assigned(hidden, np.array([0]), np.array([1, 2]), np.array([0, 0]))
         np.testing.assert_allclose(result.updated, [[2.0, 2.0]])
+        assert result.assignment == {1: 0, 2: 0}
 
     def test_group_mean_oracle(self):
         rng = np.random.default_rng(4)
@@ -144,6 +347,58 @@ class TestMerge:
         np.testing.assert_array_equal(result.retained_indices, np.arange(9))
         assert result.assignment == {}
 
+    def test_matches_reference_bits(self):
+        # groups of 0 to 12 candidates, values spanning 2**+-60 and -0.0
+        rng = np.random.default_rng(8)
+        n, d = 400, 7
+        hidden = (rng.standard_normal((n, d))
+                  * 2.0 ** rng.integers(-60, 60, (n, d))).astype(np.float32)
+        hidden[rng.random((n, d)) < 0.1] = -0.0
+        retained, candidates = rank_by_last_attention(rng.random(n), 75)
+        targets = retained[np.minimum(rng.geometric(0.3, candidates.size), 99)]
+        result = merge_assigned(hidden, retained, candidates, targets)
+        assert same_bits(result.updated,
+                         reference_merge(hidden, retained, candidates, targets))
+
+    def test_negative_zero_row_passes_as_positive_zero(self):
+        hidden = np.array([[-0.0, 1.5], [2.0, -0.0], [-0.0, -0.0]], dtype=np.float32)
+        result = merge_assigned(hidden, np.array([0, 2]), np.array([1]), np.array([2]))
+        assert same_bits(result.updated, np.array([[0.0, 1.5], [1.0, 0.0]], np.float32))
+
+    def test_one_dimension_sums_in_member_order(self):
+        # For d = 1 numpy's mean over a (m, 1) array sums pairwise; the
+        # merge sums every dimension in member order, as for d >= 2.
+        rng = np.random.default_rng(9)
+        hidden = (rng.standard_normal((40, 1))
+                  * 2.0 ** rng.integers(-60, 60, (40, 1))).astype(np.float32)
+        candidates = np.arange(1, 40)
+        result = merge_assigned(hidden, np.array([0]), candidates, np.zeros(39, np.int64))
+        acc = 0.0
+        for x in hidden[:, 0].astype(np.float64):
+            acc += x
+        assert same_bits(result.updated, np.array([[acc / 40]], np.float32))
+
+    def test_unknown_target_rejected(self):
+        with pytest.raises(DataError, match="target 3 is not a retained index"):
+            merge_assigned(np.ones((4, 2)), np.array([0, 1]), np.array([2]), np.array([3]))
+        with pytest.raises(DataError, match="not a retained index"):
+            merge_assigned(np.ones((4, 2)), np.array([], dtype=int), np.array([2]),
+                           np.array([0]))
+
+    def test_target_count_mismatch_rejected(self):
+        with pytest.raises(DataError, match="2 targets for 1 candidates"):
+            merge_assigned(np.ones((4, 2)), np.array([0, 1]), np.array([2]),
+                           np.array([0, 1]))
+
+    def test_unsorted_retained(self):
+        rng = np.random.default_rng(10)
+        hidden = rng.standard_normal((8, 3)).astype(np.float32)
+        retained, candidates = np.array([5, 0, 3]), np.array([1, 2, 4, 6, 7])
+        targets = np.array([3, 5, 3, 0, 3])
+        result = merge_assigned(hidden, retained, candidates, targets)
+        assert same_bits(result.updated,
+                         reference_merge(hidden, retained, candidates, targets))
+
 
 class TestInput:
     def test_negative_attention_rejected(self):
@@ -153,3 +408,38 @@ class TestInput:
     def test_length_mismatch_rejected(self):
         with pytest.raises(DataError):
             InnerMergeInput(np.ones((3, 2)), np.ones(2))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e300])
+    def test_non_finite_hidden_rejected(self, value):
+        hidden = np.ones((3, 2))
+        hidden[1, 0] = value
+        with pytest.raises(DataError, match="row 1 is not finite"):
+            InnerMergeInput(hidden, np.ones(3))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_attention_rejected(self, value):
+        with pytest.raises(DataError, match="non-finite attention score at index 2"):
+            InnerMergeInput(np.ones((3, 2)), np.array([0.5, 0.1, value]))
+
+
+class TestMemory:
+    def peak_mb(self, monkeypatch, chunk, n=4096, d=32):
+        monkeypatch.setattr(innerllm, "_ASSIGN_CHUNK", chunk)
+        rng = np.random.default_rng(12)
+        inp = InnerMergeInput(rng.standard_normal((n, d), dtype=np.float32), rng.random(n))
+        tracemalloc.start()
+        try:
+            inner_merge(inp, 50)
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_grows_with_chunk_not_n_squared(self, monkeypatch):
+        # 2,048 x 2,048 similarities take 16 MB in float32 and 32 MB in
+        # float64 (the former dense form held three such float64 arrays);
+        # a block of c rows takes c * 2,048 * 4 bytes
+        small = self.peak_mb(monkeypatch, 128)
+        large = self.peak_mb(monkeypatch, 1024)
+        assert small < 4.0
+        assert large - small > 0.75 * (1024 - 128) * 2048 * 4 / 2**20
+        assert large < 16.0

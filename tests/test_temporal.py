@@ -237,6 +237,11 @@ class TestOptimalSegmentation:
         assert plan.boundaries == (1, 2)
         assert plan.total_gain == 0
 
+    def test_single_frame_tables(self):
+        mask = RedundancyMask.from_bool(np.zeros((0, 5), dtype=bool), n_tokens=5)
+        plan = optimal_segmentation(mask)
+        assert plan.dp[2] == 0 and plan.prev[2] == 1
+
     def test_matches_exhaustive_enumeration(self):
         rng = np.random.default_rng(11)
         for _ in range(40):
