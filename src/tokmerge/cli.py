@@ -8,7 +8,6 @@ TOKMERGE_VERBOSE=1, which prints stage timings to stderr. Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -24,7 +23,9 @@ from .core import (
     CompressionReport,
     ConfigError,
     DataError,
+    _load_npy,
     load_token_stream,
+    replace_file,
     report_from_dict,
     save_compressed,
     validate_config,
@@ -143,24 +144,6 @@ def _load_json(path: Path) -> dict:
     return doc
 
 
-def _load_array(path: Path, rank: int, what: str, check=None) -> np.ndarray:
-    """Load a ``.npy`` array of the given rank; ``check`` validates it further."""
-    if not path.exists():
-        raise DataError(f"{what} file not found: {path}")
-    try:
-        arr = np.load(path, allow_pickle=False)
-    except ValueError as exc:
-        raise DataError(f"malformed array file {path}: {exc}") from exc
-    if arr.ndim != rank:
-        raise DataError(f"{path}: rank {arr.ndim}, expected {rank}")
-    if check is not None:
-        try:
-            arr = check(arr)
-        except DataError as exc:
-            raise DataError(f"{path}: {exc}") from None
-    return arr
-
-
 def _config_from_args(args) -> CompressionConfig:
     raw = _load_json(Path(args.config)) if args.config else {}
     if args.tau is not None:
@@ -188,11 +171,10 @@ def cmd_compress(args) -> int:
 
     imp = None
     if args.attn:
-        attn = _load_array(Path(args.attn), 3, "attention")
+        attn = _load_npy(args.attn, 3, "attention")
         imp = importance_from_attention(attn, stream.grid, cfg.pooled_grid)
     elif args.qk:
-        q = _load_array(Path(args.qk[0]), 3, "query")
-        k = _load_array(Path(args.qk[1]), 3, "key")
+        q, k = (_load_npy(p, 3, what) for p, what in zip(args.qk, ("query", "key")))
         imp = importance_from_qk(q, k, stream.grid, cfg.pooled_grid)
 
     run = run_pipeline(stream, cfg, imp, args.profile)
@@ -200,8 +182,8 @@ def cmd_compress(args) -> int:
         # the inner merge runs on the compressed tokens: one row per token;
         # its dumps are validated before any output is written
         final = run.report.final_count
-        hidden = _load_array(Path(args.hidden), 2, "hidden-state", check_hidden)
-        last = _load_array(Path(args.last_attn), 1, "last-attention", check_last_attn)
+        hidden = _load_npy(args.hidden, 2, "hidden-state", check_hidden)
+        last = _load_npy(args.last_attn, 1, "last-attention", check_last_attn)
         for path, rows in ((args.hidden, hidden.shape[0]), (args.last_attn, last.shape[0])):
             if rows != final:
                 raise DataError(f"{path}: {rows} rows, but the compressed video has "
@@ -212,15 +194,13 @@ def cmd_compress(args) -> int:
 
     if inner:
         result = inner_merge(inner_input, cfg.inner_ratio_R)
-        np.save(out / "inner_tokens.npy", result.updated)
-        with open(out / "inner.json", "w", encoding="utf-8") as fh:
-            json.dump({
-                "retained_indices": [int(i) for i in result.retained_indices],
-                "assignment": {str(k): v for k, v in sorted(result.assignment.items())},
-                "layer_K": cfg.inner_layer_K,
-                "ratio_R": cfg.inner_ratio_R,
-            }, fh, indent=1)
-            fh.write("\n")
+        replace_file(out / "inner_tokens.npy", result.updated)
+        replace_file(out / "inner.json", json.dumps({
+            "retained_indices": [int(i) for i in result.retained_indices],
+            "assignment": {str(k): v for k, v in sorted(result.assignment.items())},
+            "layer_K": cfg.inner_layer_K,
+            "ratio_R": cfg.inner_ratio_R,
+        }, indent=1) + "\n")
 
     for stage, ms in run.stage_ms.items():
         _log(f"{stage}: {ms:.2f} ms")
@@ -276,20 +256,18 @@ def cmd_synth(args) -> int:
     stream, truth = generate(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    np.save(out / "tokens.npy", stream.data)
-    np.save(out / "truth_mask.npy", truth.to_bool())
-    with open(out / "spec.json", "w", encoding="utf-8") as fh:
-        json.dump({
-            "frames": spec.frames,
-            "grid": list(spec.grid),
-            "dim": spec.dim,
-            "segments": [list(s) for s in spec.segments],
-            "noise_sigma": spec.noise_sigma,
-            "seed": spec.seed,
-            "planted_boundaries": list(spec.planted_boundaries()),
-            "planted_gain": spec.planted_gain(),
-        }, fh, indent=1)
-        fh.write("\n")
+    replace_file(out / "tokens.npy", stream.data)
+    replace_file(out / "truth_mask.npy", truth.to_bool())
+    replace_file(out / "spec.json", json.dumps({
+        "frames": spec.frames,
+        "grid": list(spec.grid),
+        "dim": spec.dim,
+        "segments": [list(s) for s in spec.segments],
+        "noise_sigma": spec.noise_sigma,
+        "seed": spec.seed,
+        "planted_boundaries": list(spec.planted_boundaries()),
+        "planted_gain": spec.planted_gain(),
+    }, indent=1) + "\n")
     print(f"wrote {out} (B={spec.frames}, N_v={spec.tokens_per_frame}, d={spec.dim})")
     return 0
 
@@ -315,15 +293,11 @@ def cmd_report(args) -> int:
     counts, edges = np.histogram(ratios, bins=HIST_BINS, range=(0.0, 1.0))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "histogram.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_low", "bin_high", "count"])
-        for lo, hi, c in zip(edges[:-1], edges[1:], counts):
-            writer.writerow([f"{lo:.2f}", f"{hi:.2f}", int(c)])
+    # the csv module's default dialect: comma-separated, CRLF line ends
+    replace_file(out / "histogram.csv", "bin_low,bin_high,count\r\n" + "".join(
+        f"{lo:.2f},{hi:.2f},{c}\r\n" for lo, hi, c in zip(edges[:-1], edges[1:], counts)))
     summary = {"videos": len(ratios), "mean_temporal_prune_ratio": float(np.mean(ratios))}
-    with open(out / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=1)
-        fh.write("\n")
+    replace_file(out / "summary.json", json.dumps(summary, indent=1) + "\n")
     print(f"{summary['videos']} videos, mean temporal prune ratio "
           f"{summary['mean_temporal_prune_ratio']:.4f}; wrote {out}")
     return 0

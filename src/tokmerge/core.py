@@ -3,7 +3,8 @@
 Conventions used throughout the package:
 
 * token files are standard ``.npy`` arrays (format version 1.0, magic
-  ``\\x93NUMPY``), shape ``(B, N_v, d)``, little-endian floats;
+  ``\\x93NUMPY``), shape ``(B, N_v, d)``, float32/float64, mapped read-only
+  (so every writer here replaces files: ``replace_file``);
 * internal precision is 32-bit float;
 * frame numbers in segment boundaries are 1-based with half-open spans
   ``[start, end)`` (matching the segmentation recurrence), while provenance
@@ -15,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -108,34 +110,67 @@ def _first_non_finite(arr: np.ndarray) -> int | None:
     return int(bad[0]) if bad.size else None
 
 
+def _load_npy(path, rank: int, what: str, check=np.asarray):
+    """Map a ``.npy`` array of the given rank read-only and return
+    ``check(arr)``. Every failure (a missing, empty, truncated or zipped file,
+    a pickle, a wrong rank, a DataError from ``check``) names the file.
+    """
+    path = Path(path)
+    try:
+        arr = np.load(path, mmap_mode="r", allow_pickle=False)
+    except FileNotFoundError:
+        raise DataError(f"{what} file not found: {path}") from None
+    except (OSError, ValueError, EOFError) as exc:
+        raise DataError(f"malformed array file {path}: {exc}") from exc
+    if not isinstance(arr, np.ndarray):
+        arr.close()
+        raise DataError(f"malformed array file {path}: not a single .npy array")
+    if arr.ndim != rank:
+        raise DataError(f"{path}: rank {arr.ndim}, expected {rank}")
+    try:
+        return check(np.asarray(arr))
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
+def replace_file(path, content: str | np.ndarray) -> None:
+    """Write ``content`` (a string as UTF-8, an array as ``.npy``) to a
+    sibling temporary file and rename it over ``path``: the old file is
+    never truncated, so a stream still mapping it keeps its contents. The
+    temporary file is removed when the write raises.
+    """
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            if isinstance(content, str):
+                fh.write(content.encode())
+            else:
+                np.save(fh, content)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def load_token_stream(path, grid: tuple[int, int]) -> VideoTokenStream:
     """Load a ``(B, N_v, d)`` float token file and validate it against ``grid``.
 
-    64-bit input is narrowed to 32-bit. Raises DataError for a malformed
-    header, wrong rank, a grid that does not tile the frame, non-float
-    payloads, non-finite values, or 64-bit values beyond float32 range (the
-    last two reported with their flat offset). Every message names the file.
+    A native C-order float32 file is mapped read-only; any other float
+    layout is copied, 64-bit input narrowed. Raises DataError, naming the
+    file, for a malformed file, wrong rank or dtype, a grid that does not
+    tile the frame, non-finite values, or 64-bit values beyond float32
+    range (the last two reported with their flat offset).
     """
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"token file not found: {path}")
-    try:
-        arr = np.load(path, allow_pickle=False)
-    except ValueError as exc:
-        raise DataError(f"malformed array file {path}: {exc}") from exc
-    if arr.ndim != 3:
-        raise DataError(f"{path}: rank {arr.ndim}, expected 3")
-    if arr.dtype not in (np.float32, np.float64):
-        raise DataError(f"{path}: dtype {arr.dtype}, expected float32/float64")
-    try:
+    def stream(arr):
+        if arr.dtype.kind != "f" or arr.dtype.itemsize not in (4, 8):
+            raise DataError(f"dtype {arr.dtype}, expected float32/float64")
         return VideoTokenStream(arr, grid)
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from exc
+    return _load_npy(path, 3, "token", stream)
 
 
 def save_stream(stream: VideoTokenStream, path) -> None:
-    """Write the stream's token array as a ``.npy`` file."""
-    np.save(Path(path), stream.data)
+    """Write the stream's token array as a ``.npy`` file (suffix added if missing)."""
+    replace_file(path if str(path).endswith(".npy") else f"{path}.npy", stream.data)
 
 
 # ---------------------------------------------------------------------------
@@ -511,11 +546,11 @@ def save_compressed(cv: CompressedVideo, report: CompressionReport, out_dir) -> 
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    np.save(out / TOKENS_FILE, cv.tokens)
+    replace_file(out / TOKENS_FILE, cv.tokens)
     provenance = _provenance_json(cv.provenance_arrays)
     report_json = json.dumps(report_to_dict(report), indent=1).replace("\n", "\n ")
-    with open(out / META_FILE, "w", encoding="utf-8") as fh:
-        fh.write(f'{{\n "provenance": {provenance},\n "report": {report_json}\n}}\n')
+    replace_file(out / META_FILE,
+                 f'{{\n "provenance": {provenance},\n "report": {report_json}\n}}\n')
 
 
 def load_compressed(out_dir) -> tuple[CompressedVideo, CompressionReport]:
@@ -524,19 +559,10 @@ def load_compressed(out_dir) -> tuple[CompressedVideo, CompressionReport]:
     Provenance coordinates must be JSON integers and members [frame, slot]
     pairs; a violation raises DataError naming the file and the field.
     """
-    out = Path(out_dir)
-    tokens_path = out / TOKENS_FILE
-    meta_path = out / META_FILE
-    if not tokens_path.exists():
-        raise DataError(f"token file not found: {tokens_path}")
+    meta_path = Path(out_dir) / META_FILE
+    tokens = _load_npy(Path(out_dir) / TOKENS_FILE, 2, "token")
     if not meta_path.exists():
         raise DataError(f"metadata file not found: {meta_path}")
-    try:
-        tokens = np.load(tokens_path, allow_pickle=False)
-    except ValueError as exc:
-        raise DataError(f"malformed array file {tokens_path}: {exc}") from exc
-    if tokens.ndim != 2:
-        raise DataError(f"{tokens_path}: rank {tokens.ndim}, expected 2")
     try:
         with open(meta_path, encoding="utf-8") as fh:
             doc = json.load(fh)
