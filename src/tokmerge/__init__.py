@@ -46,12 +46,9 @@ from .spatial import (
     attention_select,
     build_importance,
     dpc_knn_cluster,
-    frame_attention,
     importance_from_attention,
     importance_from_qk,
-    importance_scores,
     merge_clusters,
-    pool_importance,
     spatial_merge,
 )
 from .synth import SynthSpec, generate
@@ -92,12 +89,10 @@ __all__ = [
     "build_importance",
     "decode_flops",
     "dpc_knn_cluster",
-    "frame_attention",
     "generate",
     "get_profile",
     "importance_from_attention",
     "importance_from_qk",
-    "importance_scores",
     "inner_merge",
     "load_compressed",
     "load_token_stream",
@@ -106,7 +101,6 @@ __all__ = [
     "optimal_segmentation",
     "pairwise_redundancy",
     "pipeline_cost_report",
-    "pool_importance",
     "prefill_flops",
     "rank_by_last_attention",
     "retained_for_ratio",

@@ -23,6 +23,7 @@ from .core import (
     CompressionReport,
     ConfigError,
     DataError,
+    _first_non_finite,
     _load_npy,
     load_token_stream,
     replace_file,
@@ -159,6 +160,20 @@ def _config_from_args(args) -> CompressionConfig:
 # Subcommands
 # ---------------------------------------------------------------------------
 
+def _dump_check(shape: tuple, grid: tuple[int, int]):
+    """_load_npy check for an importance dump: finite values, ``shape``
+    (None matches any length)."""
+    def check(arr):
+        if any(n not in (None, m) for n, m in zip(shape, arr.shape)):
+            expect = ", ".join("d" if n is None else str(n) for n in shape)
+            raise DataError(f"shape {arr.shape}, expected ({expect}) for "
+                            f"{shape[0]} frames on grid {grid[0]}x{grid[1]}")
+        if (offset := _first_non_finite(arr)) is not None:
+            raise DataError(f"non-finite value at flat offset {offset}")
+        return arr
+    return check
+
+
 def cmd_compress(args) -> int:
     stream = load_token_stream(args.tokens, _parse_grid(args.grid))
     cfg = _config_from_args(args)
@@ -170,11 +185,13 @@ def cmd_compress(args) -> int:
                           "but the config sets inner_enabled to false")
 
     imp = None
+    b, n_v = stream.frames, stream.tokens_per_frame
     if args.attn:
-        attn = _load_npy(args.attn, 3, "attention")
+        attn = _load_npy(args.attn, 3, "attention", _dump_check((b, n_v, n_v), stream.grid))
         imp = importance_from_attention(attn, stream.grid, cfg.pooled_grid)
     elif args.qk:
-        q, k = (_load_npy(p, 3, what) for p, what in zip(args.qk, ("query", "key")))
+        q = _load_npy(args.qk[0], 3, "query", _dump_check((b, n_v, None), stream.grid))
+        k = _load_npy(args.qk[1], 3, "key", _dump_check(q.shape, stream.grid))
         imp = importance_from_qk(q, k, stream.grid, cfg.pooled_grid)
 
     run = run_pipeline(stream, cfg, imp, args.profile)

@@ -110,6 +110,31 @@ def _first_non_finite(arr: np.ndarray) -> int | None:
     return int(bad[0]) if bad.size else None
 
 
+def _group_mean(rows: np.ndarray, members: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Mean of each group of ``rows``, narrowed to the rows' dtype.
+
+    ``members`` lists the row indices of group 0, then of group 1, ...; group
+    g has ``sizes[g] >= 1``. Each mean is a float64 sum from +0.0 of the
+    group's rows in the order given, divided by the group size; a one-row
+    group is its row plus 0 (-0.0 becomes +0.0), outside the accumulator.
+    The others are summed in rounds: round j adds each group's j-th row.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    starts = np.cumsum(sizes) - sizes
+    out = rows[members[starts]]
+    out += 0
+    by_size = np.argsort(-sizes, kind="stable")
+    # n_active[j - 1]: the number of groups with more than j rows
+    n_active = np.searchsorted(-sizes[by_size], -np.arange(1, sizes.max(initial=1)))
+    merged = by_size[: n_active[0] if n_active.size else 0]
+    acc = out[merged].astype(np.float64)
+    for j, k in enumerate(n_active, start=1):
+        acc[:k] += rows[members[starts[merged[:k]] + j]]
+    acc /= sizes[merged][:, None]
+    out[merged] = acc
+    return out
+
+
 def _load_npy(path, rank: int, what: str, check=np.asarray):
     """Map a ``.npy`` array of the given rank read-only and return
     ``check(arr)``. Every failure (a missing, empty, truncated or zipped file,

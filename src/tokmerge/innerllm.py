@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataError
+from .core import DataError, _group_mean
 
 # Candidate rows scored per block, and retained rows gathered per block by
 # the exact recheck. A block's float32 similarities take
@@ -246,24 +246,11 @@ def merge_assigned(
     if missing.size:
         raise DataError(f"assignment target {missing[0]} is not a retained index")
 
-    # Rows start as the retained rows plus 0 (so -0.0 becomes +0.0, as a
-    # float64 sum from +0.0 gives), which is already the mean of a group
-    # without candidates. The others are summed in float64 in rounds,
-    # largest group first: round j adds the j-th candidate of every group
-    # that has one, so each row is summed in member order.
-    updated = hidden[retained]
-    updated += 0
-    sizes = np.bincount(group, minlength=retained.size)
-    members = candidates[np.lexsort((candidates, group))]
-    starts = np.cumsum(sizes) - sizes
-    by_size = np.argsort(-sizes, kind="stable")
-    n_active = np.searchsorted(-sizes[by_size], -np.arange(sizes.max(initial=0)))
-    merged = by_size[: n_active[0] if n_active.size else 0]
-    acc = updated[merged].astype(np.float64)
-    for j, k in enumerate(n_active):
-        acc[:k] += hidden[members[starts[merged[:k]] + j]]
-    acc /= (sizes[merged] + 1)[:, None]
-    updated[merged] = acc
+    # each retained row first, then its candidates in ascending index order
+    ids = np.concatenate((retained, candidates))
+    groups = np.concatenate((np.arange(retained.size), group))
+    members = ids[np.lexsort((ids, np.arange(ids.size) >= retained.size, groups))]
+    updated = _group_mean(hidden, members, np.bincount(groups, minlength=retained.size))
     return InnerMergeResult(
         retained_indices=retained, updated=updated,
         assignment=dict(zip(candidates.tolist(), targets.tolist())))

@@ -19,6 +19,7 @@ from .core import (
     CompressionConfig,
     DataError,
     ProvenanceArrays,
+    _group_mean,
 )
 from .temporal import TemporalMergeResult
 
@@ -27,70 +28,39 @@ from .temporal import TemporalMergeResult
 # Importance
 # ---------------------------------------------------------------------------
 
-def frame_attention(q: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Row-softmax of q @ k.T / sqrt(d) for one frame; rows sum to 1."""
-    q = np.asarray(q, dtype=np.float64)
-    k = np.asarray(k, dtype=np.float64)
-    if q.ndim != 2 or q.shape != k.shape:
-        raise DataError(f"q/k shape mismatch: {q.shape} vs {k.shape}")
-    logits = q @ k.T / math.sqrt(q.shape[1])
-    logits -= logits.max(axis=1, keepdims=True)
-    e = np.exp(logits)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def importance_scores(attention: np.ndarray) -> np.ndarray:
-    """Mean attention each token receives (column means of a square matrix)."""
-    a = np.asarray(attention, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DataError(f"attention matrix must be square, got {a.shape}")
-    return a.mean(axis=0)
-
-
 def _bin_edges(size: int, bins: int) -> np.ndarray:
     return np.array([(i * size) // bins for i in range(bins + 1)], dtype=np.int64)
 
 
-def pool_importance(raw: np.ndarray, pooled_grid: tuple[int, int]) -> np.ndarray:
-    """Adaptive average pooling of an H x W score grid to pooled_grid.
+def _pool(raw: np.ndarray, grid: tuple[int, int], pooled_grid: tuple[int, int]) -> np.ndarray:
+    """(B, Hp, Wp) adaptive average pooling of (B, H*W) scores on an H x W grid.
 
     Output bin (i, j) averages rows [floor(i*H/Hp), floor((i+1)*H/Hp)) and
-    the analogous column span; bins are non-empty and tile the grid.
+    the analogous column span; bins are non-empty and tile the grid. A bin's
+    sum over every frame at once, divided by its cell count, has the bits of
+    its mean; pooling to the grid itself turns a -0.0 score into +0.0.
     """
-    raw = np.asarray(raw, dtype=np.float64)
-    if raw.ndim != 2:
-        raise DataError(f"score grid must be 2-D, got rank {raw.ndim}")
-    h, w = raw.shape
-    hp, wp = pooled_grid
-    if hp > h or wp > w or hp < 1 or wp < 1:
+    (h, w), (hp, wp) = grid, pooled_grid
+    if not (1 <= hp <= h and 1 <= wp <= w):
         raise DataError(f"pooled grid {hp}x{wp} invalid for raw grid {h}x{w}")
-    re = _bin_edges(h, hp)
-    ce = _bin_edges(w, wp)
-    out = np.empty((hp, wp), dtype=np.float64)
+    g = raw.reshape(-1, h, w)
+    re, ce = _bin_edges(h, hp), _bin_edges(w, wp)
+    sums = np.empty((g.shape[0], hp, wp), dtype=np.float64)
     for i in range(hp):
         for j in range(wp):
-            out[i, j] = raw[re[i] : re[i + 1], ce[j] : ce[j + 1]].mean()
-    return out
+            sums[:, i, j] = g[:, re[i] : re[i + 1], ce[j] : ce[j + 1]].sum(axis=(1, 2))
+    return sums / np.outer(np.diff(re), np.diff(ce))
 
 
 @dataclass(frozen=True)
 class ImportanceMap:
-    """Per-frame token importance at raw and pooled resolution."""
+    """Per-frame token importance at raw and pooled resolution; made by
+    build_importance, which checks the shapes."""
 
     raw: np.ndarray      # (B, N_v)
     pooled: np.ndarray   # (B, Hp, Wp)
     grid: tuple[int, int]
     pooled_grid: tuple[int, int]
-
-    def __post_init__(self):
-        h, w = self.grid
-        hp, wp = self.pooled_grid
-        if self.raw.ndim != 2 or self.raw.shape[1] != h * w:
-            raise DataError(f"raw importance shape {self.raw.shape} "
-                            f"inconsistent with grid {h}x{w}")
-        if self.pooled.shape != (self.raw.shape[0], hp, wp):
-            raise DataError(f"pooled importance shape {self.pooled.shape} "
-                            f"inconsistent with {hp}x{wp}")
 
     def token_scores(self) -> np.ndarray:
         """(B, N_v) selection scores: each slot scored by its pooled bin."""
@@ -107,39 +77,40 @@ def build_importance(
     grid: tuple[int, int],
     pooled_grid: tuple[int, int] | None = None,
 ) -> ImportanceMap:
-    """Assemble an ImportanceMap from per-frame raw scores (B, N_v).
-
-    Pooling to the stream grid itself is the identity (every bin is one
-    score), so that case reshapes instead of averaging bin by bin.
-    """
+    """Assemble an ImportanceMap from per-frame raw scores (B, N_v)."""
     raw_scores = np.asarray(raw_scores, dtype=np.float64)
-    h, w = grid
-    pg = tuple(pooled_grid or grid)
-    if pg == (h, w):
-        pooled = raw_scores.reshape(-1, h, w).copy()
-    else:
-        pooled = np.stack([pool_importance(f.reshape(h, w), pg) for f in raw_scores])
-    return ImportanceMap(raw=raw_scores, pooled=pooled, grid=tuple(grid),
-                         pooled_grid=pg)
+    (h, w), pg = grid, tuple(pooled_grid or grid)
+    if raw_scores.ndim != 2 or raw_scores.shape[1] != h * w:
+        raise DataError(f"raw importance shape {raw_scores.shape} inconsistent with grid {h}x{w}")
+    return ImportanceMap(raw_scores, _pool(raw_scores, (h, w), pg), (h, w), pg)
 
 
 def importance_from_attention(attn: np.ndarray, grid, pooled_grid=None) -> ImportanceMap:
-    """ImportanceMap from a (B, N_v, N_v) per-frame attention stack."""
+    """ImportanceMap from a (B, N_v, N_v) per-frame attention stack; a token's
+    raw score is the float64 mean of its column (the attention it receives)."""
     attn = np.asarray(attn)
-    if attn.ndim != 3:
-        raise DataError(f"attention stack must be 3-D, got rank {attn.ndim}")
-    raw = np.stack([importance_scores(a) for a in attn])
-    return build_importance(raw, grid, pooled_grid)
+    if attn.ndim != 3 or attn.shape[1] != attn.shape[2]:
+        raise DataError(f"attention stack must be (B, N_v, N_v), got {attn.shape}")
+    return build_importance(attn.mean(axis=1, dtype=np.float64), grid, pooled_grid)
 
 
 def importance_from_qk(q: np.ndarray, k: np.ndarray, grid, pooled_grid=None) -> ImportanceMap:
-    """ImportanceMap from (B, N_v, d) query/key dumps."""
+    """ImportanceMap from (B, N_v, d) query/key dumps: each frame's attention is
+    the float64 row-softmax of q @ k.T / sqrt(d) (row maximum subtracted
+    first), scored as in importance_from_attention."""
     q = np.asarray(q)
     k = np.asarray(k)
     if q.ndim != 3 or q.shape != k.shape:
         raise DataError(f"q/k dump shape mismatch: {q.shape} vs {k.shape}")
-    raw = np.stack([importance_scores(frame_attention(qf, kf))
-                    for qf, kf in zip(q, k)])
+    raw = np.empty(q.shape[:2])
+    scale = math.sqrt(q.shape[2])
+    for f in range(q.shape[0]):
+        logits = np.asarray(q[f], dtype=np.float64) @ np.asarray(k[f], dtype=np.float64).T
+        logits /= scale
+        logits -= logits.max(axis=1, keepdims=True)
+        e = np.exp(logits)
+        e /= e.sum(axis=1, keepdims=True)
+        raw[f] = e.mean(axis=0)
     return build_importance(raw, grid, pooled_grid)
 
 
@@ -242,13 +213,16 @@ def dist2_to(points: np.ndarray, refs: np.ndarray) -> np.ndarray:
 
 
 def merge_clusters(tokens: np.ndarray, state: ClusterState) -> tuple[np.ndarray, np.ndarray]:
-    """Mean of each cluster (center + assigned members), keeping input dtype."""
+    """Mean of each cluster (center + assigned members), keeping input dtype.
+
+    A cluster's mean is a float64 sum from +0.0 of its members' rows in
+    ascending index order, divided by the cluster size and narrowed to the
+    token dtype; a one-token cluster is its row (a -0.0 entry becomes +0.0).
+    """
     tokens = np.asarray(tokens)
-    reps = np.empty((state.centers.shape[0], tokens.shape[1]), dtype=tokens.dtype)
-    for r, center in enumerate(state.centers):
-        group = tokens[state.assignment == center]
-        reps[r] = group.mean(axis=0, dtype=np.float64).astype(tokens.dtype)
-    return reps, state.centers
+    members = np.argsort(state.assignment, kind="stable")
+    sizes = np.bincount(state.assignment, minlength=tokens.shape[0])[state.centers]
+    return _group_mean(tokens, members, sizes), state.centers
 
 
 def auto_knn_k(n: int) -> int:

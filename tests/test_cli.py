@@ -255,6 +255,63 @@ class TestCompress:
         assert not out.exists()
 
 
+    def run_with_dump(self, tmp_path, ratio, dump_args):
+        """Compress with importance dump flags and warnings as errors."""
+        spec, stream, tokens = write_corpus(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return main(["compress", "--tokens", str(tokens), "--grid", "2x3",
+                         "--out", str(tmp_path / "out"), "--target-ratio", ratio,
+                         *dump_args])
+
+    # 1.0 passes every survivor through; 0.25 selects and clusters
+    @pytest.mark.parametrize("ratio", ["1.0", "0.25"])
+    def test_attention_dump_nan_exit_2(self, tmp_path, capsys, ratio):
+        attn = np.full((8, 6, 6), 1 / 6)
+        attn[2, 3, 4] = np.nan
+        np.save(tmp_path / "attn.npy", attn)
+        rc = self.run_with_dump(tmp_path, ratio, ["--attn", str(tmp_path / "attn.npy")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'attn.npy'}: non-finite value at flat offset 94" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("ratio", ["1.0", "0.25"])
+    def test_qk_dump_inf_exit_2(self, tmp_path, capsys, ratio):
+        rng = np.random.default_rng(4)
+        q, k = rng.standard_normal((2, 8, 6, 4))
+        k[1, 0, 3] = np.inf
+        np.save(tmp_path / "q.npy", q)
+        np.save(tmp_path / "k.npy", k)
+        rc = self.run_with_dump(tmp_path, ratio,
+                                ["--qk", str(tmp_path / "q.npy"), str(tmp_path / "k.npy")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'k.npy'}: non-finite value at flat offset 27" in err
+        assert "RuntimeWarning" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("ratio", ["1.0", "0.25"])
+    def test_attention_dump_not_grid_tokens_exit_2(self, tmp_path, capsys, ratio):
+        np.save(tmp_path / "attn.npy", np.full((8, 9, 9), 1 / 9))
+        rc = self.run_with_dump(tmp_path, ratio, ["--attn", str(tmp_path / "attn.npy")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert (f"{tmp_path / 'attn.npy'}: shape (8, 9, 9), expected (8, 6, 6) "
+                "for 8 frames on grid 2x3") in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("ratio", ["1.0", "0.25"])
+    def test_attention_dump_frame_count_exit_2(self, tmp_path, capsys, ratio):
+        np.save(tmp_path / "attn.npy", np.full((5, 6, 6), 1 / 6))
+        rc = self.run_with_dump(tmp_path, ratio, ["--attn", str(tmp_path / "attn.npy")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert (f"{tmp_path / 'attn.npy'}: shape (5, 6, 6), expected (8, 6, 6) "
+                "for 8 frames on grid 2x3") in err
+        assert not (tmp_path / "out").exists()
+
 class TestSegment:
     def test_identical_frames_single_segment(self, tmp_path, capsys):
         spec, stream, tokens = write_corpus(tmp_path, segments=((8, 1.0),))

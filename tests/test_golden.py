@@ -46,6 +46,12 @@ CASES = {
         "compressed.json":
             "76fb8bae3b64f0f4ecba2a4708038f1041e3d101666686db64e87bc7649eaefb",
     },
+    "pooled-attn": {
+        "tokens.npy":
+            "9e533a4e9831e41a2f1cb3c10a9c89066792756632d57ed4d98e04fda50061e1",
+        "compressed.json":
+            "2ec19d4f72d86a441a13ce28bc3636dd3f1d78c50011afa940662135ba893dc3",
+    },
     "cluster-qk-inner": {
         "tokens.npy":
             "d586059e0b09c26f733dcfe2e0fa9d48cffeb225ed2bbf57796578ee3691bfcc",
@@ -73,6 +79,12 @@ def compress_case(case: str, work) -> dict:
         attn = rng.random((24, 16, 16))
         np.save(work / "attn.npy", attn / attn.sum(axis=2, keepdims=True))
         argv += ["--attn", str(work / "attn.npy"), "--target-ratio", "0.25"]
+    elif case == "pooled-attn":
+        # 4x4 -> 3x3 pools uneven bins: row and column edges 0, 1, 2, 4
+        attn = rng.random((24, 16, 16))
+        np.save(work / "attn.npy", attn / attn.sum(axis=2, keepdims=True))
+        argv += ["--attn", str(work / "attn.npy"), "--target-ratio", "0.25",
+                 "--pooled-grid", "3x3"]
     elif case == "cluster-qk-inner":
         for name in ("q", "k"):
             np.save(work / f"{name}.npy", rng.standard_normal((24, 16, 8)).astype(np.float32))

@@ -13,12 +13,11 @@ from tokmerge import (
     attention_select,
     build_importance,
     dpc_knn_cluster,
-    frame_attention,
-    importance_scores,
+    importance_from_attention,
+    importance_from_qk,
     merge_clusters,
     optimal_segmentation,
     pairwise_redundancy,
-    pool_importance,
     spatial_merge,
 )
 
@@ -63,65 +62,143 @@ def dpc_oracle(tokens, k, c):
     return centers, assignment
 
 
+# ---------------------------------------------------------------------------
+# Per-frame oracles: the definitions the array code must match bit for bit
+# ---------------------------------------------------------------------------
+
+def frame_attention(q, k):
+    """Row-softmax of q @ k.T / sqrt(d) for one frame; rows sum to 1."""
+    q = np.asarray(q, dtype=np.float64)
+    k = np.asarray(k, dtype=np.float64)
+    if q.ndim != 2 or q.shape != k.shape:
+        raise DataError(f"q/k shape mismatch: {q.shape} vs {k.shape}")
+    logits = q @ k.T / math.sqrt(q.shape[1])
+    logits -= logits.max(axis=1, keepdims=True)
+    e = np.exp(logits)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def importance_scores(attention):
+    """Mean attention each token receives (column means of a square matrix)."""
+    a = np.asarray(attention, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DataError(f"attention matrix must be square, got {a.shape}")
+    return a.mean(axis=0)
+
+
+def pool_importance(raw, pooled_grid):
+    """Adaptive average pooling of one H x W score grid, bin by bin."""
+    raw = np.asarray(raw, dtype=np.float64)
+    h, w = raw.shape
+    hp, wp = pooled_grid
+    if hp > h or wp > w or hp < 1 or wp < 1:
+        raise DataError(f"pooled grid {hp}x{wp} invalid for raw grid {h}x{w}")
+    re = [(i * h) // hp for i in range(hp + 1)]
+    ce = [(j * w) // wp for j in range(wp + 1)]
+    out = np.empty((hp, wp), dtype=np.float64)
+    for i in range(hp):
+        for j in range(wp):
+            out[i, j] = raw[re[i] : re[i + 1], ce[j] : ce[j + 1]].mean()
+    return out
+
+
+def merge_clusters_loop(tokens, state):
+    """Each cluster's float64 mean, narrowed to the token dtype, one cluster
+    at a time."""
+    tokens = np.asarray(tokens)
+    reps = np.empty((state.centers.shape[0], tokens.shape[1]), dtype=tokens.dtype)
+    for r, center in enumerate(state.centers):
+        group = tokens[state.assignment == center]
+        reps[r] = group.mean(axis=0, dtype=np.float64).astype(tokens.dtype)
+    return reps, state.centers
+
+
+def qk_raw(q, k):
+    """Raw importance of one frame's q/k through importance_from_qk."""
+    return importance_from_qk(q[None], k[None], (q.shape[0], 1)).raw[0]
+
+
+def attention_raw(a):
+    """Raw importance of one frame's attention through importance_from_attention."""
+    return importance_from_attention(a[None], (a.shape[0], 1)).raw[0]
+
+
+def pooled(raw, pooled_grid):
+    """One H x W grid pooled through build_importance."""
+    return build_importance(raw.reshape(1, -1), raw.shape, pooled_grid).pooled[0]
+
+
 class TestFrameAttention:
     def test_zero_queries_give_uniform_rows(self):
         q = np.zeros((5, 3))
         k = np.random.default_rng(0).standard_normal((5, 3))
         a = frame_attention(q, k)
         np.testing.assert_allclose(a, np.full((5, 5), 0.2), atol=1e-12)
+        np.testing.assert_allclose(qk_raw(q, k), np.full(5, 0.2), atol=1e-12)
 
     def test_singleton(self):
         a = frame_attention(np.ones((1, 4)), np.ones((1, 4)))
         np.testing.assert_allclose(a, [[1.0]])
+        np.testing.assert_allclose(qk_raw(np.ones((1, 4)), np.ones((1, 4))), [1.0])
 
     def test_scalar_softmax_oracle(self):
-        a = frame_attention(np.array([[1.0], [0.0]]), np.array([[1.0], [0.0]]))
+        q = k = np.array([[1.0], [0.0]])
+        a = frame_attention(q, k)
         np.testing.assert_allclose(a[0], [0.7311, 0.2689], atol=1e-4)
+        # column means of [[0.7311, 0.2689], [0.5, 0.5]]
+        np.testing.assert_allclose(qk_raw(q, k), [0.6155, 0.3845], atol=1e-4)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(1)
-        a = frame_attention(rng.standard_normal((9, 6)), rng.standard_normal((9, 6)))
+        q, k = rng.standard_normal((2, 9, 6))
+        a = frame_attention(q, k)
         np.testing.assert_allclose(a.sum(axis=1), np.ones(9), atol=1e-5)
+        np.testing.assert_allclose(qk_raw(q, k).sum(), 1.0, atol=1e-12)
 
     def test_shape_mismatch(self):
         with pytest.raises(DataError):
             frame_attention(np.ones((3, 2)), np.ones((4, 2)))
+        with pytest.raises(DataError):
+            importance_from_qk(np.ones((1, 3, 2)), np.ones((1, 4, 2)), (3, 1))
 
 
 class TestImportanceScores:
     def test_uniform(self):
         n = 6
-        scores = importance_scores(np.full((n, n), 1.0 / n))
-        np.testing.assert_allclose(scores, np.full(n, 1.0 / n))
+        a = np.full((n, n), 1.0 / n)
+        np.testing.assert_allclose(importance_scores(a), np.full(n, 1.0 / n))
+        np.testing.assert_allclose(attention_raw(a), np.full(n, 1.0 / n))
 
     def test_identity_rows(self):
-        scores = importance_scores(np.eye(5))
-        np.testing.assert_allclose(scores, np.full(5, 0.2))
+        np.testing.assert_allclose(importance_scores(np.eye(5)), np.full(5, 0.2))
+        np.testing.assert_allclose(attention_raw(np.eye(5)), np.full(5, 0.2))
 
     def test_single_column_mass(self):
         a = np.zeros((4, 4))
         a[:, 2] = 1.0
-        scores = importance_scores(a)
-        np.testing.assert_allclose(scores, [0, 0, 1.0, 0])
+        np.testing.assert_allclose(importance_scores(a), [0, 0, 1.0, 0])
+        np.testing.assert_allclose(attention_raw(a), [0, 0, 1.0, 0])
 
     def test_non_square_rejected(self):
         with pytest.raises(DataError):
             importance_scores(np.ones((3, 4)))
+        with pytest.raises(DataError, match="must be \\(B, N_v, N_v\\)"):
+            importance_from_attention(np.ones((1, 3, 4)), (3, 1))
 
 
 class TestPoolImportance:
     def test_constant_grid(self):
-        out = pool_importance(np.full((6, 9), 3.5), (2, 3))
+        out = pooled(np.full((6, 9), 3.5), (2, 3))
         np.testing.assert_allclose(out, np.full((2, 3), 3.5))
 
     def test_full_average(self):
-        out = pool_importance(np.array([[1.0, 2.0], [3.0, 4.0]]), (1, 1))
+        out = pooled(np.array([[1.0, 2.0], [3.0, 4.0]]), (1, 1))
         np.testing.assert_allclose(out, [[2.5]])
 
     def test_ramp_bin_edges(self):
         """27 -> 14 bins: enumerate the floor edges and average each bin."""
         raw = np.arange(27.0 * 27.0).reshape(27, 27)
-        out = pool_importance(raw, (14, 14))
+        out = pooled(raw, (14, 14))
         edges = [(i * 27) // 14 for i in range(15)]
         assert edges[0] == 0 and edges[1] == 1
         np.testing.assert_allclose(out[0, 0], raw[0, 0])
@@ -129,11 +206,12 @@ class TestPoolImportance:
             for j in range(14):
                 block = raw[edges[i]:edges[i + 1], edges[j]:edges[j + 1]]
                 np.testing.assert_allclose(out[i, j], block.mean())
+        np.testing.assert_array_equal(out, pool_importance(raw, (14, 14)))
 
     def test_mean_preserved_for_divisible_grids(self):
         rng = np.random.default_rng(2)
         raw = rng.random((12, 8))
-        out = pool_importance(raw, (4, 4))
+        out = pooled(raw, (4, 4))
         np.testing.assert_allclose(out.mean(), raw.mean(), rtol=1e-12)
 
     def test_identity_pooling_matches_bin_loop(self):
@@ -144,9 +222,16 @@ class TestPoolImportance:
         np.testing.assert_array_equal(imp.pooled, expect)
         np.testing.assert_array_equal(imp.token_scores(), raw)
 
+    @pytest.mark.parametrize("shape", [(2, 8), (3, 5), (16,)])
+    def test_raw_scores_not_on_grid_rejected(self, shape):
+        with pytest.raises(DataError, match="inconsistent with grid 4x4"):
+            build_importance(np.ones(shape), (4, 4))
+
     def test_oversized_pooled_grid_rejected(self):
         with pytest.raises(DataError):
             pool_importance(np.ones((3, 3)), (4, 2))
+        with pytest.raises(DataError, match="pooled grid 4x2 invalid for raw grid 3x3"):
+            pooled(np.ones((3, 3)), (4, 2))
 
 
 class TestAttentionSelect:
