@@ -23,7 +23,6 @@ from .core import (
     CompressionReport,
     ConfigError,
     DataError,
-    _first_non_finite,
     _load_npy,
     load_token_stream,
     replace_file,
@@ -161,15 +160,13 @@ def _config_from_args(args) -> CompressionConfig:
 # ---------------------------------------------------------------------------
 
 def _dump_check(shape: tuple, grid: tuple[int, int]):
-    """_load_npy check for an importance dump: finite values, ``shape``
-    (None matches any length)."""
+    """_load_npy check for an importance dump's ``shape`` (None matches any
+    length); the importance functions reject non-finite values."""
     def check(arr):
         if any(n not in (None, m) for n, m in zip(shape, arr.shape)):
             expect = ", ".join("d" if n is None else str(n) for n in shape)
             raise DataError(f"shape {arr.shape}, expected ({expect}) for "
                             f"{shape[0]} frames on grid {grid[0]}x{grid[1]}")
-        if (offset := _first_non_finite(arr)) is not None:
-            raise DataError(f"non-finite value at flat offset {offset}")
         return arr
     return check
 
@@ -188,11 +185,11 @@ def cmd_compress(args) -> int:
     b, n_v = stream.frames, stream.tokens_per_frame
     if args.attn:
         attn = _load_npy(args.attn, 3, "attention", _dump_check((b, n_v, n_v), stream.grid))
-        imp = importance_from_attention(attn, stream.grid, cfg.pooled_grid)
+        imp = importance_from_attention(attn, stream.grid, cfg.pooled_grid, name=args.attn)
     elif args.qk:
         q = _load_npy(args.qk[0], 3, "query", _dump_check((b, n_v, None), stream.grid))
         k = _load_npy(args.qk[1], 3, "key", _dump_check(q.shape, stream.grid))
-        imp = importance_from_qk(q, k, stream.grid, cfg.pooled_grid)
+        imp = importance_from_qk(q, k, stream.grid, cfg.pooled_grid, names=args.qk)
 
     run = run_pipeline(stream, cfg, imp, args.profile)
     if inner:

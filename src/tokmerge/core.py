@@ -17,6 +17,7 @@ import json
 import math
 import numbers
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -77,7 +78,9 @@ class VideoTokenStream:
         # non-finite entry is the sum overflowing float32 on large finite
         # entries (a single one beyond ~1.8e19 suffices); those are accepted.
         # An entry that became +-inf only by narrowing was out of range.
-        sq_norms = np.einsum("bkd,bkd->bk", arr, arr)
+        sq_norms = np.empty((b, n_v), dtype=np.float32)
+        _split(b, lambda lo, hi: np.einsum("bkd,bkd->bk", arr[lo:hi], arr[lo:hi],
+                                           out=sq_norms[lo:hi]))
         if not np.isfinite(sq_norms).all():
             offset = _first_non_finite(arr)
             if offset is not None:
@@ -102,6 +105,31 @@ class VideoTokenStream:
     @property
     def dim(self) -> int:
         return self.data.shape[2]
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity mask (``taskset``)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _split(n: int, fn) -> None:
+    """Run ``fn(lo, hi)`` over contiguous pieces of ``range(n)``, one per
+    usable CPU, the first on the calling thread (one piece starts no thread).
+    Each call writes only its own part of a preallocated output, so the bits
+    do not depend on the piece count. The pool lives for one call: a pool
+    kept across calls hangs a forked child that calls again.
+    """
+    workers = min(_cpu_count(), n)
+    if workers <= 1:
+        fn(0, n)
+        return
+    cuts = [n * i // workers for i in range(workers + 1)]
+    with ThreadPoolExecutor(workers - 1) as pool:
+        rest = pool.map(fn, cuts[1:-1], cuts[2:])
+        fn(0, cuts[1])
+        list(rest)
 
 
 def _first_non_finite(arr: np.ndarray) -> int | None:

@@ -19,6 +19,7 @@ from .core import (
     CompressionConfig,
     DataError,
     ProvenanceArrays,
+    _first_non_finite,
     _group_mean,
 )
 from .temporal import TemporalMergeResult
@@ -85,23 +86,35 @@ def build_importance(
     return ImportanceMap(raw_scores, _pool(raw_scores, (h, w), pg), (h, w), pg)
 
 
-def importance_from_attention(attn: np.ndarray, grid, pooled_grid=None) -> ImportanceMap:
+def _check_finite(arr: np.ndarray, name: str) -> None:
+    if (offset := _first_non_finite(arr)) is not None:
+        raise DataError(f"{name}: non-finite value at flat offset {offset}")
+
+
+def importance_from_attention(attn: np.ndarray, grid, pooled_grid=None, *,
+                              name="attention") -> ImportanceMap:
     """ImportanceMap from a (B, N_v, N_v) per-frame attention stack; a token's
-    raw score is the float64 mean of its column (the attention it receives)."""
+    raw score is the float64 mean of its column (the attention it receives).
+    A NaN or +-inf entry raises DataError naming ``name`` and its offset."""
     attn = np.asarray(attn)
     if attn.ndim != 3 or attn.shape[1] != attn.shape[2]:
         raise DataError(f"attention stack must be (B, N_v, N_v), got {attn.shape}")
+    _check_finite(attn, name)
     return build_importance(attn.mean(axis=1, dtype=np.float64), grid, pooled_grid)
 
 
-def importance_from_qk(q: np.ndarray, k: np.ndarray, grid, pooled_grid=None) -> ImportanceMap:
+def importance_from_qk(q: np.ndarray, k: np.ndarray, grid, pooled_grid=None, *,
+                       names=("query", "key")) -> ImportanceMap:
     """ImportanceMap from (B, N_v, d) query/key dumps: each frame's attention is
     the float64 row-softmax of q @ k.T / sqrt(d) (row maximum subtracted
-    first), scored as in importance_from_attention."""
+    first), scored as in importance_from_attention; non-finite entries are
+    rejected as there, naming the dump by ``names``."""
     q = np.asarray(q)
     k = np.asarray(k)
     if q.ndim != 3 or q.shape != k.shape:
         raise DataError(f"q/k dump shape mismatch: {q.shape} vs {k.shape}")
+    for arr, name in zip((q, k), names):
+        _check_finite(arr, name)
     raw = np.empty(q.shape[:2])
     scale = math.sqrt(q.shape[2])
     for f in range(q.shape[0]):
@@ -218,8 +231,13 @@ def merge_clusters(tokens: np.ndarray, state: ClusterState) -> tuple[np.ndarray,
     A cluster's mean is a float64 sum from +0.0 of its members' rows in
     ascending index order, divided by the cluster size and narrowed to the
     token dtype; a one-token cluster is its row (a -0.0 entry becomes +0.0).
+    Raises DataError unless every token is assigned to a center and every
+    center to itself.
     """
     tokens = np.asarray(tokens)
+    a, c = state.assignment, state.centers
+    if not (np.isin(a, c).all() and (a[c] == c).all()):
+        raise DataError("cluster assignment must map each token to a center, a center to itself")
     members = np.argsort(state.assignment, kind="stable")
     sizes = np.bincount(state.assignment, minlength=tokens.shape[0])[state.centers]
     return _group_mean(tokens, members, sizes), state.centers

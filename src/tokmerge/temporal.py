@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TEMPORAL_MERGE_MODES, DataError, VideoTokenStream
+from .core import TEMPORAL_MERGE_MODES, DataError, VideoTokenStream, _split
 
 _WORD_BITS = 64
 
@@ -96,9 +96,9 @@ def pairwise_redundancy(stream: VideoTokenStream, tau: float) -> RedundancyMask:
     """
     x = stream.data
     b, n_v, d = x.shape
-    if b == 1:
-        return RedundancyMask.from_bool(np.zeros((0, n_v), dtype=bool), n_v)
-    dots = np.einsum("bkd,bkd->bk", x[:-1], x[1:])
+    dots = np.empty((b - 1, n_v), dtype=np.float32)
+    _split(b - 1, lambda lo, hi: np.einsum("bkd,bkd->bk", x[lo:hi], x[lo + 1 : hi + 1],
+                                           out=dots[lo:hi]))
     na, nb = stream.sq_norms[:-1], stream.sq_norms[1:]
     with np.errstate(invalid="ignore", divide="ignore"):
         prod = na.astype(np.float64) * nb
@@ -281,7 +281,7 @@ def apply_temporal_merge(
             f"plan covers {plan.boundaries[-1] - 1} frames, stream has {b}")
 
     data = stream.data
-    segments = []
+    segments, means = [], []
     pruned = 0
     all_slots = np.arange(n_v)
     for s, e in plan.segments():
@@ -293,19 +293,28 @@ def apply_temporal_merge(
             red = np.flatnonzero(bits[:n_v]).astype(np.int64)
         surv = np.setdiff1d(all_slots, red, assume_unique=True)
         if mode == "mean" and red.size:
-            # numpy reduces axis 0 frame by frame, starting from +0.0, so
-            # summing the slot span in place and then picking ``red`` gives
-            # the bits of the mean over a gathered copy of the occurrences
-            lo = red[0]
-            block = data[s - 1 : e - 1, lo : red[-1] + 1].sum(axis=0, dtype=np.float64)
-            merged = (block[red - lo] / (e - s)).astype(np.float32)
+            merged = np.empty((red.size, stream.dim), dtype=np.float32)
+            means.append((s, e, red, merged))
         else:
             merged = data[s - 1, red, :]
         pruned += red.size * (e - s - 1)
-        for arr in (red, merged, surv):
-            arr.setflags(write=False)
         segments.append(SegmentMerge(start=s, end=e, redundant_idx=red,
                                      merged_values=merged, survivor_idx=surv))
+
+    def mean_columns(lo, hi):
+        # each segment's slot span from red[0] to red[-1], summed in float64
+        # frame by frame from +0.0 (numpy's reduction does so unless a frame
+        # holds one value, which it sums pairwise; accumulate is sequential)
+        for s, e, red, out in means:
+            block = data[s - 1 : e - 1, red[0] : red[-1] + 1, lo:hi]
+            acc = (block.sum(axis=0, dtype=np.float64) if block[0].size > 1
+                   else 0.0 + np.add.accumulate(block, dtype=np.float64)[-1])
+            np.divide(acc[red - red[0]], e - s, out=out[:, lo:hi])
+    if means:
+        _split(stream.dim, mean_columns)
+    for seg in segments:
+        for arr in (seg.redundant_idx, seg.merged_values, seg.survivor_idx):
+            arr.setflags(write=False)
 
     if pruned != plan.total_gain:
         raise DataError(

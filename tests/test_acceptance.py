@@ -21,6 +21,7 @@ from tokmerge import (
     SynthSpec,
     apply_temporal_merge,
     build_importance,
+    core,
     dpc_knn_cluster,
     generate,
     get_profile,
@@ -287,7 +288,7 @@ def test_criterion_7_exclusion_documented():
 # ---------------------------------------------------------------------------
 
 @criterion("criterion 8 (full pipeline under 2 s at B=64 N_v=196 d=896)")
-def test_criterion_8_throughput():
+def test_criterion_8_throughput(monkeypatch):
     spec = SynthSpec(frames=64, grid=(14, 14), dim=896,
                      segments=((16, 0.5), (24, 0.75), (24, 0.25)),
                      noise_sigma=0.01, seed=88)
@@ -301,6 +302,8 @@ def test_criterion_8_throughput():
     hidden = rng.standard_normal((dump_rows, 896)).astype(np.float32)
     last = rng.random(dump_rows)
     profile = get_profile("llava-ov-7b")
+    # one worker: the whole-stream passes split across CPUs otherwise
+    monkeypatch.setattr(core, "_cpu_count", lambda: 1)
 
     start = time.perf_counter()
     mask = pairwise_redundancy(stream, cfg.tau)

@@ -1,11 +1,13 @@
 """Spatial stage tests: attention, pooling, selection, DPC-KNN, budget."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from tokmerge import (
+    ClusterState,
     CompressionConfig,
     DataError,
     VideoTokenStream,
@@ -186,6 +188,35 @@ class TestImportanceScores:
             importance_from_attention(np.ones((1, 3, 4)), (3, 1))
 
 
+class TestNonFiniteDumps:
+    """A NaN or +-inf dump entry raises DataError naming its flat offset,
+    without a RuntimeWarning on the way."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_attention(self, value):
+        attn = np.full((3, 4, 4), 0.25)
+        attn[1, 2, 3] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="^attention: non-finite value at flat offset 27$"):
+                importance_from_attention(attn, (2, 2))
+            with pytest.raises(DataError, match="^attn.npy: non-finite value at flat offset 27$"):
+                importance_from_attention(attn, (2, 2), name="attn.npy")
+
+    @pytest.mark.parametrize("which", [0, 1])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_qk(self, which, value):
+        dumps = list(np.random.default_rng(2).standard_normal((2, 3, 4, 5)).astype(np.float32))
+        dumps[which][2, 1, 4] = value
+        name = ("query", "key")[which]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=f"^{name}: non-finite value at flat offset 49$"):
+                importance_from_qk(*dumps, (2, 2))
+            with pytest.raises(DataError, match=f"^{'qk'[which]}.npy: non-finite value"):
+                importance_from_qk(*dumps, (2, 2), names=("q.npy", "k.npy"))
+
+
 class TestPoolImportance:
     def test_constant_grid(self):
         out = pooled(np.full((6, 9), 3.5), (2, 3))
@@ -327,6 +358,22 @@ class TestMergeClusters:
         for rep, center in zip(reps, centers):
             group = tokens[state.assignment == center]
             np.testing.assert_allclose(rep, group.mean(axis=0), rtol=1e-6)
+
+    @staticmethod
+    def state(centers, assignment):
+        n = len(assignment)
+        return ClusterState(rho=np.ones(n), delta=np.ones(n), gamma=np.ones(n), k_used=1,
+                            centers=np.array(centers), assignment=np.array(assignment))
+
+    def test_assignment_to_non_center_rejected(self):
+        tokens = np.arange(8.0).reshape(4, 2)
+        with pytest.raises(DataError, match="each token to a center"):
+            merge_clusters(tokens, self.state([0, 2], [0, 1, 2, 1]))
+
+    def test_center_assigned_elsewhere_rejected(self):
+        tokens = np.arange(8.0).reshape(4, 2)
+        with pytest.raises(DataError, match="a center to itself"):
+            merge_clusters(tokens, self.state([0, 2], [0, 0, 0, 2]))
 
 
 # ---------------------------------------------------------------------------

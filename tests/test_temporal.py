@@ -92,11 +92,15 @@ def reference_dp(rows):
 
 
 def reference_merged_values(data, s, e, red, mode):
-    """Oracle: a segment's merged values from a gathered copy of every
-    occurrence of its redundant slots ``red`` in frames [s, e) (1-based)."""
+    """Oracle: a segment's merged values from the occurrences of its
+    redundant slots ``red`` in frames [s, e) (1-based), gathered frame by
+    frame and summed in float64 from +0.0 in frame order."""
     if mode == "first":
         return data[s - 1, red, :]
-    return data[s - 1 : e - 1, red, :].mean(axis=0, dtype=np.float64).astype(np.float32)
+    acc = np.zeros((len(red), data.shape[2]))
+    for f in range(s - 1, e - 1):
+        acc += data[f, red]
+    return (acc / (e - s)).astype(np.float32)
 
 
 def random_rows(rng, b, n_v):
