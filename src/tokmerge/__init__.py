@@ -4,9 +4,11 @@ Pipeline stages are plain functions over numpy arrays: temporal redundancy
 masking + optimal segmentation (`temporal`), attention/cluster spatial
 merging (`spatial`), inner-LLM merge simulation (`innerllm`), and a
 closed-form transformer FLOPs model (`cost`). `synth` plants ground-truth
-corpora for testing; `cli` wires everything into the `tokmerge` command.
+corpora for testing; `cli` composes the stages (`compress`) and runs the
+`tokmerge` command.
 """
 
+from .cli import compress
 from .core import (
     CompressedVideo,
     CompressionConfig,
@@ -87,6 +89,7 @@ __all__ = [
     "apply_temporal_merge",
     "attention_select",
     "build_importance",
+    "compress",
     "decode_flops",
     "dpc_knn_cluster",
     "generate",

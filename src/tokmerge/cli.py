@@ -12,7 +12,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -30,12 +30,7 @@ from .core import (
     save_compressed,
     validate_config,
 )
-from .cost import (
-    baseline_prefill,
-    get_profile,
-    pipeline_cost_report,
-    retained_for_ratio,
-)
+from .cost import get_profile, pipeline_cost_report, prefill_flops, retained_for_ratio
 from .innerllm import InnerMergeInput, check_hidden, check_last_attn, inner_merge
 from .spatial import ImportanceMap, importance_from_attention, importance_from_qk, spatial_merge
 from .synth import SynthSpec, generate
@@ -47,61 +42,41 @@ DATA_ERROR = 2
 DEFAULT_PROFILE = "llava-ov-7b"
 
 
-def _verbose() -> bool:
-    return os.environ.get("TOKMERGE_VERBOSE", "") not in ("", "0")
-
-
-def _log(msg: str) -> None:
-    if _verbose():
-        print(msg, file=sys.stderr)
-
-
-@dataclass(frozen=True)
-class PipelineRun:
-    """One compression run: stage timings (ms) and outputs."""
-
-    stage_ms: dict[str, float]
-    compressed: CompressedVideo
-    report: CompressionReport
-
-
-def run_pipeline(
-    stream,
-    cfg: CompressionConfig,
-    imp: ImportanceMap | None,
-    profile_name: str = DEFAULT_PROFILE,
-) -> PipelineRun:
-    """Temporal -> spatial composition with report assembly."""
-    profile = get_profile(profile_name)
-    timings: dict[str, float] = {}
-
+@contextmanager
+def _stage(name: str):
+    """Print the block's wall time to stderr under TOKMERGE_VERBOSE=1."""
     t0 = time.perf_counter()
-    mask = pairwise_redundancy(stream, cfg.tau)
-    plan = optimal_segmentation(mask)
-    tmr = apply_temporal_merge(stream, plan, mask, cfg.temporal_merge_mode)
-    timings["temporal"] = (time.perf_counter() - t0) * 1e3
+    yield
+    if os.environ.get("TOKMERGE_VERBOSE", "") not in ("", "0"):
+        print(f"{name}: {(time.perf_counter() - t0) * 1e3:.2f} ms", file=sys.stderr)
 
-    t0 = time.perf_counter()
-    cv = spatial_merge(tmr, imp, cfg)
-    timings["spatial"] = (time.perf_counter() - t0) * 1e3
+
+def compress(stream, cfg: CompressionConfig, imp: ImportanceMap | None = None,
+             profile: str = DEFAULT_PROFILE) -> tuple[CompressedVideo, CompressionReport]:
+    """Redundancy mask -> DP segmentation -> temporal merge -> spatial merge,
+    with the report; FLOPs are priced on the named model profile. Under
+    TOKMERGE_VERBOSE=1 the temporal and spatial times go to stderr."""
+    prof = get_profile(profile)
+    with _stage("temporal"):
+        mask = pairwise_redundancy(stream, cfg.tau)
+        plan = optimal_segmentation(mask)
+        tmr = apply_temporal_merge(stream, plan, mask, cfg.temporal_merge_mode)
+    with _stage("spatial"):
+        cv = spatial_merge(tmr, imp, cfg)
 
     original = tmr.original_count
-    baseline_tokens = original
-    cost = pipeline_cost_report(profile, cfg, max(cv.count, 1), baseline_tokens)
-    prune_ratio = 1.0 - tmr.survivor_count / original
-    report = CompressionReport(
+    cost = pipeline_cost_report(prof, cfg, max(cv.count, 1), original)
+    return cv, CompressionReport(
         original_count=original,
         after_temporal_count=tmr.survivor_count,
         final_count=cv.count,
-        temporal_prune_ratio=prune_ratio,
+        temporal_prune_ratio=1.0 - tmr.survivor_count / original,
         overall_retained_ratio=cv.count / original,
         segment_boundaries=tuple(
             (s, e, g) for (s, e), g in zip(plan.segments(), plan.gains)),
         prefill_flops=cost.prefill_flops,
-        baseline_flops=baseline_prefill(profile, baseline_tokens),
-        per_video_histogram_bin=prune_ratio,
+        baseline_flops=prefill_flops(prof, [original] * prof.layers_T),
     )
-    return PipelineRun(stage_ms=timings, compressed=cv, report=report)
 
 
 # ---------------------------------------------------------------------------
@@ -191,11 +166,11 @@ def cmd_compress(args) -> int:
         k = _load_npy(args.qk[1], 3, "key", _dump_check(q.shape, stream.grid))
         imp = importance_from_qk(q, k, stream.grid, cfg.pooled_grid, names=args.qk)
 
-    run = run_pipeline(stream, cfg, imp, args.profile)
+    cv, report = compress(stream, cfg, imp, args.profile)
     if inner:
         # the inner merge runs on the compressed tokens: one row per token;
         # its dumps are validated before any output is written
-        final = run.report.final_count
+        final = report.final_count
         hidden = _load_npy(args.hidden, 2, "hidden-state", check_hidden)
         last = _load_npy(args.last_attn, 1, "last-attention", check_last_attn)
         for path, rows in ((args.hidden, hidden.shape[0]), (args.last_attn, last.shape[0])):
@@ -204,7 +179,7 @@ def cmd_compress(args) -> int:
                                 f"final_count {final} tokens")
         inner_input = InnerMergeInput(hidden, last)
     out = Path(args.out)
-    save_compressed(run.compressed, run.report, out)
+    save_compressed(cv, report, out)
 
     if inner:
         result = inner_merge(inner_input, cfg.inner_ratio_R)
@@ -216,18 +191,14 @@ def cmd_compress(args) -> int:
             "ratio_R": cfg.inner_ratio_R,
         }, indent=1) + "\n")
 
-    for stage, ms in run.stage_ms.items():
-        _log(f"{stage}: {ms:.2f} ms")
-    print(f"{run.report.final_count}/{run.report.original_count} tokens retained "
-          f"({run.report.overall_retained_ratio:.4f}); wrote {out}")
+    print(f"{report.final_count}/{report.original_count} tokens retained "
+          f"({report.overall_retained_ratio:.4f}); wrote {out}")
     return 0
 
 
 def cmd_segment(args) -> int:
     stream = load_token_stream(args.tokens, _parse_grid(args.grid))
-    tau = args.tau if args.tau is not None else 0.8
-    if not 0.0 <= tau <= 1.0:
-        raise ConfigError(f"tau must be in [0, 1], got {tau}")
+    tau = validate_config({} if args.tau is None else {"tau": args.tau}).tau
     mask = pairwise_redundancy(stream, tau)
     plan = optimal_segmentation(mask)
     doc = {

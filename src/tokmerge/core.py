@@ -359,23 +359,15 @@ class ModelProfile:
 # Compressed output + report
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TokenProvenance:
-    """Origin of one surviving token.
-
-    ``frame``/``spatial_index`` are 0-based coordinates of the survivor;
-    ``members`` lists the 0-based coordinates it absorbed (empty for plain
-    selected tokens).
-    """
+class TokenProvenance(NamedTuple):
+    """Origin of one surviving token, as ``CompressedVideo.provenance`` reads
+    it out: 0-based survivor coordinates, its kind (one of PROVENANCE_KINDS)
+    and the 0-based (frame, slot) pairs it absorbed (empty when selected)."""
 
     frame: int
     spatial_index: int
     kind: str
-    members: tuple[tuple[int, int], ...] = ()
-
-    def __post_init__(self):
-        if self.kind not in PROVENANCE_KINDS:
-            raise DataError(f"unknown provenance kind {self.kind!r}")
+    members: tuple[tuple[int, int], ...]
 
 
 def _first_repeat(frames: np.ndarray, slots: np.ndarray) -> int:
@@ -405,7 +397,7 @@ class ProvenanceArrays(NamedTuple):
     members: np.ndarray
 
 
-_RECORD_FIELDS = ("frame", "spatial_index", "kind", "members")
+_RECORD_FIELDS = TokenProvenance._fields
 
 
 def _int64(values: list, field: str) -> np.ndarray:
@@ -441,9 +433,9 @@ def _provenance_arrays(frames: list, slots: list, kinds: list, members: list) ->
 class CompressedVideo:
     """Surviving tokens (M x d float32) plus their provenance.
 
-    Provenance is passed as TokenProvenance records or as ProvenanceArrays
-    and held, validated and read-only, as ``provenance_arrays``;
-    ``provenance`` derives the records on first read.
+    Provenance is passed as ProvenanceArrays and held, validated and
+    read-only, as ``provenance_arrays``; ``provenance`` reads it out as
+    TokenProvenance records on first access.
     """
 
     def __init__(self, tokens, provenance):
@@ -451,9 +443,7 @@ class CompressedVideo:
         if tok.ndim != 2:
             raise DataError(f"tokens must be 2-D, got rank {tok.ndim}")
         if not isinstance(provenance, ProvenanceArrays):
-            records = tuple(provenance)
-            provenance = _provenance_arrays(
-                *([getattr(p, key) for p in records] for key in _RECORD_FIELDS))
+            raise TypeError(f"expected ProvenanceArrays, got {type(provenance).__name__}")
         pa = ProvenanceArrays(*(np.array(a, dtype=np.int64) for a in provenance))
         f, s, kinds, offsets, members = pa
         if f.shape != (tok.shape[0],):

@@ -67,19 +67,15 @@ def decode_flops(profile: ModelProfile, n: list[int], r_dec: int = DECODE_TOKENS
                      for v in n))
 
 
-def layer_token_counts(
-    profile: ModelProfile,
-    retained_tokens: int,
-    inner_enabled: bool = True,
-    inner_layer_k: int = 18,
-    inner_ratio_r: float = 50.0,
-) -> list[int]:
-    """Per-layer schedule: full count through layer K, reduced by R% after."""
+def layer_token_counts(profile: ModelProfile, retained_tokens: int,
+                       cfg: CompressionConfig) -> list[int]:
+    """Per-layer schedule: full count through layer K, reduced by R% after
+    (the config's inner merge; the full count everywhere when disabled)."""
     t = profile.layers_T
-    if not inner_enabled:
+    if not cfg.inner_enabled:
         return [retained_tokens] * t
-    reduced = int(retained_tokens * (100.0 - inner_ratio_r) / 100.0)
-    return [retained_tokens if i <= inner_layer_k else reduced
+    reduced = int(retained_tokens * (100.0 - cfg.inner_ratio_R) / 100.0)
+    return [retained_tokens if i <= cfg.inner_layer_K else reduced
             for i in range(1, t + 1)]
 
 
@@ -127,12 +123,7 @@ def pipeline_cost_report(
     """
     if retained_tokens < 1:
         raise ConfigError(f"retained token count must be >= 1, got {retained_tokens}")
-    counts = layer_token_counts(
-        profile, retained_tokens,
-        inner_enabled=cfg.inner_enabled,
-        inner_layer_k=cfg.inner_layer_K,
-        inner_ratio_r=cfg.inner_ratio_R,
-    )
+    counts = layer_token_counts(profile, retained_tokens, cfg)
     if baseline_tokens is None:
         baseline_tokens = profile.default_frames_B * profile.tokens_per_frame_Nv
     base_counts = [baseline_tokens] * profile.layers_T
@@ -148,10 +139,3 @@ def pipeline_cost_report(
         baseline_flops=baseline,
         ratio=total / baseline,
     )
-
-
-def baseline_prefill(profile: ModelProfile, baseline_tokens: int | None = None) -> float:
-    """Prefill FLOPs at the uncompressed token count."""
-    if baseline_tokens is None:
-        baseline_tokens = profile.default_frames_B * profile.tokens_per_frame_Nv
-    return prefill_flops(profile, [baseline_tokens] * profile.layers_T)

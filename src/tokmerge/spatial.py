@@ -65,12 +65,9 @@ class ImportanceMap:
 
     def token_scores(self) -> np.ndarray:
         """(B, N_v) selection scores: each slot scored by its pooled bin."""
-        h, w = self.grid
-        hp, wp = self.pooled_grid
-        row_bin = np.searchsorted(_bin_edges(h, hp), np.arange(h), side="right") - 1
-        col_bin = np.searchsorted(_bin_edges(w, wp), np.arange(w), side="right") - 1
-        expanded = self.pooled[:, row_bin[:, None], col_bin[None, :]]
-        return expanded.reshape(self.raw.shape[0], h * w)
+        (h, w), (hp, wp) = self.grid, self.pooled_grid
+        rows = np.repeat(self.pooled, np.diff(_bin_edges(h, hp)), axis=1)
+        return np.repeat(rows, np.diff(_bin_edges(w, wp)), axis=2).reshape(-1, h * w)
 
 
 def build_importance(
@@ -91,24 +88,35 @@ def _check_finite(arr: np.ndarray, name: str) -> None:
         raise DataError(f"{name}: non-finite value at flat offset {offset}")
 
 
+def _finite_scores(raw: np.ndarray, names) -> np.ndarray:
+    """``raw``, or DataError naming the dumps when float64 arithmetic on
+    their finite values overflowed."""
+    if not np.isfinite(raw).all():
+        raise DataError(f"{', '.join(names)}: raw importance overflows float64")
+    return raw
+
+
 def importance_from_attention(attn: np.ndarray, grid, pooled_grid=None, *,
                               name="attention") -> ImportanceMap:
     """ImportanceMap from a (B, N_v, N_v) per-frame attention stack; a token's
     raw score is the float64 mean of its column (the attention it receives).
-    A NaN or +-inf entry raises DataError naming ``name`` and its offset."""
+    A NaN or +-inf entry raises DataError naming ``name`` and its offset; a
+    float64 mean that overflows raises DataError naming ``name``."""
     attn = np.asarray(attn)
     if attn.ndim != 3 or attn.shape[1] != attn.shape[2]:
         raise DataError(f"attention stack must be (B, N_v, N_v), got {attn.shape}")
     _check_finite(attn, name)
-    return build_importance(attn.mean(axis=1, dtype=np.float64), grid, pooled_grid)
+    with np.errstate(over="ignore"):
+        raw = attn.mean(axis=1, dtype=np.float64)
+    return build_importance(_finite_scores(raw, (name,)), grid, pooled_grid)
 
 
 def importance_from_qk(q: np.ndarray, k: np.ndarray, grid, pooled_grid=None, *,
                        names=("query", "key")) -> ImportanceMap:
     """ImportanceMap from (B, N_v, d) query/key dumps: each frame's attention is
     the float64 row-softmax of q @ k.T / sqrt(d) (row maximum subtracted
-    first), scored as in importance_from_attention; non-finite entries are
-    rejected as there, naming the dump by ``names``."""
+    first), scored as in importance_from_attention; non-finite entries and
+    float64 overflow are rejected as there, naming the dumps by ``names``."""
     q = np.asarray(q)
     k = np.asarray(k)
     if q.ndim != 3 or q.shape != k.shape:
@@ -117,14 +125,15 @@ def importance_from_qk(q: np.ndarray, k: np.ndarray, grid, pooled_grid=None, *,
         _check_finite(arr, name)
     raw = np.empty(q.shape[:2])
     scale = math.sqrt(q.shape[2])
-    for f in range(q.shape[0]):
-        logits = np.asarray(q[f], dtype=np.float64) @ np.asarray(k[f], dtype=np.float64).T
-        logits /= scale
-        logits -= logits.max(axis=1, keepdims=True)
-        e = np.exp(logits)
-        e /= e.sum(axis=1, keepdims=True)
-        raw[f] = e.mean(axis=0)
-    return build_importance(raw, grid, pooled_grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for f in range(q.shape[0]):
+            logits = np.asarray(q[f], dtype=np.float64) @ np.asarray(k[f], dtype=np.float64).T
+            logits /= scale
+            logits -= logits.max(axis=1, keepdims=True)
+            e = np.exp(logits)
+            e /= e.sum(axis=1, keepdims=True)
+            raw[f] = e.mean(axis=0)
+    return build_importance(_finite_scores(raw, names), grid, pooled_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -185,9 +194,7 @@ def dpc_knn_cluster(tokens: np.ndarray, k: int, c: int) -> ClusterState:
     if not 1 <= k < n:
         raise DataError(f"neighbor count k={k} invalid for {n} tokens")
 
-    sq = np.einsum("nd,nd->n", tokens, tokens)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (tokens @ tokens.T)
-    np.clip(d2, 0.0, None, out=d2)
+    d2 = dist2_to(tokens, tokens)
     np.fill_diagonal(d2, np.inf)
 
     # ascending partial sort keeps the k-NN mean bit-reproducible

@@ -55,10 +55,7 @@ class RedundancyMask:
         rows = np.atleast_2d(np.asarray(rows, dtype=bool))
         if n_tokens is None:
             n_tokens = rows.shape[1]
-        return cls(_pack_rows(rows) if rows.size else
-                   np.zeros((rows.shape[0], max((n_tokens + 63) // 64, 1)),
-                            dtype=np.uint64),
-                   n_tokens=int(n_tokens), n_frames=rows.shape[0] + 1)
+        return cls(_pack_rows(rows), n_tokens=int(n_tokens), n_frames=rows.shape[0] + 1)
 
     def to_bool(self) -> np.ndarray:
         bits = np.unpackbits(self.words.view(np.uint8), axis=1, bitorder="little")

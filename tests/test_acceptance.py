@@ -21,6 +21,7 @@ from tokmerge import (
     SynthSpec,
     apply_temporal_merge,
     build_importance,
+    compress,
     core,
     dpc_knn_cluster,
     generate,
@@ -306,14 +307,10 @@ def test_criterion_8_throughput(monkeypatch):
     monkeypatch.setattr(core, "_cpu_count", lambda: 1)
 
     start = time.perf_counter()
-    mask = pairwise_redundancy(stream, cfg.tau)
-    plan = optimal_segmentation(mask)
-    tmr = apply_temporal_merge(stream, plan, mask, cfg.temporal_merge_mode)
     imp = importance_from_qk(q, kk, stream.grid)
-    cv = spatial_merge(tmr, imp, cfg)
+    cv, report = compress(stream, cfg, imp, profile.name)
     inner = inner_merge(InnerMergeInput(hidden[: cv.count], last[: cv.count]),
                         cfg.inner_ratio_R)
-    report = pipeline_cost_report(profile, cfg, cv.count, 64 * 196)
     elapsed = time.perf_counter() - start
 
     assert cv.count >= target
@@ -321,4 +318,4 @@ def test_criterion_8_throughput(monkeypatch):
     assert report.prefill_flops > 0
     assert elapsed < 2.0, f"pipeline took {elapsed:.2f}s"
     print(f"  (pipeline wall time {elapsed * 1e3:.0f} ms, "
-          f"{layer_token_counts(profile, cv.count)[0]} tokens retained)")
+          f"{layer_token_counts(profile, cv.count, cfg)[0]} tokens retained)")

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -12,11 +13,14 @@ from tokmerge import (
     SynthSpec,
     apply_temporal_merge,
     build_importance,
+    compress,
     generate,
+    importance_from_attention,
     load_compressed,
     optimal_segmentation,
     pairwise_redundancy,
     spatial_merge,
+    validate_config,
 )
 from tokmerge.cli import main
 
@@ -312,6 +316,75 @@ class TestCompress:
                 "for 8 frames on grid 2x3") in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("ratio", ["1.0", "0.3"])
+    def test_qk_dump_overflow_exit_2(self, tmp_path, capsys, ratio):
+        q, k = np.zeros((2, 8, 6, 4))
+        q[0, 0, 0] = k[0, 1, 0] = 1e200
+        np.save(tmp_path / "q.npy", q)
+        np.save(tmp_path / "k.npy", k)
+        rc = self.run_with_dump(tmp_path, ratio,
+                                ["--qk", str(tmp_path / "q.npy"), str(tmp_path / "k.npy")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert (f"{tmp_path / 'q.npy'}, {tmp_path / 'k.npy'}: "
+                "raw importance overflows float64") in err
+        assert "RuntimeWarning" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("ratio", ["1.0", "0.3"])
+    def test_attention_dump_overflow_exit_2(self, tmp_path, capsys, ratio):
+        np.save(tmp_path / "attn.npy", np.full((8, 6, 6), 1e308))
+        rc = self.run_with_dump(tmp_path, ratio, ["--attn", str(tmp_path / "attn.npy")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'attn.npy'}: raw importance overflows float64" in err
+        assert not (tmp_path / "out").exists()
+
+
+class TestLibraryPipeline:
+    def compress_args(self, tmp_path, with_inner=True):
+        spec, stream, tokens = write_corpus(tmp_path)
+        attn, attn_path = write_attention(tmp_path, stream)
+        cfg = validate_config({"target_ratio": 0.3})
+        cv, report = compress(stream, cfg, importance_from_attention(attn, stream.grid))
+        rng = np.random.default_rng(3)
+        np.save(tmp_path / "hidden.npy", rng.standard_normal((cv.count, 8)).astype(np.float32))
+        np.save(tmp_path / "last.npy", rng.random(cv.count))
+        args = ["compress", "--tokens", str(tokens), "--grid", "2x3", "--attn", str(attn_path),
+                "--target-ratio", "0.3", "--out", str(tmp_path / "out")]
+        if with_inner:
+            args += ["--hidden", str(tmp_path / "hidden.npy"),
+                     "--last-attn", str(tmp_path / "last.npy")]
+        return args, cv, report
+
+    def test_compress_returns_what_the_cli_writes(self, tmp_path):
+        args, cv, report = self.compress_args(tmp_path, with_inner=False)
+        assert main(args) == 0
+        cv_cli, report_cli = load_compressed(tmp_path / "out")
+        assert cv.tokens.tobytes() == cv_cli.tokens.tobytes()
+        for mine, written in zip(cv.provenance_arrays, cv_cli.provenance_arrays):
+            np.testing.assert_array_equal(mine, written)
+        assert report == report_cli
+
+    def test_verbose_adds_stage_times_to_stderr_only(self, tmp_path, capsys, monkeypatch):
+        args, _, _ = self.compress_args(tmp_path)
+        out = tmp_path / "out"
+        monkeypatch.delenv("TOKMERGE_VERBOSE", raising=False)
+        runs = []
+        for _ in range(2):
+            assert main(args) == 0
+            files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+            runs.append((capsys.readouterr(), files))
+            monkeypatch.setenv("TOKMERGE_VERBOSE", "1")
+        (quiet, quiet_files), (loud, loud_files) = runs
+        assert sorted(quiet_files) == ["compressed.json", "inner.json", "inner_tokens.npy",
+                                       "tokens.npy"]
+        assert loud_files == quiet_files
+        assert loud.out == quiet.out
+        assert quiet.err == ""
+        assert re.fullmatch(r"temporal: \d+\.\d\d ms\nspatial: \d+\.\d\d ms\n", loud.err)
+
+
 class TestSegment:
     def test_identical_frames_single_segment(self, tmp_path, capsys):
         spec, stream, tokens = write_corpus(tmp_path, segments=((8, 1.0),))
@@ -319,6 +392,7 @@ class TestSegment:
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["boundaries"] == [1, 9]
+        assert doc["tau"] == 0.8  # the config default
 
     def test_planted_boundaries_recovered(self, tmp_path, capsys):
         spec, stream, tokens = write_corpus(
@@ -446,8 +520,9 @@ class TestUsageErrors:
         rc = main(["segment", "--tokens", str(tmp_path / "x.npy"), "--grid", "six"])
         assert rc == 1
 
-    def test_bad_tau_flag(self, tmp_path):
+    def test_bad_tau_flag(self, tmp_path, capsys):
         spec, stream, tokens = write_corpus(tmp_path)
         rc = main(["segment", "--tokens", str(tokens), "--grid", "2x3",
                    "--tau", "1.4"])
         assert rc == 1
+        assert "tau must be in [0, 1], got 1.4" in capsys.readouterr().err

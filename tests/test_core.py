@@ -21,6 +21,7 @@ from tokmerge import (
     save_stream,
     validate_config,
 )
+from tokmerge.core import _provenance_arrays
 from test_temporal import reference_mask
 
 
@@ -223,14 +224,20 @@ class TestConfig:
             validate_config({"inner_ratio_R": 100})
 
 
+def arrays(records):
+    """ProvenanceArrays from TokenProvenance records, through the column
+    parser load_compressed uses."""
+    return _provenance_arrays(*([r[i] for r in records] for i in range(4)))
+
+
 def small_cv():
     tokens = np.arange(6, dtype=np.float32).reshape(3, 2)
     prov = (
         TokenProvenance(0, 0, "temporal_rep", ((1, 0), (2, 0))),
-        TokenProvenance(0, 1, "selected"),
+        TokenProvenance(0, 1, "selected", ()),
         TokenProvenance(1, 2, "cluster_rep", ((0, 3), (1, 3))),
     )
-    return CompressedVideo(tokens, prov)
+    return CompressedVideo(tokens, arrays(prov))
 
 
 def small_report():
@@ -256,7 +263,7 @@ class TestCompressedIO:
         assert report2 == report
 
     def test_empty_token_set(self, tmp_path):
-        cv = CompressedVideo(np.empty((0, 4), dtype=np.float32), ())
+        cv = CompressedVideo(np.empty((0, 4), dtype=np.float32), arrays(()))
         report = CompressionReport(8, 8, 0, 0.0, 0.0, ((1, 3, 0),), 1.0, 2.0)
         save_compressed(cv, report, tmp_path / "empty")
         cv2, report2 = load_compressed(tmp_path / "empty")
@@ -271,50 +278,55 @@ class TestCompressedIO:
 
     def test_provenance_order_enforced(self):
         tokens = np.zeros((2, 2), dtype=np.float32)
-        prov = (TokenProvenance(1, 0, "selected"), TokenProvenance(0, 0, "selected"))
+        prov = (TokenProvenance(1, 0, "selected", ()), TokenProvenance(0, 0, "selected", ()))
         with pytest.raises(DataError, match="ascending"):
-            CompressedVideo(tokens, prov)
+            CompressedVideo(tokens, arrays(prov))
+
+    def test_records_rejected(self):
+        with pytest.raises(TypeError, match="ProvenanceArrays"):
+            CompressedVideo(np.zeros((1, 2), dtype=np.float32),
+                            [TokenProvenance(0, 0, "selected", ())])
 
     def test_duplicate_member_coordinate_rejected(self):
         tokens = np.zeros((2, 2), dtype=np.float32)
         prov = (TokenProvenance(0, 0, "temporal_rep", ((1, 0),)),
                 TokenProvenance(0, 1, "temporal_rep", ((1, 0),)))
         with pytest.raises(DataError, match="twice"):
-            CompressedVideo(tokens, prov)
+            CompressedVideo(tokens, arrays(prov))
 
     def test_member_repeating_a_survivor_is_named(self):
         # (3, 1) is a later record's survivor; (1, 0) repeats later but
         # sorts first, and the error must still name the earlier repeat
         prov = (TokenProvenance(0, 0, "temporal_rep", ((3, 1),)),
-                TokenProvenance(3, 1, "selected"),
+                TokenProvenance(3, 1, "selected", ()),
                 TokenProvenance(3, 2, "cluster_rep", ((1, 0), (1, 0))))
         with pytest.raises(DataError, match=re.escape("(3, 1) appears twice")):
-            CompressedVideo(np.zeros((3, 2), dtype=np.float32), prov)
+            CompressedVideo(np.zeros((3, 2), dtype=np.float32), arrays(prov))
 
     def test_members_repeating_each_other_are_named_in_record_order(self):
         prov = (TokenProvenance(0, 0, "temporal_rep", ((4, 0), (2, 0))),
                 TokenProvenance(0, 1, "temporal_rep", ((4, 0), (2, 0))))
         with pytest.raises(DataError, match=re.escape("(4, 0) appears twice")):
-            CompressedVideo(np.zeros((2, 2), dtype=np.float32), prov)
+            CompressedVideo(np.zeros((2, 2), dtype=np.float32), arrays(prov))
 
     def test_member_that_is_not_a_pair_rejected(self):
         prov = (TokenProvenance(0, 0, "temporal_rep", ((1, 0, 2),)),)
         with pytest.raises(DataError, match="pairs"):
-            CompressedVideo(np.zeros((1, 2), dtype=np.float32), prov)
+            CompressedVideo(np.zeros((1, 2), dtype=np.float32), arrays(prov))
 
     def test_members_of_compensating_lengths_rejected(self):
         # 3 + 1 elements would read as the pairs (1, 0) and (2, 5)
         prov = (TokenProvenance(0, 0, "temporal_rep", ((1, 0, 2), (5,))),)
         with pytest.raises(DataError, match="pairs"):
-            CompressedVideo(np.zeros((1, 2), dtype=np.float32), prov)
+            CompressedVideo(np.zeros((1, 2), dtype=np.float32), arrays(prov))
 
     @pytest.mark.parametrize("prov", [
-        (TokenProvenance(2**63, 0, "selected"),),
+        (TokenProvenance(2**63, 0, "selected", ()),),
         (TokenProvenance(0, 0, "temporal_rep", ((2**63, 1),)),),
     ])
     def test_coordinate_beyond_int64_rejected(self, prov):
         with pytest.raises(DataError, match="int64"):
-            CompressedVideo(np.zeros((1, 2), dtype=np.float32), prov)
+            CompressedVideo(np.zeros((1, 2), dtype=np.float32), arrays(prov))
 
     def test_load_tokens_not_npy_rejected(self, tmp_path):
         save_compressed(small_cv(), small_report(), tmp_path)

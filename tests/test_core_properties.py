@@ -30,6 +30,7 @@ from tokmerge import (  # noqa: E402
     spatial_merge,
 )
 from tokmerge.core import PROVENANCE_KINDS, TEMPORAL_MERGE_MODES, report_to_dict  # noqa: E402
+from test_core import arrays  # noqa: E402
 
 
 # small values make repeats likely; the full int64 range exercises the
@@ -76,14 +77,14 @@ def reports(draw):
 @settings(max_examples=200, deadline=None)
 @given(provenances(), reports())
 @example((), small_report())
-@example((TokenProvenance(0, 5, "selected"), TokenProvenance(2**40, 0, "selected")),
+@example((TokenProvenance(0, 5, "selected", ()), TokenProvenance(2**40, 0, "selected", ())),
          small_report())
 @example((TokenProvenance(-2**63, 2**63 - 1, "cluster_rep", ((2**63 - 1, -2**63), (0, 0))),
-          TokenProvenance(-2**63 + 1, 0, "temporal_rep"),
+          TokenProvenance(-2**63 + 1, 0, "temporal_rep", ()),
           TokenProvenance(2**63 - 1, -1, "selected", ((-1, 2**63 - 1),))),
          small_report())
 def test_compressed_json_matches_json_module(prov, report):
-    cv = CompressedVideo(np.zeros((len(prov), 3), dtype=np.float32), prov)
+    cv = CompressedVideo(np.zeros((len(prov), 3), dtype=np.float32), arrays(prov))
     doc = {
         "provenance": [{"frame": p.frame, "spatial_index": p.spatial_index,
                         "kind": p.kind, "members": [list(m) for m in p.members]}
@@ -112,16 +113,16 @@ def test_repeated_coordinate_named_like_the_loop(prov):
     tokens = np.zeros((len(prov), 1), dtype=np.float32)
     message = first_repeat_message(prov)
     if message is None:
-        CompressedVideo(tokens, prov)
+        CompressedVideo(tokens, arrays(prov))
     else:
         with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
-            CompressedVideo(tokens, prov)
+            CompressedVideo(tokens, arrays(prov))
 
 
 @settings(max_examples=200, deadline=None)
 @given(provenances())
 def test_records_to_arrays_to_records_is_identity(prov):
-    cv = CompressedVideo(np.zeros((len(prov), 2), dtype=np.float32), prov)
+    cv = CompressedVideo(np.zeros((len(prov), 2), dtype=np.float32), arrays(prov))
     frames, slots, kinds, offsets, members = cv.provenance_arrays
     assert frames.tolist() == [p.frame for p in prov]
     assert slots.tolist() == [p.spatial_index for p in prov]

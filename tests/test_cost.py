@@ -13,6 +13,7 @@ from tokmerge import (
     validate_config,
 )
 from tokmerge.core import ModelProfile
+from tokmerge.cost import layer_token_counts
 
 
 def prefill_oracle(d, m, t, counts):
@@ -102,6 +103,12 @@ class TestPipelineReport:
         assert report.ratio == pytest.approx(
             report.total_flops / report.baseline_flops, rel=1e-12)
         assert 0 < report.ratio <= 1
+
+    def test_layer_schedule_follows_config(self):
+        cfg = validate_config({"inner_layer_K": 2, "inner_ratio_R": 25})
+        assert layer_token_counts(OV7B, 101, cfg) == [101, 101] + [75] * 26
+        off = validate_config({"inner_enabled": False, "inner_layer_K": 2})
+        assert layer_token_counts(OV7B, 101, off) == [101] * 28
 
     def test_retained_must_be_positive(self):
         with pytest.raises(ConfigError):

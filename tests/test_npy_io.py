@@ -31,6 +31,7 @@ from tokmerge import (
 )
 from tokmerge.cli import main
 from tokmerge.core import replace_file
+from test_core import arrays
 
 GRID = (2, 3)
 
@@ -44,7 +45,7 @@ def tokens(frames=8, seed=5):
 
 def small_output():
     cv = CompressedVideo(np.arange(6, dtype=np.float32).reshape(3, 2),
-                         [TokenProvenance(0, slot, "selected") for slot in range(3)])
+                         arrays([TokenProvenance(0, slot, "selected", ()) for slot in range(3)]))
     return cv, CompressionReport(
         original_count=12, after_temporal_count=8, final_count=3,
         temporal_prune_ratio=1 - 8 / 12, overall_retained_ratio=3 / 12,

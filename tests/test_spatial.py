@@ -217,6 +217,31 @@ class TestNonFiniteDumps:
                 importance_from_qk(*dumps, (2, 2), names=("q.npy", "k.npy"))
 
 
+class TestOverflowingDumps:
+    """Finite dumps whose float64 arithmetic overflows raise DataError naming
+    the dumps, without a RuntimeWarning on the way."""
+
+    def test_attention(self):
+        attn = np.full((2, 4, 4), 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="^attention: raw importance overflows float64$"):
+                importance_from_attention(attn, (2, 2))
+            with pytest.raises(DataError, match="^attn.npy: raw importance"):
+                importance_from_attention(attn, (2, 2), name="attn.npy")
+
+    def test_qk(self):
+        q, k = np.zeros((2, 2, 4, 3))
+        q[0, 0, 0] = k[0, 1, 0] = 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError,
+                               match="^query, key: raw importance overflows float64$"):
+                importance_from_qk(q, k, (2, 2))
+            with pytest.raises(DataError, match="^q.npy, k.npy: raw importance"):
+                importance_from_qk(q, k, (2, 2), names=("q.npy", "k.npy"))
+
+
 class TestPoolImportance:
     def test_constant_grid(self):
         out = pooled(np.full((6, 9), 3.5), (2, 3))
