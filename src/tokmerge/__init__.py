@@ -4,11 +4,10 @@ Pipeline stages are plain functions over numpy arrays: temporal redundancy
 masking + optimal segmentation (`temporal`), attention/cluster spatial
 merging (`spatial`), inner-LLM merge simulation (`innerllm`), and a
 closed-form transformer FLOPs model (`cost`). `synth` plants ground-truth
-corpora for testing; `cli` composes the stages (`compress`) and runs the
-`tokmerge` command.
+corpora for testing; `pipeline` composes the stages (`compress`), and `cli`
+runs the `tokmerge` command on top of it.
 """
 
-from .cli import compress
 from .core import (
     CompressedVideo,
     CompressionConfig,
@@ -42,6 +41,7 @@ from .innerllm import (
     rank_by_last_attention,
     similarity_assign,
 )
+from .pipeline import compress
 from .spatial import (
     ClusterState,
     ImportanceMap,

@@ -9,18 +9,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import time
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from .core import (
-    CompressedVideo,
     CompressionConfig,
-    CompressionReport,
     ConfigError,
     DataError,
     _load_npy,
@@ -30,53 +25,15 @@ from .core import (
     save_compressed,
     validate_config,
 )
-from .cost import get_profile, pipeline_cost_report, prefill_flops, retained_for_ratio
+from .cost import get_profile, pipeline_cost_report, retained_for_ratio
 from .innerllm import InnerMergeInput, check_hidden, check_last_attn, inner_merge
-from .spatial import ImportanceMap, importance_from_attention, importance_from_qk, spatial_merge
+from .pipeline import DEFAULT_PROFILE, compress
+from .spatial import importance_from_attention, importance_from_qk
 from .synth import SynthSpec, generate
-from .temporal import apply_temporal_merge, optimal_segmentation, pairwise_redundancy
+from .temporal import optimal_segmentation, pairwise_redundancy
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
-
-DEFAULT_PROFILE = "llava-ov-7b"
-
-
-@contextmanager
-def _stage(name: str):
-    """Print the block's wall time to stderr under TOKMERGE_VERBOSE=1."""
-    t0 = time.perf_counter()
-    yield
-    if os.environ.get("TOKMERGE_VERBOSE", "") not in ("", "0"):
-        print(f"{name}: {(time.perf_counter() - t0) * 1e3:.2f} ms", file=sys.stderr)
-
-
-def compress(stream, cfg: CompressionConfig, imp: ImportanceMap | None = None,
-             profile: str = DEFAULT_PROFILE) -> tuple[CompressedVideo, CompressionReport]:
-    """Redundancy mask -> DP segmentation -> temporal merge -> spatial merge,
-    with the report; FLOPs are priced on the named model profile. Under
-    TOKMERGE_VERBOSE=1 the temporal and spatial times go to stderr."""
-    prof = get_profile(profile)
-    with _stage("temporal"):
-        mask = pairwise_redundancy(stream, cfg.tau)
-        plan = optimal_segmentation(mask)
-        tmr = apply_temporal_merge(stream, plan, mask, cfg.temporal_merge_mode)
-    with _stage("spatial"):
-        cv = spatial_merge(tmr, imp, cfg)
-
-    original = tmr.original_count
-    cost = pipeline_cost_report(prof, cfg, max(cv.count, 1), original)
-    return cv, CompressionReport(
-        original_count=original,
-        after_temporal_count=tmr.survivor_count,
-        final_count=cv.count,
-        temporal_prune_ratio=1.0 - tmr.survivor_count / original,
-        overall_retained_ratio=cv.count / original,
-        segment_boundaries=tuple(
-            (s, e, g) for (s, e), g in zip(plan.segments(), plan.gains)),
-        prefill_flops=cost.prefill_flops,
-        baseline_flops=prefill_flops(prof, [original] * prof.layers_T),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -215,11 +172,9 @@ def cmd_segment(args) -> int:
 
 def cmd_flops(args) -> int:
     profile = get_profile(args.profile)
-    cfg = validate_config({
-        "inner_enabled": not args.no_inner,
-        "inner_layer_K": args.inner_layer,
-        "inner_ratio_R": args.inner_ratio,
-    })
+    raw = {"inner_enabled": not args.no_inner, "inner_layer_K": args.inner_layer,
+           "inner_ratio_R": args.inner_ratio}
+    cfg = validate_config({k: v for k, v in raw.items() if v is not None})
     retained = retained_for_ratio(profile, args.ratio, args.frames)
     report = pipeline_cost_report(profile, cfg, retained)
     doc = {"profile": profile.name, "retained_tokens": retained}
@@ -329,8 +284,8 @@ def build_parser() -> _Parser:
     p.add_argument("--ratio", type=float, required=True,
                    help="retained token ratio in (0, 1]")
     p.add_argument("--frames", type=int, help="frame count override")
-    p.add_argument("--inner-layer", dest="inner_layer", type=int, default=18)
-    p.add_argument("--inner-ratio", dest="inner_ratio", type=float, default=50.0)
+    p.add_argument("--inner-layer", dest="inner_layer", type=int)
+    p.add_argument("--inner-ratio", dest="inner_ratio", type=float)
     p.add_argument("--no-inner", dest="no_inner", action="store_true")
     p.set_defaults(func=cmd_flops)
 

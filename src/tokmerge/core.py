@@ -256,7 +256,7 @@ class CompressionConfig:
         }
 
 
-_CONFIG_FIELDS = frozenset(CompressionConfig().to_dict())
+_CONFIG_DEFAULTS = CompressionConfig().to_dict()
 
 
 def _require_real(raw, name: str) -> float:
@@ -266,39 +266,37 @@ def _require_real(raw, name: str) -> float:
 
 
 def validate_config(raw: dict | None) -> CompressionConfig:
-    """Validate a raw config document, filling defaults for missing fields.
-
-    Defaults: tau=0.8, target_ratio=1.0, temporal_merge_mode=mean,
-    pooled_grid=None (stream grid), knn_k=auto, inner_enabled=true,
-    inner_layer_K=18, inner_ratio_R=50. Idempotent: validating
-    ``cfg.to_dict()`` reproduces ``cfg``.
+    """Validate a raw config document; a missing field takes the
+    ``CompressionConfig`` default (pooled_grid None is the stream grid).
+    Idempotent: validating ``cfg.to_dict()`` reproduces ``cfg``.
     """
     raw = dict(raw or {})
-    unknown = set(raw) - _CONFIG_FIELDS
+    unknown = set(raw) - set(_CONFIG_DEFAULTS)
     if unknown:
         raise ConfigError(f"unknown config field(s): {sorted(unknown)}")
+    raw = {**_CONFIG_DEFAULTS, **raw}
 
-    tau = _require_real(raw.get("tau", 0.8), "tau")
+    tau = _require_real(raw["tau"], "tau")
     if not 0.0 <= tau <= 1.0:
         raise ConfigError(f"tau must be in [0, 1], got {tau}")
 
-    target_ratio = _require_real(raw.get("target_ratio", 1.0), "target_ratio")
+    target_ratio = _require_real(raw["target_ratio"], "target_ratio")
     if not 0.0 < target_ratio <= 1.0:
         raise ConfigError(f"target_ratio must be in (0, 1], got {target_ratio}")
 
-    mode = raw.get("temporal_merge_mode", "mean")
+    mode = raw["temporal_merge_mode"]
     if mode not in TEMPORAL_MERGE_MODES:
         raise ConfigError(
             f"temporal_merge_mode must be one of {TEMPORAL_MERGE_MODES}, got {mode!r}")
 
-    pooled = raw.get("pooled_grid")
+    pooled = raw["pooled_grid"]
     if pooled is not None:
         pooled = tuple(pooled)
         if len(pooled) != 2 or any(not isinstance(x, int) or x < 1 for x in pooled):
             raise ConfigError(
                 f"pooled_grid must be two positive integers [rows, cols], got {pooled!r}")
 
-    knn_k = raw.get("knn_k", "auto")
+    knn_k = raw["knn_k"]
     if knn_k in (None, "auto"):
         knn_k = None
     elif isinstance(knn_k, int) and not isinstance(knn_k, bool):
@@ -307,17 +305,17 @@ def validate_config(raw: dict | None) -> CompressionConfig:
     else:
         raise ConfigError(f"knn_k must be an integer or \"auto\", got {knn_k!r}")
 
-    inner_enabled = raw.get("inner_enabled", True)
+    inner_enabled = raw["inner_enabled"]
     if not isinstance(inner_enabled, bool):
         raise ConfigError(f"inner_enabled must be a boolean, got {inner_enabled!r}")
 
-    inner_layer_K = raw.get("inner_layer_K", 18)
+    inner_layer_K = raw["inner_layer_K"]
     if isinstance(inner_layer_K, bool) or not isinstance(inner_layer_K, int) \
             or inner_layer_K < 0:
         raise ConfigError(
             f"inner_layer_K must be a non-negative integer, got {inner_layer_K!r}")
 
-    inner_ratio_R = _require_real(raw.get("inner_ratio_R", 50), "inner_ratio_R")
+    inner_ratio_R = _require_real(raw["inner_ratio_R"], "inner_ratio_R")
     if not 0.0 <= inner_ratio_R < 100.0:
         raise ConfigError(f"inner_ratio_R must be in [0, 100), got {inner_ratio_R}")
 

@@ -138,4 +138,4 @@ def generate(spec: SynthSpec) -> tuple[VideoTokenStream, RedundancyMask]:
         frame += length
 
     stream = VideoTokenStream(data.astype(np.float32), spec.grid)
-    return stream, RedundancyMask.from_bool(truth, n_v)
+    return stream, RedundancyMask.from_bool(truth)

@@ -11,6 +11,7 @@ count is found by dynamic programming over all ``O(B^2)`` spans.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,22 +41,22 @@ class RedundancyMask:
 
     words: np.ndarray  # (B-1, W) uint64
     n_tokens: int
-    n_frames: int
 
     def __post_init__(self):
         words = np.ascontiguousarray(self.words, dtype=np.uint64)
-        if words.ndim != 2 or words.shape[0] != self.n_frames - 1:
-            raise DataError(
-                f"mask shape {words.shape} inconsistent with {self.n_frames} frames")
+        if words.ndim != 2:
+            raise DataError(f"mask words must be 2-D, got shape {words.shape}")
         words.setflags(write=False)
         object.__setattr__(self, "words", words)
 
+    @property
+    def n_frames(self) -> int:
+        return self.words.shape[0] + 1
+
     @classmethod
-    def from_bool(cls, rows: np.ndarray, n_tokens: int | None = None) -> "RedundancyMask":
+    def from_bool(cls, rows: np.ndarray) -> "RedundancyMask":
         rows = np.atleast_2d(np.asarray(rows, dtype=bool))
-        if n_tokens is None:
-            n_tokens = rows.shape[1]
-        return cls(_pack_rows(rows), n_tokens=int(n_tokens), n_frames=rows.shape[0] + 1)
+        return cls(_pack_rows(rows), n_tokens=rows.shape[1])
 
     def to_bool(self) -> np.ndarray:
         bits = np.unpackbits(self.words.view(np.uint8), axis=1, bitorder="little")
@@ -118,7 +119,7 @@ def pairwise_redundancy(stream: VideoTokenStream, tau: float) -> RedundancyMask:
     for lo in range(0, frame.size, _RECHECK_CHUNK):
         f, k = frame[lo : lo + _RECHECK_CHUNK], slot[lo : lo + _RECHECK_CHUNK]
         mask[f, k] = _exact_similarity(x[f, k], x[f + 1, k]) > tau
-    return RedundancyMask.from_bool(mask, n_v)
+    return RedundancyMask.from_bool(mask)
 
 
 def _check_span(mask: RedundancyMask, t_s: int, t_e: int) -> None:
@@ -146,28 +147,40 @@ def segment_gain(mask: RedundancyMask, t_s: int, t_e: int) -> int:
 
 @dataclass(frozen=True)
 class SegmentPlan:
-    """Optimal segmentation with its DP tables.
+    """Optimal segmentation as its DP tables.
 
-    ``boundaries`` is the ascending 1-based list t_1=1 < ... < t_{K+1}=B+1;
     ``dp``/``prev`` are indexed by frame number (entries 1..B+1 are
-    meaningful). ``gains[i]`` is the prunable count of segment
-    [boundaries[i], boundaries[i+1]).
+    meaningful): ``dp[i]`` is the maximum prunable count over frames [1, i)
+    and ``prev[i]`` the start of the final segment of that optimum.
     """
 
-    boundaries: tuple[int, ...]
     dp: np.ndarray
     prev: np.ndarray
-    gains: tuple[int, ...]
-    total_gain: int
 
     def __post_init__(self):
-        b_plus_1 = self.boundaries[-1]
-        if self.boundaries[0] != 1 or list(self.boundaries) != sorted(set(self.boundaries)):
-            raise DataError(f"invalid boundaries {self.boundaries}")
-        if sum(self.gains) != self.total_gain or self.total_gain != int(self.dp[b_plus_1]):
-            raise DataError("segment gains inconsistent with dp table")
+        starts = self.prev[2:]
+        if (self.prev.ndim != 1 or self.dp.shape != self.prev.shape or starts.size == 0
+                or np.any((starts < 1) | (starts >= np.arange(2, self.prev.size)))):
+            raise DataError("prev must point each frame 2..B+1 to an earlier start")
         for arr in (self.dp, self.prev):
             arr.setflags(write=False)
+
+    @cached_property
+    def boundaries(self) -> tuple[int, ...]:
+        """Ascending 1-based t_1=1 < ... < t_{K+1}=B+1, walked back through prev."""
+        bounds = [self.prev.size - 1]
+        while bounds[-1] > 1:
+            bounds.append(int(self.prev[bounds[-1]]))
+        return tuple(reversed(bounds))
+
+    @property
+    def gains(self) -> tuple[int, ...]:
+        """Prunable count of each segment: dp[end] - dp[start] on the optimal path."""
+        return tuple(int(self.dp[e] - self.dp[s]) for s, e in self.segments())
+
+    @property
+    def total_gain(self) -> int:
+        return int(self.dp[-1])
 
     @property
     def n_segments(self) -> int:
@@ -178,44 +191,22 @@ class SegmentPlan:
 
 
 def optimal_segmentation(mask: RedundancyMask) -> SegmentPlan:
-    """Globally optimal segmentation by DP; argmax ties go to the smallest start.
-
-    ``dp[i]`` is the maximum prunable count over frames [1, i) and
-    ``prev[i]`` the start of the final segment of that optimum.
-    """
+    """Globally optimal segmentation by DP; argmax ties go to the smallest start."""
     b = mask.n_frames
     words = mask.words  # row m covers the frame pair (m+1, m+2), 1-based
     dp = np.zeros(b + 2, dtype=np.int64)
     prev = np.zeros(b + 2, dtype=np.int64)
     for i in range(2, b + 2):
-        best = int(dp[i - 1])  # j = i-1: single-frame segment, gain 0
-        best_j = i - 1
-        if i >= 3:
-            # AND-suffixes of rows 0..i-3: acc[t] = AND of rows t..i-3,
-            # so N(j, i) = popcount(acc[j-1]) for j = 1..i-2.
-            rows = words[: i - 2]
-            acc = np.bitwise_and.accumulate(rows[::-1], axis=0)[::-1]
-            counts = np.bitwise_count(acc).sum(axis=1).astype(np.int64)
-            js = np.arange(1, i - 1, dtype=np.int64)
-            cand = dp[1 : i - 1] + counts * (i - js - 1)
-            top = int(cand.max())
-            if top >= best:
-                best = top
-                best_j = int(js[int(np.argmax(cand))])
-        dp[i] = best
-        prev[i] = best_j
-    bounds = [b + 1]
-    while bounds[-1] > 1:
-        bounds.append(int(prev[bounds[-1]]))
-    bounds.reverse()
-    gains = tuple(segment_gain(mask, s, e) for s, e in zip(bounds[:-1], bounds[1:]))
-    return SegmentPlan(
-        boundaries=tuple(bounds),
-        dp=dp,
-        prev=prev,
-        gains=gains,
-        total_gain=int(dp[b + 1]),
-    )
+        # Candidates j = 1..i-1 for the start of the final segment [j, i).
+        # AND-suffixes of rows 0..i-3: acc[t] = AND of rows t..i-3, so
+        # N(j, i) = popcount(acc[j-1]) for j <= i-2; j = i-1 gains 0.
+        acc = np.bitwise_and.accumulate(words[: i - 2][::-1], axis=0)[::-1]
+        cand = dp[1:i].copy()
+        cand[:-1] += np.bitwise_count(acc).sum(axis=1, dtype=np.int64) * np.arange(i - 2, 0, -1)
+        j = int(np.argmax(cand))
+        dp[i] = cand[j]
+        prev[i] = j + 1
+    return SegmentPlan(dp=dp, prev=prev)
 
 
 @dataclass(frozen=True)

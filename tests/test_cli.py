@@ -2,12 +2,17 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tokmerge
 from tokmerge import (
     CompressionConfig,
     SynthSpec,
@@ -433,6 +438,27 @@ class TestFlops:
         assert rc == 1
         err = capsys.readouterr().err
         assert "llava-ov-7b" in err and "llava-ov-72b" in err
+
+    def test_inner_defaults_are_the_config_defaults(self, capsys):
+        outs = []
+        for extra in ([], ["--inner-layer", "18", "--inner-ratio", "50"]):
+            assert main(["flops", "--profile", "llava-ov-7b", "--ratio", "0.1", *extra]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        cfg = CompressionConfig()
+        assert (cfg.inner_layer_K, cfg.inner_ratio_R) == (18, 50.0)
+
+    def test_module_run_has_no_warning(self):
+        # python -m tokmerge.cli warns if importing the package already
+        # imported tokmerge.cli; under -W error that warning is fatal
+        env = dict(os.environ, PYTHONPATH=str(Path(tokmerge.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "tokmerge.cli", "flops",
+             "--profile", "llava-ov-7b", "--ratio", "0.1"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["profile"] == "llava-ov-7b"
 
 
 class TestSynthAndReport:

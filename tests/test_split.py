@@ -94,7 +94,7 @@ def run_passes(data, tau, rows=None):
     """sq_norms, mask words and mean-mode merged values of one stream."""
     stream = VideoTokenStream(data, (1, data.shape[1]))
     mask = (pairwise_redundancy(stream, tau) if rows is None
-            else RedundancyMask.from_bool(rows, data.shape[1]))
+            else RedundancyMask.from_bool(rows))
     tmr = apply_temporal_merge(stream, optimal_segmentation(mask), mask, "mean")
     return stream.sq_norms, mask.words, tmr.segments
 

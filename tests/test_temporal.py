@@ -6,6 +6,7 @@ import pytest
 from tokmerge import (
     DataError,
     RedundancyMask,
+    SegmentPlan,
     VideoTokenStream,
     apply_temporal_merge,
     optimal_segmentation,
@@ -236,13 +237,13 @@ class TestOptimalSegmentation:
         assert plan.boundaries == (1, 6)
 
     def test_single_frame(self):
-        mask = RedundancyMask.from_bool(np.zeros((0, 4), dtype=bool), n_tokens=4)
+        mask = RedundancyMask.from_bool(np.zeros((0, 4), dtype=bool))
         plan = optimal_segmentation(mask)
         assert plan.boundaries == (1, 2)
         assert plan.total_gain == 0
 
     def test_single_frame_tables(self):
-        mask = RedundancyMask.from_bool(np.zeros((0, 5), dtype=bool), n_tokens=5)
+        mask = RedundancyMask.from_bool(np.zeros((0, 5), dtype=bool))
         plan = optimal_segmentation(mask)
         assert plan.dp[2] == 0 and plan.prev[2] == 1
 
@@ -252,11 +253,11 @@ class TestOptimalSegmentation:
             b = int(rng.integers(1, 10))
             n_v = int(rng.integers(1, 24))
             rows = rng.random((b - 1, n_v)) < rng.uniform(0.2, 0.9)
-            plan = optimal_segmentation(RedundancyMask.from_bool(rows, n_v))
+            plan = optimal_segmentation(RedundancyMask.from_bool(rows))
             assert plan.total_gain == brute_force_best_total(rows)
 
     def assert_tables_match_reference(self, rows):
-        plan = optimal_segmentation(RedundancyMask.from_bool(rows, rows.shape[1]))
+        plan = optimal_segmentation(RedundancyMask.from_bool(rows))
         dp, prev = reference_dp(rows)
         np.testing.assert_array_equal(plan.dp[1:], dp)
         np.testing.assert_array_equal(plan.prev[1:], prev)
@@ -275,12 +276,46 @@ class TestOptimalSegmentation:
             self.assert_tables_match_reference(random_rows(rng, 12, n_v))
 
     def test_dp_consistency_along_plan(self):
+        # Random masks, then with long all-ones runs (large gains) and
+        # all-zero runs (equal-dp plateaus, where ties place the boundaries).
         rng = np.random.default_rng(13)
-        rows = rng.random((9, 16)) < 0.6
-        mask = RedundancyMask.from_bool(rows)
-        plan = optimal_segmentation(mask)
-        for s, e in plan.segments():
-            assert plan.dp[e] == plan.dp[s] + segment_gain(mask, s, e)
+        cases = [rng.random((9, 16)) < 0.6]
+        for _ in range(30):
+            rows = random_rows(rng, int(rng.integers(2, 60)), int(rng.integers(1, 130)))
+            for lo, hi in np.sort(rng.integers(0, rows.shape[0] + 1, (3, 2)), axis=1):
+                rows[lo:hi] = rng.random() < 0.5
+            cases.append(rows)
+        for rows in cases:
+            mask = RedundancyMask.from_bool(rows)
+            plan = optimal_segmentation(mask)
+            for s, e in plan.segments():
+                assert plan.dp[e] == plan.dp[s] + segment_gain(mask, s, e)
+            assert plan.gains == tuple(segment_gain(mask, s, e) for s, e in plan.segments())
+            assert sum(plan.gains) == plan.total_gain
+
+
+class TestSegmentPlan:
+    def test_tables_give_boundaries_gains_and_total(self):
+        plan = SegmentPlan(np.array([0, 0, 0, 4, 4]), np.array([0, 0, 1, 1, 3]))
+        assert plan.boundaries == (1, 3, 4)
+        assert plan.segments() == ((1, 3), (3, 4))
+        assert plan.gains == (4, 0)
+        assert plan.total_gain == 4 and plan.n_segments == 2
+
+    @pytest.mark.parametrize("prev", [
+        [0, 0, 0, 1, 2],  # frame 2 points before frame 1
+        [0, 0, 2, 1, 1],  # frame 2 points at itself
+        [0, 0, 1, 3, 3],  # frame 3 points at itself
+        [0, 0, 1, 2, 5],  # frame 4 points forward
+        [0, 0],           # no frame
+    ])
+    def test_rejects_prev_not_pointing_back(self, prev):
+        with pytest.raises(DataError):
+            SegmentPlan(np.zeros(len(prev), dtype=np.int64), np.array(prev))
+
+    def test_rejects_tables_of_different_shapes(self):
+        with pytest.raises(DataError):
+            SegmentPlan(np.zeros(4, dtype=np.int64), np.array([0, 0, 1, 1, 3]))
 
 
 class TestApplyTemporalMerge:
@@ -374,7 +409,7 @@ class TestMergedValuesBitExact:
         b, n_v, _ = data.shape
         rows = np.zeros((b - 1, n_v), dtype=bool)
         rows[1:, red] = True
-        mask = RedundancyMask.from_bool(rows, n_v)
+        mask = RedundancyMask.from_bool(rows)
         plan = optimal_segmentation(mask)
         tmr = apply_temporal_merge(VideoTokenStream(data, (1, n_v)), plan, mask, mode)
         seg = tmr.segments[-1]
