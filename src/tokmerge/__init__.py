@@ -55,7 +55,6 @@ from .spatial import (
 )
 from .synth import SynthSpec, generate
 from .temporal import (
-    RedundancyMask,
     SegmentPlan,
     TemporalMergeResult,
     apply_temporal_merge,
@@ -80,7 +79,6 @@ __all__ = [
     "ModelProfile",
     "PROFILES",
     "ProvenanceArrays",
-    "RedundancyMask",
     "SegmentPlan",
     "SynthSpec",
     "TemporalMergeResult",

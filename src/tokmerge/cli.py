@@ -197,7 +197,7 @@ def cmd_synth(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     replace_file(out / "tokens.npy", stream.data)
-    replace_file(out / "truth_mask.npy", truth.to_bool())
+    replace_file(out / "truth_mask.npy", truth)
     replace_file(out / "spec.json", json.dumps({
         "frames": spec.frames,
         "grid": list(spec.grid),
@@ -224,9 +224,12 @@ def cmd_report(args) -> int:
         doc = _load_json(path)
         if "report" in doc:
             doc = doc["report"]
-        if "temporal_prune_ratio" not in doc:
+        if not isinstance(doc, dict) or "temporal_prune_ratio" not in doc:
             continue
-        ratios.append(report_from_dict(doc).per_video_histogram_bin)
+        try:
+            ratios.append(report_from_dict(doc).per_video_histogram_bin)
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from None
     if not ratios:
         raise DataError(f"no report documents found under {root}")
 

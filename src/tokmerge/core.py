@@ -291,10 +291,11 @@ def validate_config(raw: dict | None) -> CompressionConfig:
 
     pooled = raw["pooled_grid"]
     if pooled is not None:
-        pooled = tuple(pooled)
-        if len(pooled) != 2 or any(not isinstance(x, int) or x < 1 for x in pooled):
+        if (not isinstance(pooled, (list, tuple)) or len(pooled) != 2
+                or any(isinstance(x, bool) or not isinstance(x, int) or x < 1 for x in pooled)):
             raise ConfigError(
                 f"pooled_grid must be two positive integers [rows, cols], got {pooled!r}")
+        pooled = tuple(pooled)
 
     knn_k = raw["knn_k"]
     if knn_k in (None, "auto"):
@@ -543,7 +544,9 @@ def report_from_dict(doc: dict) -> CompressionReport:
             prefill_flops=float(doc["flops"]["prefill"]),
             baseline_flops=float(doc["flops"]["baseline"]),
         )
-    except (KeyError, TypeError) as exc:
+    except DataError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"malformed report document: {exc}") from exc
 
 

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DataError, VideoTokenStream
-from .temporal import RedundancyMask
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -115,8 +114,9 @@ class SynthSpec:
                    for (length, _), n_p in zip(self.segments, self.planted_counts()))
 
 
-def generate(spec: SynthSpec) -> tuple[VideoTokenStream, RedundancyMask]:
-    """Build the stream plus the ground-truth redundancy mask of planted slots."""
+def generate(spec: SynthSpec) -> tuple[VideoTokenStream, np.ndarray]:
+    """Build the stream plus the ground-truth (B-1, N_v) bool redundancy
+    mask of planted slots, laid out as ``pairwise_redundancy`` returns it."""
     b, n_v, d = spec.frames, spec.tokens_per_frame, spec.dim
     n_seg = len(spec.segments)
 
@@ -138,4 +138,4 @@ def generate(spec: SynthSpec) -> tuple[VideoTokenStream, RedundancyMask]:
         frame += length
 
     stream = VideoTokenStream(data.astype(np.float32), spec.grid)
-    return stream, RedundancyMask.from_bool(truth)
+    return stream, truth

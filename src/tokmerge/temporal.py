@@ -4,8 +4,10 @@ A token slot is temporally redundant between consecutive frames when the
 cosine similarity of its embeddings exceeds ``tau``. A segment ``[t_s, t_e)``
 (1-based, half-open) prunes ``N(t_s, t_e) * (t_e - t_s - 1)`` token
 occurrences, where ``N`` counts slots redundant across every consecutive
-pair inside the segment; the segmentation maximizing the total prunable
-count is found by dynamic programming over all ``O(B^2)`` spans.
+pair inside the segment. The segmentation maximizing the total prunable
+count is found by dynamic programming. The DP keeps, per slot, the length of
+the run of redundant pairs ending at the current frame, so one count of run
+lengths gives ``N`` for every candidate start: O(B * (B + N_v)) in all.
 """
 
 from __future__ import annotations
@@ -16,51 +18,6 @@ from functools import cached_property
 import numpy as np
 
 from .core import TEMPORAL_MERGE_MODES, DataError, VideoTokenStream, _split
-
-_WORD_BITS = 64
-
-
-def _pack_rows(rows: np.ndarray) -> np.ndarray:
-    """Pack a (R, N) bool matrix into (R, ceil(N/64)) uint64 bitset rows."""
-    rows = np.ascontiguousarray(rows, dtype=bool)
-    r, n = rows.shape
-    n_words = max((n + _WORD_BITS - 1) // _WORD_BITS, 1)
-    packed = np.packbits(rows, axis=1, bitorder="little")
-    buf = np.zeros((r, n_words * 8), dtype=np.uint8)
-    buf[:, : packed.shape[1]] = packed
-    return np.ascontiguousarray(buf.view(np.uint64))
-
-
-@dataclass(frozen=True)
-class RedundancyMask:
-    """Per frame-pair redundancy bitsets.
-
-    Row ``m`` (0-based) covers the pair (frame m+1, frame m+2) in 1-based
-    numbering; bit ``k`` is set when slot ``k`` is redundant across the pair.
-    """
-
-    words: np.ndarray  # (B-1, W) uint64
-    n_tokens: int
-
-    def __post_init__(self):
-        words = np.ascontiguousarray(self.words, dtype=np.uint64)
-        if words.ndim != 2:
-            raise DataError(f"mask words must be 2-D, got shape {words.shape}")
-        words.setflags(write=False)
-        object.__setattr__(self, "words", words)
-
-    @property
-    def n_frames(self) -> int:
-        return self.words.shape[0] + 1
-
-    @classmethod
-    def from_bool(cls, rows: np.ndarray) -> "RedundancyMask":
-        rows = np.atleast_2d(np.asarray(rows, dtype=bool))
-        return cls(_pack_rows(rows), n_tokens=rows.shape[1])
-
-    def to_bool(self) -> np.ndarray:
-        bits = np.unpackbits(self.words.view(np.uint8), axis=1, bitorder="little")
-        return bits[:, : self.n_tokens].astype(bool)
 
 
 # Squared norms below this floor are left to the exact recheck, so that
@@ -79,13 +36,17 @@ def _exact_similarity(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.clip(sim, -1.0, 1.0)
 
 
-def pairwise_redundancy(stream: VideoTokenStream, tau: float) -> RedundancyMask:
+def pairwise_redundancy(stream: VideoTokenStream, tau: float) -> np.ndarray:
     """Mask of slots whose consecutive-frame cosine similarity exceeds tau.
+
+    A read-only (B-1, N_v) bool array: row ``m`` (0-based) covers the pair
+    (frame m+1, frame m+2) in 1-based numbering, and column ``k`` is set
+    when slot ``k`` is redundant across that pair.
 
     The similarity is defined in float64 (float32 tokens, float64 dot
     products and norms); zero-norm vectors compare as similarity 0, and
     similarities are clipped to [-1, 1] so tau = 1 never marks anything.
-    B = 1 yields an empty mask.
+    B = 1 yields a (0, N_v) mask.
 
     The mask is decided from float32 dot products and ``stream.sq_norms``;
     a pair whose approximate similarity lies within a proven error band of
@@ -119,30 +80,23 @@ def pairwise_redundancy(stream: VideoTokenStream, tau: float) -> RedundancyMask:
     for lo in range(0, frame.size, _RECHECK_CHUNK):
         f, k = frame[lo : lo + _RECHECK_CHUNK], slot[lo : lo + _RECHECK_CHUNK]
         mask[f, k] = _exact_similarity(x[f, k], x[f + 1, k]) > tau
-    return RedundancyMask.from_bool(mask)
+    mask.setflags(write=False)
+    return mask
 
 
-def _check_span(mask: RedundancyMask, t_s: int, t_e: int) -> None:
-    if not 1 <= t_s < t_e <= mask.n_frames + 1:
-        raise DataError(
-            f"span [{t_s}, {t_e}) out of range for {mask.n_frames} frames")
+def _mask_rows(mask: np.ndarray) -> np.ndarray:
+    rows = np.asarray(mask, dtype=bool)
+    if rows.ndim != 2:
+        raise DataError(f"mask must be a 2-D (B-1, N_v) array, got shape {rows.shape}")
+    return rows
 
 
-def _persistent_words(mask: RedundancyMask, t_s: int, t_e: int) -> np.ndarray:
-    """AND of mask rows covering pairs (t_s, t_s+1) .. (t_e-2, t_e-1).
-
-    Callers guarantee t_e - t_s >= 2 (the reduction is never empty).
-    """
-    return np.bitwise_and.reduce(mask.words[t_s - 1 : t_e - 2], axis=0)
-
-
-def segment_gain(mask: RedundancyMask, t_s: int, t_e: int) -> int:
+def segment_gain(mask: np.ndarray, t_s: int, t_e: int) -> int:
     """Prunable-token count of span [t_s, t_e): N(t_s, t_e) * (t_e - t_s - 1)."""
-    _check_span(mask, t_s, t_e)
-    if t_e - t_s == 1:
-        return 0
-    n = int(np.bitwise_count(_persistent_words(mask, t_s, t_e)).sum())
-    return n * (t_e - t_s - 1)
+    rows = _mask_rows(mask)
+    if not 1 <= t_s < t_e <= rows.shape[0] + 2:
+        raise DataError(f"span [{t_s}, {t_e}) out of range for {rows.shape[0] + 1} frames")
+    return int(rows[t_s - 1 : t_e - 2].all(axis=0).sum()) * (t_e - t_s - 1)
 
 
 @dataclass(frozen=True)
@@ -190,19 +144,23 @@ class SegmentPlan:
         return tuple(zip(self.boundaries[:-1], self.boundaries[1:]))
 
 
-def optimal_segmentation(mask: RedundancyMask) -> SegmentPlan:
+def optimal_segmentation(mask: np.ndarray) -> SegmentPlan:
     """Globally optimal segmentation by DP; argmax ties go to the smallest start."""
-    b = mask.n_frames
-    words = mask.words  # row m covers the frame pair (m+1, m+2), 1-based
+    rows = _mask_rows(mask)  # row m covers the frame pair (m+1, m+2), 1-based
+    b = rows.shape[0] + 1
     dp = np.zeros(b + 2, dtype=np.int64)
     prev = np.zeros(b + 2, dtype=np.int64)
+    run = np.zeros(rows.shape[1], dtype=np.int64)
     for i in range(2, b + 2):
         # Candidates j = 1..i-1 for the start of the final segment [j, i).
-        # AND-suffixes of rows 0..i-3: acc[t] = AND of rows t..i-3, so
-        # N(j, i) = popcount(acc[j-1]) for j <= i-2; j = i-1 gains 0.
-        acc = np.bitwise_and.accumulate(words[: i - 2][::-1], axis=0)[::-1]
+        # run[k] counts the consecutive rows up to row i-3 set in slot k. A
+        # start j <= i-2 spans the L = i-1-j rows j-1..i-3, so N(j, i) is
+        # at_least[L], the number of slots with run >= L; j = i-1 gains 0.
+        if i >= 3:
+            run = (run + 1) * rows[i - 3]
+        at_least = np.bincount(run, minlength=i - 1)[::-1].cumsum()[::-1]
         cand = dp[1:i].copy()
-        cand[:-1] += np.bitwise_count(acc).sum(axis=1, dtype=np.int64) * np.arange(i - 2, 0, -1)
+        cand[:-1] += at_least[i - 2 : 0 : -1] * np.arange(i - 2, 0, -1)
         j = int(np.argmax(cand))
         dp[i] = cand[j]
         prev[i] = j + 1
@@ -245,7 +203,7 @@ class TemporalMergeResult:
 def apply_temporal_merge(
     stream: VideoTokenStream,
     plan: SegmentPlan,
-    mask: RedundancyMask,
+    mask: np.ndarray,
     mode: str = "mean",
 ) -> TemporalMergeResult:
     """Merge each segment's persistent slots into their first occurrence.
@@ -260,10 +218,11 @@ def apply_temporal_merge(
     if mode not in TEMPORAL_MERGE_MODES:
         raise DataError(f"unknown merge mode {mode!r}")
     b, n_v = stream.frames, stream.tokens_per_frame
-    if mask.n_frames != b or mask.n_tokens != n_v:
+    rows = _mask_rows(mask)
+    if rows.shape != (b - 1, n_v):
         raise DataError(
-            f"mask for {mask.n_frames}x{mask.n_tokens} does not match "
-            f"stream {b}x{n_v}")
+            f"mask of shape {rows.shape} does not match stream {b}x{n_v}; "
+            f"expected ({b - 1}, {n_v})")
     if plan.boundaries[-1] != b + 1:
         raise DataError(
             f"plan covers {plan.boundaries[-1] - 1} frames, stream has {b}")
@@ -273,12 +232,8 @@ def apply_temporal_merge(
     pruned = 0
     all_slots = np.arange(n_v)
     for s, e in plan.segments():
-        if e - s == 1:
-            red = np.empty(0, dtype=np.int64)
-        else:
-            persistent = _persistent_words(mask, s, e)
-            bits = np.unpackbits(persistent.view(np.uint8), bitorder="little")
-            red = np.flatnonzero(bits[:n_v]).astype(np.int64)
+        red = (np.flatnonzero(rows[s - 1 : e - 2].all(axis=0)) if e - s > 1
+               else np.empty(0, dtype=np.int64))
         surv = np.setdiff1d(all_slots, red, assume_unique=True)
         if mode == "mean" and red.size:
             merged = np.empty((red.size, stream.dim), dtype=np.float32)

@@ -17,7 +17,6 @@ import test_temporal
 from tokmerge import (
     CompressionConfig,
     InnerMergeInput,
-    RedundancyMask,
     SynthSpec,
     apply_temporal_merge,
     build_importance,
@@ -132,7 +131,7 @@ def test_criterion_2_dp_exhaustive():
         b = int(rng.integers(1, 13))
         n_v = int(rng.integers(1, 33))
         rows = rng.random((b - 1, n_v)) < rng.uniform(0.1, 0.95)
-        plan = optimal_segmentation(RedundancyMask.from_bool(rows))
+        plan = optimal_segmentation(rows)
         assert plan.total_gain == test_temporal.brute_force_best_total(rows)
     assert time.perf_counter() - start < 10.0
 

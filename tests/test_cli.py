@@ -175,6 +175,19 @@ class TestCompress:
                    "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert rc == 1
 
+    @pytest.mark.parametrize("pooled", [7, True])
+    def test_config_file_scalar_pooled_grid_exit_1(self, tmp_path, capsys, pooled):
+        spec, stream, tokens = write_corpus(tmp_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"pooled_grid": pooled}))
+        rc = main(["compress", "--tokens", str(tokens), "--grid", "2x3",
+                   "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert (f"tokmerge: error: pooled_grid must be two positive integers "
+                f"[rows, cols], got {pooled!r}\n") == err
+        assert not (tmp_path / "o").exists()
+
     # final_count of write_corpus() at the default target ratio 1.0: the
     # inner-merge dumps hold one row per compressed token
     FINAL_COUNT = 18
@@ -528,6 +541,33 @@ class TestSynthAndReport:
         assert rc == 0
         summary = json.loads((agg / "summary.json").read_text())
         assert summary["mean_temporal_prune_ratio"] == 0.0
+
+    @pytest.mark.parametrize("nested", [False, True])
+    def test_unparsable_report_field_exit_2_names_file(self, tmp_path, capsys, nested):
+        spec, stream, tokens = write_corpus(tmp_path)
+        out = tmp_path / "video1"
+        assert main(["compress", "--tokens", str(tokens), "--grid", "2x3",
+                     "--out", str(out)]) == 0
+        meta = out / "compressed.json"
+        doc = json.loads(meta.read_text(encoding="utf-8"))
+        doc["report"]["original_count"] = "abc"
+        if not nested:
+            meta.unlink()
+            meta = tmp_path / "v.json"
+            doc = doc["report"]
+        meta.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        rc = main(["report", "--reports", str(tmp_path), "--out", str(tmp_path / "agg")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"tokmerge: error: {meta}: malformed report document: ")
+        assert "abc" in err
+        assert not (tmp_path / "agg").exists()
+
+    def test_non_object_report_entry_skipped(self, tmp_path):
+        (tmp_path / "odd.json").write_text(json.dumps({"report": 5}))
+        rc = main(["report", "--reports", str(tmp_path), "--out", str(tmp_path / "agg")])
+        assert rc == 2  # no report document: the entry is skipped, not a traceback
 
     def test_empty_directory_exit_2(self, tmp_path):
         empty = tmp_path / "none"

@@ -21,7 +21,7 @@ from tokmerge import (
     save_stream,
     validate_config,
 )
-from tokmerge.core import _provenance_arrays
+from tokmerge.core import _provenance_arrays, report_from_dict, report_to_dict
 from test_temporal import reference_mask
 
 
@@ -105,7 +105,7 @@ class TestTokenStreamIO:
         np.testing.assert_array_equal(stream.data, data)
         assert not np.isfinite(stream.sq_norms[:, :2]).any()
         for tau in (0.0, 0.5, 0.99):
-            got = pairwise_redundancy(stream, tau).to_bool()
+            got = pairwise_redundancy(stream, tau)
             np.testing.assert_array_equal(got, reference_mask(data, tau))
             assert got[:, 0].all()
 
@@ -222,6 +222,12 @@ class TestConfig:
     def test_bad_inner_ratio(self):
         with pytest.raises(ConfigError, match=r"\[0, 100\)"):
             validate_config({"inner_ratio_R": 100})
+
+    @pytest.mark.parametrize("pooled", [7, True, [True, 2]])
+    def test_pooled_grid_not_two_integers_rejected(self, pooled):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"pooled_grid must be two positive integers [rows, cols], got {pooled!r}")):
+            validate_config({"pooled_grid": pooled})
 
 
 def arrays(records):
@@ -380,6 +386,27 @@ class TestCompressedIO:
         cv = small_cv()
         assert cv.provenance is cv.provenance
         assert [p.kind for p in cv.provenance] == ["temporal_rep", "selected", "cluster_rep"]
+
+    @pytest.mark.parametrize("field, value", [
+        ("original_count", "abc"), ("final_count", 1.5e400), ("final_count", "nan"),
+        ("prefill_flops", "lots")])
+    def test_load_unparsable_report_number_names_file(self, tmp_path, field, value):
+        save_compressed(small_cv(), small_report(), tmp_path)
+        meta = tmp_path / "compressed.json"
+        doc = json.loads(meta.read_text(encoding="utf-8"))
+        if field == "prefill_flops":
+            doc["report"]["flops"]["prefill"] = value
+        else:
+            doc["report"][field] = value
+        meta.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(DataError, match=f"^{re.escape(str(meta))}: malformed report document: "):
+            load_compressed(tmp_path)
+
+    def test_report_from_dict_keeps_inconsistent_counts_text(self):
+        doc = report_to_dict(small_report())
+        doc["final_count"] = 99
+        with pytest.raises(DataError, match="^inconsistent counts: 99 <= 8 <= 12 fails$"):
+            report_from_dict(doc)
 
     def test_inconsistent_counts_rejected(self):
         with pytest.raises(DataError):

@@ -17,7 +17,6 @@ import pytest
 import test_golden
 from test_temporal import reference_merged_values
 from tokmerge import (
-    RedundancyMask,
     VideoTokenStream,
     apply_temporal_merge,
     core,
@@ -91,12 +90,11 @@ def bits(arr):
 
 
 def run_passes(data, tau, rows=None):
-    """sq_norms, mask words and mean-mode merged values of one stream."""
+    """sq_norms, redundancy mask and mean-mode merged values of one stream."""
     stream = VideoTokenStream(data, (1, data.shape[1]))
-    mask = (pairwise_redundancy(stream, tau) if rows is None
-            else RedundancyMask.from_bool(rows))
+    mask = pairwise_redundancy(stream, tau) if rows is None else rows
     tmr = apply_temporal_merge(stream, optimal_segmentation(mask), mask, "mean")
-    return stream.sq_norms, mask.words, tmr.segments
+    return stream.sq_norms, mask, tmr.segments
 
 
 # (frames, slots, dim): B in {1, 2, 3}, N_v = 1 and d = 1 among them
@@ -118,9 +116,9 @@ class TestBitIdentity:
         force_workers(1)
         np.testing.assert_array_equal(
             bits(results[0][0]), bits(np.einsum("bkd,bkd->bk", data, data)))
-        for norms, words, segments in results:
+        for norms, mask, segments in results:
             np.testing.assert_array_equal(bits(norms), bits(results[0][0]))
-            np.testing.assert_array_equal(words, results[0][1])
+            np.testing.assert_array_equal(mask, results[0][1])
             assert len(segments) == len(results[0][2])
             for seg in segments:
                 np.testing.assert_array_equal(bits(seg.merged_values), bits(
@@ -151,7 +149,7 @@ class TestBitIdentity:
         in its own slice of the shared outputs, every time."""
         data = np.random.default_rng(8).standard_normal((37, 11, 19)).astype(np.float32)
         force_workers(1)
-        norms, words, segments = run_passes(data, 0.0)
+        norms, mask, segments = run_passes(data, 0.0)
         assert sum(seg.redundant_idx.size for seg in segments) > 5
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -160,7 +158,7 @@ class TestBitIdentity:
             for _ in range(5):
                 got = run_passes(data, 0.0)
                 np.testing.assert_array_equal(bits(got[0]), bits(norms))
-                np.testing.assert_array_equal(got[1], words)
+                np.testing.assert_array_equal(got[1], mask)
                 for a, b in zip(got[2], segments, strict=True):
                     np.testing.assert_array_equal(bits(a.merged_values), bits(b.merged_values))
         finally:

@@ -34,21 +34,21 @@ def test_different_seed_differs():
 def test_noise_free_full_fraction_mask_matches_truth():
     stream, truth = generate(spec_with(segments=((4, 1.0), (4, 1.0))))
     mask = pairwise_redundancy(stream, 0.99)
-    np.testing.assert_array_equal(mask.to_bool(), truth.to_bool())
+    np.testing.assert_array_equal(mask, truth)
 
 
 def test_zero_fraction_mask_all_false():
     stream, truth = generate(spec_with(segments=((8, 0.0),), dim=32))
-    assert not truth.to_bool().any()
+    assert not truth.any()
     mask = pairwise_redundancy(stream, 0.8)
-    np.testing.assert_array_equal(mask.to_bool(), truth.to_bool())
+    np.testing.assert_array_equal(mask, truth)
 
 
 def test_planted_mask_matches_pairwise_redundancy():
     spec = spec_with(dim=64)
     stream, truth = generate(spec)
     mask = pairwise_redundancy(stream, 0.8)
-    np.testing.assert_array_equal(mask.to_bool(), truth.to_bool())
+    np.testing.assert_array_equal(mask, truth)
 
 
 def test_planted_recovery_noise_free():
@@ -64,9 +64,9 @@ def test_noise_degrades_gracefully():
     """With sigma > 0 the planted mask is still ground truth, not the measured one."""
     spec = spec_with(dim=64, noise_sigma=2.0)
     stream, truth = generate(spec)
-    measured = pairwise_redundancy(stream, 0.8).to_bool()
-    assert truth.to_bool().sum() > 0
-    assert measured.sum() <= truth.to_bool().sum()
+    measured = pairwise_redundancy(stream, 0.8)
+    assert truth.sum() > 0
+    assert measured.sum() <= truth.sum()
 
 
 def test_segment_lengths_must_sum():

@@ -5,7 +5,6 @@ import pytest
 
 from tokmerge import (
     DataError,
-    RedundancyMask,
     SegmentPlan,
     VideoTokenStream,
     apply_temporal_merge,
@@ -118,26 +117,26 @@ class TestPairwiseRedundancy:
         frame = np.random.default_rng(0).standard_normal((6, 8)).astype(np.float32)
         stream = VideoTokenStream(np.broadcast_to(frame, (4, 6, 8)).copy(), (2, 3))
         mask = pairwise_redundancy(stream, 0.8)
-        assert mask.to_bool().all()
+        assert mask.all()
 
     def test_orthogonal_token_false(self):
         data = np.zeros((2, 2, 4), dtype=np.float32)
         data[0, 0, 0] = 1.0
         data[1, 0, 1] = 1.0  # orthogonal across the pair
         data[:, 1, 2] = 1.0  # identical across the pair
-        mask = pairwise_redundancy(VideoTokenStream(data, (1, 2)), 0.8).to_bool()
+        mask = pairwise_redundancy(VideoTokenStream(data, (1, 2)), 0.8)
         assert not mask[0, 0]
         assert mask[0, 1]
 
     def test_zero_norm_never_redundant(self):
         data = np.zeros((3, 2, 4), dtype=np.float32)
         mask = pairwise_redundancy(VideoTokenStream(data, (1, 2)), 0.0)
-        assert not mask.to_bool().any()
+        assert not mask.any()
 
     def test_single_frame_empty_mask(self):
         stream = random_stream(np.random.default_rng(1), b=1)
         mask = pairwise_redundancy(stream, 0.8)
-        assert mask.to_bool().shape == (0, 6)
+        assert mask.shape == (0, 6)
 
     def test_constant_column_against_direct_cosine(self):
         """Gaussian d=16 tokens with one slot held constant across 4 frames."""
@@ -145,7 +144,7 @@ class TestPairwiseRedundancy:
         data = rng.standard_normal((4, 10, 16)).astype(np.float32)
         data[:, 3] = data[0, 3]
         stream = VideoTokenStream(data, (2, 5))
-        got = pairwise_redundancy(stream, 0.8).to_bool()
+        got = pairwise_redundancy(stream, 0.8)
         expected = direct_cosine_mask(stream.data, 0.8)
         np.testing.assert_array_equal(got, expected)
         assert got[:, 3].all()
@@ -156,8 +155,8 @@ class TestPairwiseRedundancy:
         data = rng.standard_normal((6, 8, 12)).astype(np.float32)
         data[1:4] = data[0] + 0.05 * rng.standard_normal((3, 8, 12)).astype(np.float32)
         stream = VideoTokenStream(data, (2, 4))
-        lo = pairwise_redundancy(stream, 0.5).to_bool()
-        hi = pairwise_redundancy(stream, 0.9).to_bool()
+        lo = pairwise_redundancy(stream, 0.5)
+        hi = pairwise_redundancy(stream, 0.9)
         assert (lo | hi == lo).all()  # every entry true at 0.9 is true at 0.5
 
     def test_pairs_near_tau_rechecked_exactly(self, monkeypatch):
@@ -179,7 +178,7 @@ class TestPairwiseRedundancy:
             return exact(a, b)
 
         monkeypatch.setattr(temporal, "_exact_similarity", spy)
-        got = pairwise_redundancy(stream, tau).to_bool()
+        got = pairwise_redundancy(stream, tau)
         expected = reference_mask(stream.data, tau)
         np.testing.assert_array_equal(got, expected)
         assert sum(rechecked) == 40
@@ -196,19 +195,19 @@ class TestPairwiseRedundancy:
 
 class TestSegmentGain:
     def test_all_true_full_span(self):
-        mask = RedundancyMask.from_bool(np.ones((2, 5), dtype=bool))
+        mask = np.ones((2, 5), dtype=bool)
         assert segment_gain(mask, 1, 4) == 10
 
     def test_length_one_span_zero(self):
-        mask = RedundancyMask.from_bool(np.ones((2, 5), dtype=bool))
+        mask = np.ones((2, 5), dtype=bool)
         assert all(segment_gain(mask, s, s + 1) == 0 for s in (1, 2, 3))
 
     def test_enumerated_example(self):
-        mask = RedundancyMask.from_bool(np.array([[1, 0, 1], [1, 1, 0]], dtype=bool))
+        mask = np.array([[1, 0, 1], [1, 1, 0]], dtype=bool)
         assert segment_gain(mask, 1, 4) == 2  # only slot 0 persists
 
     def test_out_of_range(self):
-        mask = RedundancyMask.from_bool(np.ones((2, 3), dtype=bool))
+        mask = np.ones((2, 3), dtype=bool)
         with pytest.raises(DataError):
             segment_gain(mask, 0, 2)
         with pytest.raises(DataError):
@@ -217,33 +216,32 @@ class TestSegmentGain:
     def test_matches_brute_force_table(self):
         rng = np.random.default_rng(3)
         rows = rng.random((5, 9)) < 0.5
-        mask = RedundancyMask.from_bool(rows)
         table = brute_force_gains(rows)
         for (s, e), expect in table.items():
-            assert segment_gain(mask, s, e) == expect
+            assert segment_gain(rows, s, e) == expect
 
 
 class TestOptimalSegmentation:
     def test_all_true_single_segment(self):
-        mask = RedundancyMask.from_bool(np.ones((3, 7), dtype=bool))
+        mask = np.ones((3, 7), dtype=bool)
         plan = optimal_segmentation(mask)
         assert plan.boundaries == (1, 5)
         assert plan.total_gain == 7 * 3
 
     def test_all_false_single_segment_by_tiebreak(self):
-        mask = RedundancyMask.from_bool(np.zeros((4, 6), dtype=bool))
+        mask = np.zeros((4, 6), dtype=bool)
         plan = optimal_segmentation(mask)
         assert plan.total_gain == 0
         assert plan.boundaries == (1, 6)
 
     def test_single_frame(self):
-        mask = RedundancyMask.from_bool(np.zeros((0, 4), dtype=bool))
+        mask = np.zeros((0, 4), dtype=bool)
         plan = optimal_segmentation(mask)
         assert plan.boundaries == (1, 2)
         assert plan.total_gain == 0
 
     def test_single_frame_tables(self):
-        mask = RedundancyMask.from_bool(np.zeros((0, 5), dtype=bool))
+        mask = np.zeros((0, 5), dtype=bool)
         plan = optimal_segmentation(mask)
         assert plan.dp[2] == 0 and plan.prev[2] == 1
 
@@ -253,11 +251,11 @@ class TestOptimalSegmentation:
             b = int(rng.integers(1, 10))
             n_v = int(rng.integers(1, 24))
             rows = rng.random((b - 1, n_v)) < rng.uniform(0.2, 0.9)
-            plan = optimal_segmentation(RedundancyMask.from_bool(rows))
+            plan = optimal_segmentation(rows)
             assert plan.total_gain == brute_force_best_total(rows)
 
     def assert_tables_match_reference(self, rows):
-        plan = optimal_segmentation(RedundancyMask.from_bool(rows))
+        plan = optimal_segmentation(rows)
         dp, prev = reference_dp(rows)
         np.testing.assert_array_equal(plan.dp[1:], dp)
         np.testing.assert_array_equal(plan.prev[1:], prev)
@@ -286,11 +284,10 @@ class TestOptimalSegmentation:
                 rows[lo:hi] = rng.random() < 0.5
             cases.append(rows)
         for rows in cases:
-            mask = RedundancyMask.from_bool(rows)
-            plan = optimal_segmentation(mask)
+            plan = optimal_segmentation(rows)
             for s, e in plan.segments():
-                assert plan.dp[e] == plan.dp[s] + segment_gain(mask, s, e)
-            assert plan.gains == tuple(segment_gain(mask, s, e) for s, e in plan.segments())
+                assert plan.dp[e] == plan.dp[s] + segment_gain(rows, s, e)
+            assert plan.gains == tuple(segment_gain(rows, s, e) for s, e in plan.segments())
             assert sum(plan.gains) == plan.total_gain
 
 
@@ -394,6 +391,28 @@ class TestApplyTemporalMerge:
         with pytest.raises(DataError):
             apply_temporal_merge(other, plan, wrong_mask, "mean")
 
+    @pytest.mark.parametrize("shape", [(3, 5), (3, 7), (4, 6)])
+    def test_mask_shape_must_be_frame_pairs_by_slots(self, shape):
+        stream = random_stream(np.random.default_rng(5), b=4, n_v=6)
+        plan = optimal_segmentation(np.zeros((3, 6), dtype=bool))
+        with pytest.raises(DataError, match=r"does not match stream 4x6; expected \(3, 6\)"):
+            apply_temporal_merge(stream, plan, np.ones(shape, dtype=bool), "mean")
+
+    def test_mask_returned_read_only(self):
+        mask = pairwise_redundancy(random_stream(np.random.default_rng(7)), 0.5)
+        assert mask.dtype == bool and mask.shape == (3, 6)
+        with pytest.raises(ValueError):
+            mask[0, 0] = True
+
+
+@pytest.mark.parametrize("shape", [(5,), (2, 3, 4)])
+def test_mask_not_two_dimensional_rejected(shape):
+    mask = np.ones(shape, dtype=bool)
+    with pytest.raises(DataError, match=r"mask must be a 2-D \(B-1, N_v\) array"):
+        optimal_segmentation(mask)
+    with pytest.raises(DataError, match=r"mask must be a 2-D \(B-1, N_v\) array"):
+        segment_gain(mask, 1, 3)
+
 
 class TestMergedValuesBitExact:
     """merged_values equal the gathered-mean oracle bit for bit."""
@@ -409,9 +428,8 @@ class TestMergedValuesBitExact:
         b, n_v, _ = data.shape
         rows = np.zeros((b - 1, n_v), dtype=bool)
         rows[1:, red] = True
-        mask = RedundancyMask.from_bool(rows)
-        plan = optimal_segmentation(mask)
-        tmr = apply_temporal_merge(VideoTokenStream(data, (1, n_v)), plan, mask, mode)
+        plan = optimal_segmentation(rows)
+        tmr = apply_temporal_merge(VideoTokenStream(data, (1, n_v)), plan, rows, mode)
         seg = tmr.segments[-1]
         assert (seg.start, seg.end) == ((2 if len(red) else 1), b + 1)
         np.testing.assert_array_equal(seg.redundant_idx, red)

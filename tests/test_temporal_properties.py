@@ -1,8 +1,11 @@
-"""Properties: the redundancy mask against the float64 cosine definition.
+"""Properties: the redundancy mask against the float64 cosine definition,
+and the segmentation DP against its plain recurrence.
 
 ``pairwise_redundancy`` decides most pairs in float32 and rechecks the
 pairs near tau in float64; both must give the mask of the definition,
 bit for bit, also at tau itself and at the extremes of float32 range.
+``optimal_segmentation`` must give the tables of ``reference_dp`` exactly,
+ties included, and recover planted segments at B = 4,096.
 """
 
 import numpy as np
@@ -12,8 +15,15 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from tokmerge import VideoTokenStream, pairwise_redundancy, temporal  # noqa: E402
-from test_temporal import reference_mask, reference_similarity  # noqa: E402
+from tokmerge import (  # noqa: E402
+    SynthSpec,
+    VideoTokenStream,
+    generate,
+    optimal_segmentation,
+    pairwise_redundancy,
+    temporal,
+)
+from test_temporal import reference_dp, reference_mask, reference_similarity  # noqa: E402
 
 DIMS = (1, 3, 64, 896, 1000, 8193, 10000)
 # per-token scales: ordinary, zero, squares that are subnormal or flush to
@@ -58,7 +68,7 @@ def test_mask_equals_definition(case, tau_kind):
     sims = reference_similarity(stream.data)
     tau = {"planted": base, "zero": 0.0, "one": 1.0,
            "own": float(rng.choice(sims.ravel()))}[tau_kind]
-    got = pairwise_redundancy(stream, tau).to_bool()
+    got = pairwise_redundancy(stream, tau)
     assert np.array_equal(got, reference_mask(stream.data, tau))
 
 
@@ -72,3 +82,59 @@ def test_recheck_equals_batch_values(case):
     f, k = np.nonzero(rng.random((x.shape[0] - 1, x.shape[1])) < 0.5)
     got = temporal._exact_similarity(x[f, k], x[f + 1, k])
     assert np.array_equal(got, reference_similarity(x)[f, k])
+
+
+@st.composite
+def run_masks(draw):
+    """Random masks overlaid with long all-ones runs over some slots and
+    all-zero plateaus over every slot (equal dp values, where ties decide)."""
+    b = draw(st.integers(1, 24))
+    n_v = draw(st.sampled_from((1, 63, 64, 65, 130)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.random((b - 1, n_v)) < draw(st.sampled_from((0.0, 0.3, 0.7, 0.95, 1.0)))
+    for _ in range(draw(st.integers(0, 4))):
+        lo = draw(st.integers(0, b - 1))
+        hi = draw(st.integers(lo, b - 1))
+        if draw(st.booleans()):
+            rows[lo:hi, : draw(st.integers(1, n_v))] = True
+        else:
+            rows[lo:hi] = False
+    return rows
+
+
+def walk_back(prev):
+    bounds = [len(prev)]
+    while bounds[-1] > 1:
+        bounds.append(prev[bounds[-1] - 1])
+    return tuple(reversed(bounds))
+
+
+@settings(max_examples=200, deadline=None)
+@given(run_masks())
+def test_dp_equals_reference_recurrence(rows):
+    plan = optimal_segmentation(rows)
+    dp, prev = reference_dp(rows)
+    assert plan.dp[1:].tolist() == dp
+    assert plan.prev[1:].tolist() == prev
+    assert plan.boundaries == walk_back(prev)
+
+
+def test_all_ones_long_video_is_one_segment():
+    plan = optimal_segmentation(np.ones((4095, 196), dtype=bool))
+    assert plan.boundaries == (1, 4097)
+    assert plan.total_gain == 196 * 4095
+
+
+def test_planted_long_video_recovered():
+    rng = np.random.default_rng(4096)
+    lengths = rng.integers(2, 65, 200)
+    lengths = lengths[np.cumsum(lengths) < 4096 - 64].tolist()
+    lengths.append(4096 - sum(lengths))
+    fractions = rng.choice((0.02, 0.25, 0.5, 0.75, 1.0), len(lengths)).tolist()
+    spec = SynthSpec(frames=4096, grid=(14, 14), dim=1,
+                     segments=tuple(zip(lengths, fractions)))
+    assert min(spec.planted_counts()) > 0  # a unique optimum
+    _, truth = generate(spec)
+    plan = optimal_segmentation(truth)
+    assert plan.boundaries == spec.planted_boundaries()
+    assert plan.total_gain == spec.planted_gain()
