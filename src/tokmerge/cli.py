@@ -15,7 +15,9 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
+    CompressedVideo,
     CompressionConfig,
+    CompressionReport,
     ConfigError,
     DataError,
     _load_npy,
@@ -28,7 +30,7 @@ from .core import (
 from .cost import get_profile, pipeline_cost_report, retained_for_ratio
 from .innerllm import InnerMergeInput, check_hidden, check_last_attn, inner_merge
 from .pipeline import DEFAULT_PROFILE, compress
-from .spatial import importance_from_attention, importance_from_qk
+from .spatial import ImportanceMap, importance_from_attention, importance_from_qk
 from .synth import SynthSpec, generate
 from .temporal import optimal_segmentation, pairwise_redundancy
 
@@ -103,7 +105,24 @@ def _dump_check(shape: tuple, grid: tuple[int, int]):
     return check
 
 
-def cmd_compress(args) -> int:
+def _importance(args, stream, pooled_grid) -> ImportanceMap | None:
+    """The importance map from ``--attn`` or ``--qk``, each dump checked
+    against the stream; no dump is referenced once it returns."""
+    b, n_v = stream.frames, stream.tokens_per_frame
+    if args.attn:
+        attn = _load_npy(args.attn, 3, "attention", _dump_check((b, n_v, n_v), stream.grid))
+        return importance_from_attention(attn, stream.grid, pooled_grid, name=args.attn)
+    if args.qk:
+        q = _load_npy(args.qk[0], 3, "query", _dump_check((b, n_v, None), stream.grid))
+        k = _load_npy(args.qk[1], 3, "key", _dump_check(q.shape, stream.grid))
+        return importance_from_qk(q, k, stream.grid, pooled_grid, names=args.qk)
+    return None
+
+
+def _outer_phase(args) -> tuple[CompressionConfig, CompressedVideo, CompressionReport]:
+    """Load the stream and the config, check the inner-merge flags and run
+    the outer pipeline. The token stream, its mapped file and the importance
+    dumps are released when this returns."""
     stream = load_token_stream(args.tokens, _parse_grid(args.grid))
     cfg = _config_from_args(args)
     inner = bool(args.hidden or args.last_attn)
@@ -112,18 +131,13 @@ def cmd_compress(args) -> int:
     if inner and not cfg.inner_enabled:
         raise ConfigError("--hidden/--last-attn ask for the inner merge, "
                           "but the config sets inner_enabled to false")
+    imp = _importance(args, stream, cfg.pooled_grid)
+    return cfg, *compress(stream, cfg, imp, args.profile)
 
-    imp = None
-    b, n_v = stream.frames, stream.tokens_per_frame
-    if args.attn:
-        attn = _load_npy(args.attn, 3, "attention", _dump_check((b, n_v, n_v), stream.grid))
-        imp = importance_from_attention(attn, stream.grid, cfg.pooled_grid, name=args.attn)
-    elif args.qk:
-        q = _load_npy(args.qk[0], 3, "query", _dump_check((b, n_v, None), stream.grid))
-        k = _load_npy(args.qk[1], 3, "key", _dump_check(q.shape, stream.grid))
-        imp = importance_from_qk(q, k, stream.grid, cfg.pooled_grid, names=args.qk)
 
-    cv, report = compress(stream, cfg, imp, args.profile)
+def cmd_compress(args) -> int:
+    cfg, cv, report = _outer_phase(args)
+    inner = bool(args.hidden)  # the outer phase checked: both dumps or neither
     if inner:
         # the inner merge runs on the compressed tokens: one row per token;
         # its dumps are validated before any output is written
@@ -137,6 +151,7 @@ def cmd_compress(args) -> int:
         inner_input = InnerMergeInput(hidden, last)
     out = Path(args.out)
     save_compressed(cv, report, out)
+    del cv  # the inner merge runs with only its own dumps resident
 
     if inner:
         result = inner_merge(inner_input, cfg.inner_ratio_R)

@@ -138,6 +138,15 @@ def _first_non_finite(arr: np.ndarray) -> int | None:
     return int(bad[0]) if bad.size else None
 
 
+def _check_real(arr: np.ndarray, name: str | None = None) -> None:
+    """DataError, prefixed with ``name`` when given, unless ``arr`` holds
+    real numbers (bool, integer or float): a float cast would keep only a
+    complex array's real part, and parse or reject a string array."""
+    if arr.dtype.kind not in "biuf":
+        prefix = f"{name}: " if name else ""
+        raise DataError(f"{prefix}dtype {arr.dtype}, expected real values")
+
+
 def _group_mean(rows: np.ndarray, members: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Mean of each group of ``rows``, narrowed to the rows' dtype.
 

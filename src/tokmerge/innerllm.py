@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataError, _group_mean
+from .core import DataError, _check_real, _group_mean
 
 # Candidate rows scored per block, and retained rows gathered per block by
 # the exact recheck. A block's float32 similarities take
@@ -33,9 +33,12 @@ def check_hidden(hidden) -> np.ndarray:
     """Hidden states as a C-contiguous float32 (N, d) array of finite values.
 
     Finiteness is the precondition of the error band in similarity_assign.
+    A complex, string or other non-real dtype raises DataError.
     """
+    hidden = np.asarray(hidden)
+    _check_real(hidden)
     with np.errstate(over="ignore"):  # beyond float32 range reads as inf
-        hidden = np.ascontiguousarray(np.asarray(hidden, dtype=np.float32))
+        hidden = np.ascontiguousarray(hidden, dtype=np.float32)
     if hidden.ndim != 2:
         raise DataError(f"hidden states must be 2-D, got rank {hidden.ndim}")
     if not np.isfinite(hidden).all():
@@ -45,8 +48,11 @@ def check_hidden(hidden) -> np.ndarray:
 
 
 def check_last_attn(last_attn) -> np.ndarray:
-    """Attention scores as a float64 (N,) array of finite non-negative values."""
-    attn = np.asarray(last_attn, dtype=np.float64).ravel()
+    """Attention scores as a float64 (N,) array of finite non-negative values;
+    a complex, string or other non-real dtype raises DataError."""
+    attn = np.asarray(last_attn)
+    _check_real(attn)
+    attn = np.asarray(attn, dtype=np.float64).ravel()
     if not np.isfinite(attn).all():
         raise DataError(
             f"non-finite attention score at index {np.argmin(np.isfinite(attn))}")

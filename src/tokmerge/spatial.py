@@ -19,6 +19,7 @@ from .core import (
     CompressionConfig,
     DataError,
     ProvenanceArrays,
+    _check_real,
     _first_non_finite,
     _group_mean,
 )
@@ -83,7 +84,8 @@ def build_importance(
     return ImportanceMap(raw_scores, _pool(raw_scores, (h, w), pg), (h, w), pg)
 
 
-def _check_finite(arr: np.ndarray, name: str) -> None:
+def _check_dump(arr: np.ndarray, name: str) -> None:
+    _check_real(arr, name)
     if (offset := _first_non_finite(arr)) is not None:
         raise DataError(f"{name}: non-finite value at flat offset {offset}")
 
@@ -100,12 +102,13 @@ def importance_from_attention(attn: np.ndarray, grid, pooled_grid=None, *,
                               name="attention") -> ImportanceMap:
     """ImportanceMap from a (B, N_v, N_v) per-frame attention stack; a token's
     raw score is the float64 mean of its column (the attention it receives).
-    A NaN or +-inf entry raises DataError naming ``name`` and its offset; a
-    float64 mean that overflows raises DataError naming ``name``."""
+    A complex, string or other non-real dtype, or a NaN or +-inf entry
+    (with its offset), raises DataError naming ``name``; so does a float64
+    mean that overflows."""
     attn = np.asarray(attn)
     if attn.ndim != 3 or attn.shape[1] != attn.shape[2]:
         raise DataError(f"attention stack must be (B, N_v, N_v), got {attn.shape}")
-    _check_finite(attn, name)
+    _check_dump(attn, name)
     with np.errstate(over="ignore"):
         raw = attn.mean(axis=1, dtype=np.float64)
     return build_importance(_finite_scores(raw, (name,)), grid, pooled_grid)
@@ -115,14 +118,15 @@ def importance_from_qk(q: np.ndarray, k: np.ndarray, grid, pooled_grid=None, *,
                        names=("query", "key")) -> ImportanceMap:
     """ImportanceMap from (B, N_v, d) query/key dumps: each frame's attention is
     the float64 row-softmax of q @ k.T / sqrt(d) (row maximum subtracted
-    first), scored as in importance_from_attention; non-finite entries and
-    float64 overflow are rejected as there, naming the dumps by ``names``."""
+    first), scored as in importance_from_attention; non-real dtypes,
+    non-finite entries and float64 overflow are rejected as there, naming
+    the dumps by ``names``."""
     q = np.asarray(q)
     k = np.asarray(k)
     if q.ndim != 3 or q.shape != k.shape:
         raise DataError(f"q/k dump shape mismatch: {q.shape} vs {k.shape}")
     for arr, name in zip((q, k), names):
-        _check_finite(arr, name)
+        _check_dump(arr, name)
     raw = np.empty(q.shape[:2])
     scale = math.sqrt(q.shape[2])
     with np.errstate(over="ignore", invalid="ignore"):

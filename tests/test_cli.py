@@ -1,5 +1,6 @@
 """CLI behavior: pipeline runs, exit codes, determinism, report aggregation."""
 
+import gc
 import json
 import math
 import os
@@ -7,6 +8,7 @@ import re
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +29,7 @@ from tokmerge import (
     spatial_merge,
     validate_config,
 )
+from tokmerge import cli
 from tokmerge.cli import main
 
 
@@ -357,6 +360,131 @@ class TestCompress:
         err = capsys.readouterr().err
         assert f"{tmp_path / 'attn.npy'}: raw importance overflows float64" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag", ["--attn", "--qk", "--hidden", "--last-attn"])
+    @pytest.mark.parametrize("dtype", ["complex128", "<U32"])
+    def test_non_real_dump_exit_2(self, tmp_path, capsys, flag, dtype):
+        rng = np.random.default_rng(6)
+        n = self.FINAL_COUNT
+        arrays = {"attn.npy": np.full((8, 6, 6), 1 / 6),
+                  "q.npy": rng.standard_normal((8, 6, 4)),
+                  "k.npy": rng.standard_normal((8, 6, 4)),
+                  "hidden.npy": rng.standard_normal((n, 8)),
+                  "last.npy": rng.random(n)}
+        bad = {"--attn": "attn.npy", "--qk": "q.npy",
+               "--hidden": "hidden.npy", "--last-attn": "last.npy"}[flag]
+        arrays[bad] = (arrays[bad] + 0.5j).astype(dtype)
+        for name, arr in arrays.items():
+            np.save(tmp_path / name, arr)
+        dumps = ["--hidden", str(tmp_path / "hidden.npy"),
+                 "--last-attn", str(tmp_path / "last.npy")]
+        if flag == "--attn":
+            dumps = ["--attn", str(tmp_path / "attn.npy")]
+        elif flag == "--qk":
+            dumps = ["--qk", str(tmp_path / "q.npy"), str(tmp_path / "k.npy")]
+        rc = self.run_with_dump(tmp_path, "1.0", dumps)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{tmp_path / bad}: dtype {dtype}, expected real values" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_missing_tokens_reported_before_bad_config(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"tau": 2.0}))
+        rc = main(["compress", "--tokens", str(tmp_path / "absent.npy"), "--grid", "2x3",
+                   "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"token file not found: {tmp_path / 'absent.npy'}" in capsys.readouterr().err
+
+    def test_inner_flag_check_before_importance_dumps(self, tmp_path, capsys):
+        spec, stream, tokens = write_corpus(tmp_path)
+        for name in ("q.npy", "k.npy"):
+            (tmp_path / name).write_bytes(b"not an array")
+        rc = main(["compress", "--tokens", str(tokens), "--grid", "2x3",
+                   "--qk", str(tmp_path / "q.npy"), str(tmp_path / "k.npy"),
+                   "--hidden", str(tmp_path / "hidden.npy"), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert ("--hidden and --last-attn must be given together"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
+
+class TestPhaseLifetimes:
+    """The inner merge runs with only its own dumps resident: the token
+    stream, its mapped file, the importance dumps and the compressed tokens
+    are all released by then."""
+
+    @staticmethod
+    def refs_to(obj):
+        """Weak references to ``obj`` and to every array or mapping under it."""
+        refs = []
+        while obj is not None:
+            refs.append(weakref.ref(obj))
+            obj = getattr(obj, "base", None)
+        return refs
+
+    @pytest.mark.parametrize("source", ["attn", "qk"])
+    def test_inner_merge_runs_without_outer_inputs(self, tmp_path, monkeypatch, source):
+        spec, stream, tokens = write_corpus(tmp_path)
+        if source == "attn":
+            _, attn = write_attention(tmp_path, stream)
+            dumps = ["--attn", str(attn)]
+        else:
+            rng = np.random.default_rng(8)
+            for name in ("q.npy", "k.npy"):
+                np.save(tmp_path / name, rng.standard_normal((8, 6, 4)).astype(np.float32))
+            dumps = ["--qk", str(tmp_path / "q.npy"), str(tmp_path / "k.npy")]
+        argv = ["compress", "--tokens", str(tokens), "--grid", "2x3",
+                "--target-ratio", "0.5", *dumps]
+        assert main([*argv, "--out", str(tmp_path / "outer")]) == 0
+        n = load_compressed(tmp_path / "outer")[1].final_count
+        rng = np.random.default_rng(3)
+        np.save(tmp_path / "hidden.npy", rng.standard_normal((n, 8)).astype(np.float32))
+        np.save(tmp_path / "last.npy", rng.random(n))
+
+        refs = {}
+
+        def track(name, obj):
+            refs[name] = self.refs_to(obj)
+            return obj
+
+        def alive():
+            return sorted(name for name, rs in refs.items() if any(r() is not None for r in rs))
+
+        load_stream, load_npy, compress_ = cli.load_token_stream, cli._load_npy, cli.compress
+        inner_merge, seen = cli.inner_merge, {}
+
+        def load_stream_tracked(*args):
+            stream = track("stream", load_stream(*args))
+            track("stream data", stream.data)
+            return stream
+
+        def load_dump(path, rank, what, check=np.asarray):
+            arr = load_npy(path, rank, what, check)
+            return arr if what in ("hidden-state", "last-attention") else track(what, arr)
+
+        def compress_tracked(*args):
+            cv, report = compress_(*args)
+            track("compressed tokens", cv.tokens)
+            return track("compressed video", cv), report
+
+        def inner_merge_checked(*args):
+            seen["without collection"] = alive()
+            gc.collect()
+            seen["after collection"] = alive()
+            return inner_merge(*args)
+
+        monkeypatch.setattr(cli, "load_token_stream", load_stream_tracked)
+        monkeypatch.setattr(cli, "_load_npy", load_dump)
+        monkeypatch.setattr(cli, "compress", compress_tracked)
+        monkeypatch.setattr(cli, "inner_merge", inner_merge_checked)
+        assert main([*argv, "--out", str(tmp_path / "out"),
+                     "--hidden", str(tmp_path / "hidden.npy"),
+                     "--last-attn", str(tmp_path / "last.npy")]) == 0
+        dump_names = ["attention"] if source == "attn" else ["key", "query"]
+        assert sorted(refs) == sorted(["stream", "stream data", "compressed video",
+                                       "compressed tokens", *dump_names])
+        assert seen == {"without collection": [], "after collection": []}
 
 
 class TestLibraryPipeline:

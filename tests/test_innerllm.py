@@ -421,6 +421,16 @@ class TestInput:
         with pytest.raises(DataError, match="non-finite attention score at index 2"):
             InnerMergeInput(np.ones((3, 2)), np.array([0.5, 0.1, value]))
 
+    @pytest.mark.parametrize("which", ["hidden", "last_attn"])
+    def test_complex_dump_rejected(self, which):
+        dumps = {"hidden": np.ones((3, 2)), "last_attn": np.ones(3)}
+        dumps[which] = dumps[which] + 1j
+        check = {"hidden": innerllm.check_hidden, "last_attn": innerllm.check_last_attn}[which]
+        with pytest.raises(DataError, match="^dtype complex128, expected real values$"):
+            check(dumps[which])
+        with pytest.raises(DataError, match="^dtype complex128, expected real values$"):
+            InnerMergeInput(**dumps)
+
 
 class TestMemory:
     def peak_mb(self, monkeypatch, chunk, n=4096, d=32):

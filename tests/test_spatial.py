@@ -217,6 +217,26 @@ class TestNonFiniteDumps:
                 importance_from_qk(*dumps, (2, 2), names=("q.npy", "k.npy"))
 
 
+class TestComplexDumps:
+    """A complex dump raises DataError naming it, rather than losing its
+    imaginary part to a ComplexWarning."""
+
+    def test_attention(self):
+        attn = np.full((3, 4, 4), 0.25 + 0j)
+        with pytest.raises(DataError, match="^attention: dtype complex128, expected real values$"):
+            importance_from_attention(attn, (2, 2))
+        with pytest.raises(DataError, match="^attn.npy: dtype complex128"):
+            importance_from_attention(attn, (2, 2), name="attn.npy")
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_qk(self, which):
+        dumps = list(np.random.default_rng(2).standard_normal((2, 3, 4, 5)).astype(np.float32))
+        dumps[which] = dumps[which].astype(np.complex64)
+        name = ("q.npy", "k.npy")[which]
+        with pytest.raises(DataError, match=f"^{name}: dtype complex64, expected real values$"):
+            importance_from_qk(*dumps, (2, 2), names=("q.npy", "k.npy"))
+
+
 class TestOverflowingDumps:
     """Finite dumps whose float64 arithmetic overflows raise DataError naming
     the dumps, without a RuntimeWarning on the way."""
