@@ -50,10 +50,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_grid(text: str) -> tuple[int, int]:
     try:
-        h, w = text.lower().split("x")
-        return int(h), int(w)
+        h, w = map(int, text.lower().split("x"))
     except ValueError:
         raise ConfigError(f"grid must look like HxW, got {text!r}") from None
+    if h < 1 or w < 1:
+        raise ConfigError(f"grid sides must be positive, got {text!r}")
+    return h, w
 
 
 def _parse_segments(text: str) -> tuple[tuple[int, float], ...]:

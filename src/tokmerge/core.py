@@ -147,6 +147,15 @@ def _check_real(arr: np.ndarray, name: str | None = None) -> None:
         raise DataError(f"{prefix}dtype {arr.dtype}, expected real values")
 
 
+def _check_dump(arr: np.ndarray, name: str | None = None) -> np.ndarray:
+    """``arr``, or DataError (prefixed with ``name`` when given) unless it
+    holds real numbers, none of them NaN or +-inf (named by flat offset)."""
+    _check_real(arr, name)
+    if (offset := _first_non_finite(arr)) is not None:
+        raise DataError(f"{name + ': ' if name else ''}non-finite value at flat offset {offset}")
+    return arr
+
+
 def _group_mean(rows: np.ndarray, members: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Mean of each group of ``rows``, narrowed to the rows' dtype.
 
@@ -613,7 +622,7 @@ def load_compressed(out_dir) -> tuple[CompressedVideo, CompressionReport]:
     pairs; a violation raises DataError naming the file and the field.
     """
     meta_path = Path(out_dir) / META_FILE
-    tokens = _load_npy(Path(out_dir) / TOKENS_FILE, 2, "token")
+    tokens = _load_npy(Path(out_dir) / TOKENS_FILE, 2, "token", check=_check_dump)
     if not meta_path.exists():
         raise DataError(f"metadata file not found: {meta_path}")
     try:

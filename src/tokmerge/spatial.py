@@ -19,8 +19,7 @@ from .core import (
     CompressionConfig,
     DataError,
     ProvenanceArrays,
-    _check_real,
-    _first_non_finite,
+    _check_dump,
     _group_mean,
 )
 from .temporal import TemporalMergeResult
@@ -82,12 +81,6 @@ def build_importance(
     if raw_scores.ndim != 2 or raw_scores.shape[1] != h * w:
         raise DataError(f"raw importance shape {raw_scores.shape} inconsistent with grid {h}x{w}")
     return ImportanceMap(raw_scores, _pool(raw_scores, (h, w), pg), (h, w), pg)
-
-
-def _check_dump(arr: np.ndarray, name: str) -> None:
-    _check_real(arr, name)
-    if (offset := _first_non_finite(arr)) is not None:
-        raise DataError(f"{name}: non-finite value at flat offset {offset}")
 
 
 def _finite_scores(raw: np.ndarray, names) -> np.ndarray:
@@ -307,54 +300,46 @@ def spatial_merge(
         scores = imp.token_scores()
         rate = target / survivors
 
-    # one block of (0-based frame, slot) arrays per selection or
-    # representative set. Sorted by (frame, slot), representatives keep the
-    # order they are made in, and so do their values and member blocks.
-    frames, slots, is_rep, rep_values, rep_counts, members = [], [], [], [], [], []
-    for seg in tmr.segments:
-        surv = seg.survivor_idx
-        red = seg.redundant_idx
-        f0, length = seg.start - 1, seg.length
-        seg_frames = np.arange(f0, f0 + length)
-        if surv.size:
-            if pass_through:
-                kept = np.broadcast_to(surv, (seg_frames.size, surv.size))
-            else:
-                keep = math.ceil(rate * surv.size)
-                kept = surv[attention_select(scores[seg_frames[:, None], surv], keep)]
-            frames.append(np.repeat(seg_frames, kept.shape[1]))
-            slots.append(kept.ravel())
-            is_rep.append(np.zeros(kept.size, dtype=bool))
+    # every output coordinate, and the representatives among them; these
+    # are made in (frame, slot) order, and so are their values and members
+    keep = np.zeros((b, n_v), dtype=bool)
+    rep = np.zeros((b, n_v), dtype=bool)
+    rep_values, rep_counts, members = [], [], []
+    first_row = 0
+    for (s, e), red_mask in zip(tmr.plan.segments(), tmr.redundant):
+        f0, length = s - 1, e - s
+        surv, red = np.flatnonzero(~red_mask), np.flatnonzero(red_mask)
+        if pass_through:
+            keep[f0 : e - 1] = ~red_mask
+        elif surv.size:
+            kept = attention_select(scores[f0 : e - 1, surv], math.ceil(rate * surv.size))
+            np.put_along_axis(keep[f0 : e - 1], surv[kept], True, axis=1)
         if red.size == 0:
             continue
-        values, centers = seg.merged_values, np.arange(red.size)
-        assignment = centers
+        values = tmr.merged_values[first_row : first_row + red.size]
+        first_row += red.size
+        centers = assignment = np.arange(red.size)
         if not pass_through:
-            n_red = int(red.size)
-            centers_wanted = math.ceil(rate * n_red)
-            k = cfg.knn_k if cfg.knn_k is not None else auto_knn_k(n_red)
-            k = min(max(k, 1), max(n_red - 1, 1))
-            state = dpc_knn_cluster(seg.merged_values, k, centers_wanted)
-            values, centers = merge_clusters(seg.merged_values, state)
+            k = cfg.knn_k if cfg.knn_k is not None else auto_knn_k(red.size)
+            state = dpc_knn_cluster(values, min(max(k, 1), max(red.size - 1, 1)),
+                                    math.ceil(rate * red.size))
+            values, centers = merge_clusters(values, state)
             assignment = state.assignment
         # each cluster's slots, center first, in every frame of the segment;
         # the center's own first-frame occurrence is the representative
         idx = np.arange(red.size)
         order = np.lexsort((idx, idx != assignment, assignment))
-        coords = np.stack((np.tile(seg_frames, red.size),
+        coords = np.stack((np.tile(np.arange(f0, e - 1), red.size),
                            np.repeat(red[order], length)), axis=1)
         members.append(np.delete(coords, np.flatnonzero(order == assignment[order]) * length,
                                  axis=0))
         rep_counts.append(np.bincount(assignment)[centers] * length - 1)
-        frames.append(np.full(centers.size, f0))
-        slots.append(red[centers])
-        is_rep.append(np.ones(centers.size, dtype=bool))
+        rep[f0, red[centers]] = True
         rep_values.append(values)
 
-    frames, slots, is_rep = (np.concatenate(x) for x in (frames, slots, is_rep))
-    order = np.lexsort((slots, frames))
-    frames, slots, is_rep = frames[order], slots[order], is_rep[order]
-
+    keep |= rep
+    frames, slots = np.nonzero(keep)
+    is_rep = rep[keep]
     # one gather from the stream at every output coordinate; representative
     # rows are then overwritten with their merged values
     tokens = stream.data.reshape(b * n_v, -1).take(frames * n_v + slots, axis=0)

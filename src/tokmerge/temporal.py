@@ -168,32 +168,29 @@ def optimal_segmentation(mask: np.ndarray) -> SegmentPlan:
 
 
 @dataclass(frozen=True)
-class SegmentMerge:
-    """Merged view of one segment [start, end), 1-based half-open.
+class TemporalMergeResult:
+    """A temporal merge as arrays, one row of ``redundant`` per segment of
+    ``plan.segments()``.
 
-    ``redundant_idx`` are the slots persistent across the whole segment
-    (empty for single-frame segments); ``merged_values`` are their
-    first-frame representatives after merging; ``survivor_idx`` is the
-    complement, which survives untouched in every frame of the segment.
+    ``redundant`` is a read-only (K, N_v) bool array set at the slots
+    persistent across each segment (never in a single-frame segment);
+    ``merged_values`` is a read-only (R, d) float32 array of their
+    first-frame representatives after merging, in ``np.nonzero(redundant)``
+    order. Every other slot survives untouched in every frame of its segment.
     """
 
-    start: int
-    end: int
-    redundant_idx: np.ndarray
+    stream: VideoTokenStream
+    plan: SegmentPlan
+    redundant: np.ndarray
     merged_values: np.ndarray
-    survivor_idx: np.ndarray
 
     @property
-    def length(self) -> int:
-        return self.end - self.start
+    def original_count(self) -> int:
+        return self.stream.frames * self.stream.tokens_per_frame
 
-
-@dataclass(frozen=True)
-class TemporalMergeResult:
-    stream: VideoTokenStream
-    segments: tuple[SegmentMerge, ...]
-    original_count: int
-    pruned_count: int
+    @property
+    def pruned_count(self) -> int:
+        return self.plan.total_gain
 
     @property
     def survivor_count(self) -> int:
@@ -212,7 +209,7 @@ def apply_temporal_merge(
     all occurrences in the segment: a float64 sum in frame order starting
     from +0.0 (so a slot whose occurrences are all -0.0 merges to +0.0),
     divided by the segment length and narrowed to float32. mode="first"
-    keeps it verbatim. The number of removed occurrences equals
+    keeps it verbatim. The number of removed occurrences must equal
     ``plan.total_gain``.
     """
     if mode not in TEMPORAL_MERGE_MODES:
@@ -223,49 +220,41 @@ def apply_temporal_merge(
         raise DataError(
             f"mask of shape {rows.shape} does not match stream {b}x{n_v}; "
             f"expected ({b - 1}, {n_v})")
-    if plan.boundaries[-1] != b + 1:
-        raise DataError(
-            f"plan covers {plan.boundaries[-1] - 1} frames, stream has {b}")
+    bounds = np.array(plan.boundaries)
+    if bounds[-1] != b + 1:
+        raise DataError(f"plan covers {bounds[-1] - 1} frames, stream has {b}")
 
-    data = stream.data
-    segments, means = [], []
-    pruned = 0
-    all_slots = np.arange(n_v)
-    for s, e in plan.segments():
-        red = (np.flatnonzero(rows[s - 1 : e - 2].all(axis=0)) if e - s > 1
-               else np.empty(0, dtype=np.int64))
-        surv = np.setdiff1d(all_slots, red, assume_unique=True)
-        if mode == "mean" and red.size:
-            merged = np.empty((red.size, stream.dim), dtype=np.float32)
-            means.append((s, e, red, merged))
-        else:
-            merged = data[s - 1, red, :]
-        pruned += red.size * (e - s - 1)
-        segments.append(SegmentMerge(start=s, end=e, redundant_idx=red,
-                                     merged_values=merged, survivor_idx=surv))
-
-    def mean_columns(lo, hi):
-        # each segment's slot span from red[0] to red[-1], summed in float64
-        # frame by frame from +0.0 (numpy's reduction does so unless a frame
-        # holds one value, which it sums pairwise; accumulate is sequential)
-        for s, e, red, out in means:
-            block = data[s - 1 : e - 1, red[0] : red[-1] + 1, lo:hi]
-            acc = (block.sum(axis=0, dtype=np.float64) if block[0].size > 1
-                   else 0.0 + np.add.accumulate(block, dtype=np.float64)[-1])
-            np.divide(acc[red - red[0]], e - s, out=out[:, lo:hi])
-    if means:
-        _split(stream.dim, mean_columns)
-    for seg in segments:
-        for arr in (seg.redundant_idx, seg.merged_values, seg.survivor_idx):
-            arr.setflags(write=False)
-
+    redundant = np.zeros((bounds.size - 1, n_v), dtype=bool)
+    for k, (s, e) in enumerate(plan.segments()):
+        if e - s > 1:
+            redundant[k] = rows[s - 1 : e - 2].all(axis=0)
+    pruned = int((np.diff(bounds) - 1) @ redundant.sum(axis=1))
     if pruned != plan.total_gain:
         raise DataError(
             f"pruned {pruned} occurrences but plan promised {plan.total_gain}; "
             "plan/mask mismatch")
-    return TemporalMergeResult(
-        stream=stream,
-        segments=tuple(segments),
-        original_count=b * n_v,
-        pruned_count=pruned,
-    )
+
+    data = stream.data
+    seg, slot = np.nonzero(redundant)
+    if mode == "first":
+        merged = data[bounds[seg] - 1, slot]
+    else:
+        merged = np.empty((seg.size, stream.dim), dtype=np.float32)
+        first_row = np.searchsorted(seg, np.arange(bounds.size))
+
+        def mean_rows(lo, hi):
+            # for each segment with merged rows in [lo, hi), the slot span of
+            # those rows, summed in float64 frame by frame from +0.0 (numpy's
+            # reduction does so unless a frame holds one value, which it sums
+            # pairwise; accumulate is sequential)
+            for k in np.unique(seg[lo:hi]):
+                r0, r1 = max(lo, first_row[k]), min(hi, first_row[k + 1])
+                s, e, red = bounds[k], bounds[k + 1], slot[r0:r1]
+                block = data[s - 1 : e - 1, red[0] : red[-1] + 1]
+                acc = (block.sum(axis=0, dtype=np.float64) if block[0].size > 1
+                       else 0.0 + np.add.accumulate(block, dtype=np.float64)[-1])
+                np.divide(acc[red - red[0]], e - s, out=merged[r0:r1])
+        _split(seg.size, mean_rows)
+    redundant.setflags(write=False)
+    merged.setflags(write=False)
+    return TemporalMergeResult(stream, plan, redundant, merged)

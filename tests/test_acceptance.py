@@ -195,13 +195,13 @@ def test_criterion_5_merge_conservation():
     plan = optimal_segmentation(mask)
     tmr = apply_temporal_merge(stream, plan, mask, "mean")
     checked = 0
-    for seg in tmr.segments:
-        if seg.redundant_idx.size == 0:
+    for s, e, red, merged in test_temporal.merged_segments(tmr):
+        if red.size == 0:
             continue
-        occ = stream.data[seg.start - 1 : seg.end - 1, seg.redundant_idx, :]
+        occ = stream.data[s - 1 : e - 1, red, :]
         expect = occ.astype(np.float64).mean(axis=0)
-        np.testing.assert_allclose(seg.merged_values, expect, rtol=1e-6)
-        checked += seg.redundant_idx.size
+        np.testing.assert_allclose(merged, expect, rtol=1e-6)
+        checked += red.size
     assert checked > 0
 
     # cluster representatives vs group means
@@ -258,9 +258,8 @@ def test_criterion_6_budget_and_tau():
         cfg = CompressionConfig(tau=0.8, target_ratio=ratio)
         cv = spatial_merge(tmr, imp, cfg)
         target = math.ceil(ratio * 16 * 12)
-        groups = sum((seg.survivor_idx.size > 0) * seg.length
-                     + (seg.redundant_idx.size > 0)
-                     for seg in tmr.segments)
+        red = tmr.redundant
+        groups = int(((~red).any(axis=1) * np.diff(plan.boundaries) + red.any(axis=1)).sum())
         assert target <= cv.count <= target + groups, (
             f"ratio {ratio}: {cv.count} outside [{target}, {target + groups}]")
 

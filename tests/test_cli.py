@@ -602,6 +602,41 @@ class TestFlops:
         assert json.loads(proc.stdout)["profile"] == "llava-ov-7b"
 
 
+class TestGridFlags:
+    @pytest.mark.parametrize("grid", ["0x6", "6x0", "-2x-3", "-1x6"])
+    @pytest.mark.parametrize("command", ["compress", "segment", "synth"])
+    def test_non_positive_grid_exit_1(self, tmp_path, capsys, command, grid):
+        _, _, tokens = write_corpus(tmp_path)
+        out = tmp_path / "out"
+        args = {"compress": ["--tokens", str(tokens), "--out", str(out)],
+                "segment": ["--tokens", str(tokens)],
+                "synth": ["--out", str(out), "--frames", "6", "--dim", "16",
+                          "--segments", "3:1.0,3:0.5"]}[command]
+        rc = main([command, *args, f"--grid={grid}"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == f"tokmerge: error: grid sides must be positive, got '{grid}'\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("pooled", ["0x3", "2x-1"])
+    def test_non_positive_pooled_grid_exit_1(self, tmp_path, capsys, pooled):
+        _, _, tokens = write_corpus(tmp_path)
+        out = tmp_path / "out"
+        rc = main(["compress", "--tokens", str(tokens), "--grid", "2x3",
+                   f"--pooled-grid={pooled}", "--out", str(out)])
+        assert rc == 1
+        assert f"grid sides must be positive, got '{pooled}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["compress", "segment"])
+    def test_positive_grid_not_tiling_exit_2(self, tmp_path, capsys, command):
+        _, _, tokens = write_corpus(tmp_path)
+        extra = ["--out", str(tmp_path / "out")] if command == "compress" else []
+        rc = main([command, "--tokens", str(tokens), "--grid", "3x3", *extra])
+        assert rc == 2
+        assert "grid 3x3 does not tile 6 tokens per frame" in capsys.readouterr().err
+
+
 class TestSynthAndReport:
     def test_synth_writes_corpus(self, tmp_path):
         out = tmp_path / "synth"

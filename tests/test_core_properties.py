@@ -172,10 +172,10 @@ def test_spatial_merge_covers_every_token_once_or_drops_it(pipeline):
     rep = "temporal_rep" if pass_through else "cluster_rep"
     assert set(pa.kinds.tolist()) <= {0, PROVENANCE_KINDS.index(rep)}
     dropped = set()
-    for seg in tmr.segments:
-        surv = seg.survivor_idx
+    for (s, e), red in zip(tmr.plan.segments(), tmr.redundant):
+        surv = np.flatnonzero(~red)
         keep = surv.size if pass_through else math.ceil(target / tmr.survivor_count * surv.size)
-        for f in range(seg.start - 1, seg.end - 1):
+        for f in range(s - 1, e - 1):
             selected = pa.slots[pa.frames == f]
             lost = np.setdiff1d(surv, selected)
             assert lost.size == surv.size - keep

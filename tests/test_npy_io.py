@@ -154,6 +154,24 @@ class TestBadFiles:
         with pytest.raises(DataError, match=f"^malformed array file {bad}: "):
             load_compressed(tmp_path)
 
+    @pytest.mark.parametrize("dtype", [np.complex64, "<U12"])
+    def test_load_compressed_non_real_tokens_names_file(self, tmp_path, dtype):
+        save_compressed(*small_output(), tmp_path)
+        path = tmp_path / "tokens.npy"
+        np.save(path, np.arange(6).reshape(3, 2).astype(dtype))
+        with pytest.raises(DataError, match=(
+                rf"^{path}: dtype {np.dtype(dtype)}, expected real values$")):
+            load_compressed(tmp_path)
+
+    def test_load_compressed_nan_token_names_file_and_offset(self, tmp_path):
+        cv, report = small_output()
+        tok = cv.tokens.copy()
+        tok[2, 1] = np.nan
+        save_compressed(CompressedVideo(tok, cv.provenance_arrays), report, tmp_path)
+        path = tmp_path / "tokens.npy"
+        with pytest.raises(DataError, match=rf"^{path}: non-finite value at flat offset 5$"):
+            load_compressed(tmp_path)
+
     def test_missing_dump_named(self, tmp_path, capsys):
         good = tmp_path / "good.npy"
         np.save(good, tokens())

@@ -22,6 +22,7 @@ from tokmerge import (
     pairwise_redundancy,
     spatial_merge,
 )
+from test_temporal import merged_segments
 
 
 # ---------------------------------------------------------------------------
@@ -489,9 +490,8 @@ def test_budget_adherence_mixed_instance():
     cfg = CompressionConfig(target_ratio=0.25)
     cv = spatial_merge(tmr, imp, cfg)
     target = math.ceil(0.25 * 4 * 16)
-    groups = sum((seg.survivor_idx.size > 0) * seg.length
-                 + (seg.redundant_idx.size > 0)
-                 for seg in tmr.segments)
+    red = tmr.redundant
+    groups = int(((~red).any(axis=1) * np.diff(tmr.plan.boundaries) + red.any(axis=1)).sum())
     assert target <= cv.count <= target + groups
 
 
@@ -546,10 +546,10 @@ def test_cluster_representatives_at_center_slots():
     cv = spatial_merge(tmr, imp, cfg)
     reps = [p for p in cv.provenance if p.kind == "cluster_rep"]
     assert reps, "expected cluster representatives in this construction"
-    seg = tmr.segments[0]
+    start, _ = tmr.plan.segments()[0]
     for p in reps:
-        assert p.frame == seg.start - 1
-        assert p.spatial_index in set(seg.redundant_idx)
+        assert p.frame == start - 1
+        assert tmr.redundant[0, p.spatial_index]
         assert p.members  # absorbed occurrences recorded
 
 
@@ -561,28 +561,28 @@ def reassembly_oracle(tmr, imp, cfg):
     pass_through = tmr.survivor_count <= target
     rate = target / tmr.survivor_count
     entries = []
-    for seg in tmr.segments:
-        def absorbed(slot, seg=seg):
-            return [(f, int(slot)) for f in range(seg.start, seg.end - 1)]
-        for f0 in range(seg.start - 1, seg.end - 1):
-            kept = seg.survivor_idx
+    for start, end, red, merged in merged_segments(tmr):
+        def absorbed(slot, start=start, end=end):
+            return [(f, int(slot)) for f in range(start, end - 1)]
+        for f0 in range(start - 1, end - 1):
+            kept = np.setdiff1d(np.arange(n_v), red)
             if not pass_through and kept.size:
                 scores = imp.token_scores()[f0, kept]
                 kept = kept[attention_select(scores, math.ceil(rate * kept.size))]
             for slot in kept:
                 entries.append((f0, int(slot), stream.data[f0, slot], "selected", []))
-        red, f0 = seg.redundant_idx, seg.start - 1
+        f0 = start - 1
         if red.size == 0:
             continue
         if pass_through:
             for pos, slot in enumerate(red):
-                entries.append((f0, int(slot), seg.merged_values[pos],
+                entries.append((f0, int(slot), merged[pos],
                                 "temporal_rep", absorbed(slot)))
             continue
         k = cfg.knn_k or min(max(2, math.isqrt(red.size)), red.size - 1)
-        state = dpc_knn_cluster(seg.merged_values, min(max(k, 1), max(red.size - 1, 1)),
+        state = dpc_knn_cluster(merged, min(max(k, 1), max(red.size - 1, 1)),
                                 math.ceil(rate * red.size))
-        reps, centers = merge_clusters(seg.merged_values, state)
+        reps, centers = merge_clusters(merged, state)
         for rep, center in zip(reps, centers):
             members = absorbed(red[center])
             for m in range(red.size):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import test_golden
-from test_temporal import reference_merged_values
+from test_temporal import merged_segments, reference_merged_values
 from tokmerge import (
     VideoTokenStream,
     apply_temporal_merge,
@@ -90,11 +90,17 @@ def bits(arr):
 
 
 def run_passes(data, tau, rows=None):
-    """sq_norms, redundancy mask and mean-mode merged values of one stream."""
+    """sq_norms, redundancy mask and mean-mode temporal merge of one stream."""
     stream = VideoTokenStream(data, (1, data.shape[1]))
     mask = pairwise_redundancy(stream, tau) if rows is None else rows
-    tmr = apply_temporal_merge(stream, optimal_segmentation(mask), mask, "mean")
-    return stream.sq_norms, mask, tmr.segments
+    return stream.sq_norms, mask, apply_temporal_merge(
+        stream, optimal_segmentation(mask), mask, "mean")
+
+
+def assert_merged_like_reference(data, tmr):
+    for s, e, red, merged in merged_segments(tmr):
+        np.testing.assert_array_equal(
+            bits(merged), bits(reference_merged_values(data, s, e, red, "mean")))
 
 
 # (frames, slots, dim): B in {1, 2, 3}, N_v = 1 and d = 1 among them
@@ -116,13 +122,11 @@ class TestBitIdentity:
         force_workers(1)
         np.testing.assert_array_equal(
             bits(results[0][0]), bits(np.einsum("bkd,bkd->bk", data, data)))
-        for norms, mask, segments in results:
+        for norms, mask, tmr in results:
             np.testing.assert_array_equal(bits(norms), bits(results[0][0]))
             np.testing.assert_array_equal(mask, results[0][1])
-            assert len(segments) == len(results[0][2])
-            for seg in segments:
-                np.testing.assert_array_equal(bits(seg.merged_values), bits(
-                    reference_merged_values(data, seg.start, seg.end, seg.redundant_idx, "mean")))
+            np.testing.assert_array_equal(tmr.redundant, results[0][2].redundant)
+            assert_merged_like_reference(data, tmr)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("n_v, slot", [(1, 0), (5, 3)])
@@ -138,19 +142,58 @@ class TestBitIdentity:
         rows[1:, slot] = True
         for workers in WORKER_COUNTS:
             force_workers(workers)
-            seg = run_passes(data, 0.5, rows)[2][-1]
-            assert (seg.start, seg.end) == (2, 21)
-            np.testing.assert_array_equal(seg.redundant_idx, [slot])
-            np.testing.assert_array_equal(bits(seg.merged_values), bits(
-                reference_merged_values(data, seg.start, seg.end, [slot], "mean")))
+            s, e, red, merged = merged_segments(run_passes(data, 0.5, rows)[2])[-1]
+            assert (s, e) == (2, 21)
+            np.testing.assert_array_equal(red, [slot])
+            np.testing.assert_array_equal(bits(merged), bits(
+                reference_merged_values(data, s, e, [slot], "mean")))
+
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    def test_piece_cut_inside_a_segment(self, force_workers, workers):
+        """Segments [1, 9) and [9, 21) merge 5 and 7 slots: every cut of the
+        12 merged rows into 2, 3 or 4 pieces falls inside a segment, whose
+        rows are then summed by two pieces. The first two occurrences of
+        each merged slot cancel, so any other order loses the later terms."""
+        rng = np.random.default_rng(workers)
+        data = rng.standard_normal((20, 9, 6)).astype(np.float32)
+        rows = np.zeros((19, 9), dtype=bool)
+        rows[0:7, [0, 2, 3, 5, 8]] = True
+        rows[8:19, [1, 2, 3, 4, 6, 7, 8]] = True
+        for f in (0, 8):
+            big = np.float32(1e30) * rng.standard_normal((9, 6)).astype(np.float32)
+            data[f], data[f + 1] = big, -big
+        force_workers(workers)
+        tmr = run_passes(data, 0.5, rows)[2]
+        assert tmr.plan.boundaries == (1, 9, 21)
+        first_rows = np.cumsum([0, *tmr.redundant.sum(axis=1)])
+        assert first_rows.tolist() == [0, 5, 12]
+        for cut in (12 * i // workers for i in range(1, workers)):
+            assert cut not in first_rows
+        assert_merged_like_reference(data, tmr)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_single_row_pieces_at_d_1(self, force_workers, workers):
+        """d = 1 and three merged slots over 19 frames: some piece holds a
+        single merged row, a one-value-per-frame block that numpy's
+        reduction would sum pairwise."""
+        rng = np.random.default_rng(10 + workers)
+        data = rng.standard_normal((20, 5, 1)).astype(np.float32)
+        data[1, [0, 2, 3]], data[2, [0, 2, 3]] = np.float32(1e30), np.float32(-1e30)
+        rows = np.zeros((19, 5), dtype=bool)
+        rows[1:, [0, 2, 3]] = True
+        force_workers(workers)
+        tmr = run_passes(data, 0.5, rows)[2]
+        assert tmr.plan.boundaries == (1, 2, 21)
+        assert tmr.merged_values.shape == (3, 1)
+        assert_merged_like_reference(data, tmr)
 
     def test_more_workers_than_cores_with_frequent_switches(self, force_workers):
         """Eight workers and a 1 us switch interval: each piece still lands
         in its own slice of the shared outputs, every time."""
         data = np.random.default_rng(8).standard_normal((37, 11, 19)).astype(np.float32)
         force_workers(1)
-        norms, mask, segments = run_passes(data, 0.0)
-        assert sum(seg.redundant_idx.size for seg in segments) > 5
+        norms, mask, tmr = run_passes(data, 0.0)
+        assert tmr.merged_values.shape[0] > 5
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -159,8 +202,8 @@ class TestBitIdentity:
                 got = run_passes(data, 0.0)
                 np.testing.assert_array_equal(bits(got[0]), bits(norms))
                 np.testing.assert_array_equal(got[1], mask)
-                for a, b in zip(got[2], segments, strict=True):
-                    np.testing.assert_array_equal(bits(a.merged_values), bits(b.merged_values))
+                np.testing.assert_array_equal(got[2].redundant, tmr.redundant)
+                np.testing.assert_array_equal(bits(got[2].merged_values), bits(tmr.merged_values))
         finally:
             sys.setswitchinterval(interval)
 

@@ -103,6 +103,14 @@ def reference_merged_values(data, s, e, red, mode):
     return (acc / (e - s)).astype(np.float32)
 
 
+def merged_segments(tmr):
+    """(start, end, redundant slots, merged values) of each segment of a
+    TemporalMergeResult, cut from its arrays."""
+    cuts = np.cumsum(tmr.redundant.sum(axis=1))[:-1]
+    return [(s, e, np.flatnonzero(row), values) for (s, e), row, values
+            in zip(tmr.plan.segments(), tmr.redundant, np.split(tmr.merged_values, cuts))]
+
+
 def random_rows(rng, b, n_v):
     return rng.random((b - 1, n_v)) < rng.uniform(0.1, 0.95)
 
@@ -327,9 +335,8 @@ class TestApplyTemporalMerge:
         data = np.broadcast_to(frame, (5, 4, 8)).copy()
         _, plan, tmr = self._merge(data, (2, 2), 0.8, "first")
         assert plan.boundaries == (1, 6)
-        seg = tmr.segments[0]
-        assert seg.survivor_idx.size == 0
-        np.testing.assert_array_equal(seg.merged_values, frame)
+        assert tmr.redundant.all()
+        np.testing.assert_array_equal(tmr.merged_values, frame)
         assert tmr.survivor_count == 4
 
     def test_first_mode_keeps_first_occurrence(self):
@@ -339,15 +346,14 @@ class TestApplyTemporalMerge:
                          for _ in range(5)])
         stream, plan, tmr = self._merge(data, (2, 3), 0.8, "first")
         assert plan.total_gain > 0
-        for seg in tmr.segments:
-            np.testing.assert_array_equal(
-                seg.merged_values, stream.data[seg.start - 1, seg.redundant_idx])
+        for start, _, red, merged in merged_segments(tmr):
+            np.testing.assert_array_equal(merged, stream.data[start - 1, red])
 
     def test_identical_frames_mean_mode_same_values(self):
         frame = np.random.default_rng(4).standard_normal((4, 8)).astype(np.float32)
         data = np.broadcast_to(frame, (5, 4, 8)).copy()
         _, _, tmr = self._merge(data, (2, 2), 0.8, "mean")
-        np.testing.assert_allclose(tmr.segments[0].merged_values, frame, rtol=1e-6)
+        np.testing.assert_allclose(tmr.merged_values, frame, rtol=1e-6)
 
     def test_three_frame_arithmetic_mean(self):
         """Values v, v+eps, v+2eps above tau merge to v+eps under mode=mean."""
@@ -357,7 +363,7 @@ class TestApplyTemporalMerge:
         _, plan, tmr = self._merge(data, (1, 1), 0.8, "mean")
         assert plan.total_gain == 2
         np.testing.assert_allclose(
-            tmr.segments[0].merged_values[0], v + eps, rtol=1e-6)
+            tmr.merged_values[0], v + eps, rtol=1e-6)
 
     def test_mean_conservation_on_random_segments(self):
         """Merged values equal the direct mean of absorbed occurrences."""
@@ -366,21 +372,56 @@ class TestApplyTemporalMerge:
         data = np.stack([base + 0.01 * rng.standard_normal((6, 12)).astype(np.float32)
                          for _ in range(7)])
         stream, plan, tmr = self._merge(data, (2, 3), 0.8, "mean")
-        for seg in tmr.segments:
-            occ = stream.data[seg.start - 1 : seg.end - 1, seg.redundant_idx, :]
+        for start, end, red, merged in merged_segments(tmr):
+            occ = stream.data[start - 1 : end - 1, red, :]
             expect = occ.astype(np.float64).mean(axis=0)
-            np.testing.assert_allclose(seg.merged_values, expect, rtol=1e-6)
+            np.testing.assert_allclose(merged, expect, rtol=1e-6)
 
     def test_count_identity(self):
         rng = np.random.default_rng(23)
         data = rng.standard_normal((8, 9, 6)).astype(np.float32)
         data[2:5] = data[1]  # plant a redundant run
         stream, plan, tmr = self._merge(data, (3, 3), 0.9, "mean")
-        survivors = sum(seg.redundant_idx.size
-                        + seg.length * seg.survivor_idx.size
-                        for seg in tmr.segments)
+        survivors = sum(red.size + (e - s) * (tmr.stream.tokens_per_frame - red.size)
+                        for s, e, red, _ in merged_segments(tmr))
         assert survivors == tmr.survivor_count
         assert tmr.original_count - survivors == plan.total_gain
+
+    @pytest.mark.parametrize("mode", ["mean", "first"])
+    def test_result_arrays(self, mode):
+        """One read-only redundant row per segment, unset in single-frame
+        segments; one read-only merged row per set entry, in nonzero order."""
+        rng = np.random.default_rng(24)
+        rows = random_rows(rng, 12, 7)
+        rows[4:6] = False  # frame 6 shares no slot with either neighbour
+        stream = random_stream(rng, b=12, n_v=7, d=5)
+        plan = optimal_segmentation(rows)
+        tmr = apply_temporal_merge(stream, plan, rows, mode)
+        assert (6, 7) in plan.segments()
+        assert tmr.redundant.dtype == bool
+        assert tmr.redundant.shape == (plan.n_segments, 7)
+        for (s, e), row in zip(plan.segments(), tmr.redundant):
+            np.testing.assert_array_equal(row, e - s > 1 and rows[s - 1 : e - 2].all(axis=0))
+        seg, slot = np.nonzero(tmr.redundant)
+        assert tmr.merged_values.dtype == np.float32
+        assert tmr.merged_values.shape == (seg.size, 5)
+        starts = np.array(plan.boundaries)[seg]
+        for row, (s, e, k) in enumerate(zip(starts, np.array(plan.boundaries)[seg + 1], slot)):
+            np.testing.assert_array_equal(tmr.merged_values[row],
+                                          reference_merged_values(stream.data, s, e, [k], mode)[0])
+        assert tmr.pruned_count == plan.total_gain
+        assert tmr.survivor_count == 12 * 7 - plan.total_gain
+        for arr in (tmr.redundant, tmr.merged_values):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    def test_plan_from_another_mask_rejected(self):
+        rows = np.zeros((5, 3), dtype=bool)
+        rows[:, 0] = True
+        plan = optimal_segmentation(rows)
+        stream = random_stream(np.random.default_rng(25), b=6, n_v=3)
+        with pytest.raises(DataError, match="pruned 0 occurrences but plan promised 5"):
+            apply_temporal_merge(stream, plan, np.zeros_like(rows), "mean")
 
     def test_dimension_mismatch_rejected(self):
         stream = random_stream(np.random.default_rng(5), b=4)
@@ -430,10 +471,10 @@ class TestMergedValuesBitExact:
         rows[1:, red] = True
         plan = optimal_segmentation(rows)
         tmr = apply_temporal_merge(VideoTokenStream(data, (1, n_v)), plan, rows, mode)
-        seg = tmr.segments[-1]
-        assert (seg.start, seg.end) == ((2 if len(red) else 1), b + 1)
-        np.testing.assert_array_equal(seg.redundant_idx, red)
-        return seg
+        start, end, slots, merged = merged_segments(tmr)[-1]
+        assert (start, end) == ((2 if len(red) else 1), b + 1)
+        np.testing.assert_array_equal(slots, red)
+        return start, end, merged
 
     @staticmethod
     def assert_bits_equal(a, b):
@@ -464,9 +505,8 @@ class TestMergedValuesBitExact:
         data[:, [4, 11]] = rng.standard_normal((length + 1, 2, d))
         big = np.float32(1e30) * rng.standard_normal(d).astype(np.float32)
         data[1, [4, 11]], data[2, [4, 11]] = big, -big
-        seg = self.merge_segment(data, red, "mean")
-        self.assert_bits_equal(
-            seg.merged_values, reference_merged_values(data, seg.start, seg.end, red, "mean"))
+        start, end, merged = self.merge_segment(data, red, "mean")
+        self.assert_bits_equal(merged, reference_merged_values(data, start, end, red, "mean"))
 
     @pytest.mark.parametrize("length", [2, 3, 9, 33, 129, 300])
     def test_signed_zero_slots(self, length):
@@ -479,10 +519,8 @@ class TestMergedValuesBitExact:
                               np.float32(0.0))
         data[:, 4, 0] = np.float32(-0.0)  # one all -0.0 component in the mixed slot
         red = np.array([1, 2, 4])
-        seg = self.merge_segment(data, red, "mean")
-        self.assert_bits_equal(
-            seg.merged_values, reference_merged_values(data, seg.start, seg.end, red, "mean"))
-        merged = seg.merged_values
+        start, end, merged = self.merge_segment(data, red, "mean")
+        self.assert_bits_equal(merged, reference_merged_values(data, start, end, red, "mean"))
         assert not np.signbit(merged[0]).any() and not np.signbit(merged[2]).any()
 
     @pytest.mark.parametrize("length", [2, 9, 300])
@@ -490,6 +528,5 @@ class TestMergedValuesBitExact:
         rng = np.random.default_rng(200 + length)
         data = self.scaled_tokens(rng, length + 1, 10, 4)
         red = np.array([0, 2, 3, 9])
-        seg = self.merge_segment(data, red, "first")
-        self.assert_bits_equal(
-            seg.merged_values, reference_merged_values(data, seg.start, seg.end, red, "first"))
+        start, end, merged = self.merge_segment(data, red, "first")
+        self.assert_bits_equal(merged, reference_merged_values(data, start, end, red, "first"))
