@@ -21,7 +21,6 @@ from .core import (
     load_compressed,
     load_token_stream,
     save_compressed,
-    save_stream,
     validate_config,
 )
 from .cost import (
@@ -46,7 +45,6 @@ from .spatial import (
     ClusterState,
     ImportanceMap,
     attention_select,
-    build_importance,
     dpc_knn_cluster,
     importance_from_attention,
     importance_from_qk,
@@ -60,7 +58,6 @@ from .temporal import (
     apply_temporal_merge,
     optimal_segmentation,
     pairwise_redundancy,
-    segment_gain,
 )
 
 __version__ = "0.1.0"
@@ -86,7 +83,6 @@ __all__ = [
     "VideoTokenStream",
     "apply_temporal_merge",
     "attention_select",
-    "build_importance",
     "compress",
     "decode_flops",
     "dpc_knn_cluster",
@@ -106,8 +102,6 @@ __all__ = [
     "rank_by_last_attention",
     "retained_for_ratio",
     "save_compressed",
-    "save_stream",
-    "segment_gain",
     "similarity_assign",
     "spatial_merge",
     "validate_config",

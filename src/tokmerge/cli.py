@@ -97,10 +97,10 @@ def _config_from_args(args) -> CompressionConfig:
 
 def _dump_check(shape: tuple, grid: tuple[int, int]):
     """_load_npy check for an importance dump's ``shape`` (None matches any
-    length); the importance functions reject non-finite values."""
+    positive length); the importance functions reject non-finite values."""
     def check(arr):
-        if any(n not in (None, m) for n, m in zip(shape, arr.shape)):
-            expect = ", ".join("d" if n is None else str(n) for n in shape)
+        if any(m < 1 if n is None else m != n for n, m in zip(shape, arr.shape)):
+            expect = ", ".join("d >= 1" if n is None else str(n) for n in shape)
             raise DataError(f"shape {arr.shape}, expected ({expect}) for "
                             f"{shape[0]} frames on grid {grid[0]}x{grid[1]}")
         return arr

@@ -239,11 +239,6 @@ def load_token_stream(path, grid: tuple[int, int]) -> VideoTokenStream:
     return _load_npy(path, 3, "token", stream)
 
 
-def save_stream(stream: VideoTokenStream, path) -> None:
-    """Write the stream's token array as a ``.npy`` file (suffix added if missing)."""
-    replace_file(path if str(path).endswith(".npy") else f"{path}.npy", stream.data)
-
-
 # ---------------------------------------------------------------------------
 # Configuration
 # ---------------------------------------------------------------------------
@@ -618,11 +613,20 @@ def save_compressed(cv: CompressedVideo, report: CompressionReport, out_dir) -> 
 def load_compressed(out_dir) -> tuple[CompressedVideo, CompressionReport]:
     """Read a directory written by save_compressed.
 
-    Provenance coordinates must be JSON integers and members [frame, slot]
-    pairs; a violation raises DataError naming the file and the field.
+    Tokens must be real and finite, and within float32 range; provenance
+    coordinates must be JSON integers and members [frame, slot] pairs. A
+    violation raises DataError naming the file (and the field or offset).
     """
+    def float32_tokens(arr):
+        _check_dump(arr)
+        with np.errstate(over="ignore"):
+            narrowed = np.asarray(arr, dtype=np.float32)
+        if narrowed is not arr and (offset := _first_non_finite(narrowed)) is not None:
+            raise DataError(f"value out of float32 range at flat offset {offset}")
+        return narrowed
+
     meta_path = Path(out_dir) / META_FILE
-    tokens = _load_npy(Path(out_dir) / TOKENS_FILE, 2, "token", check=_check_dump)
+    tokens = _load_npy(Path(out_dir) / TOKENS_FILE, 2, "token", check=float32_tokens)
     if not meta_path.exists():
         raise DataError(f"metadata file not found: {meta_path}")
     try:

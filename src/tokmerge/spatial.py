@@ -33,15 +33,32 @@ def _bin_edges(size: int, bins: int) -> np.ndarray:
     return np.array([(i * size) // bins for i in range(bins + 1)], dtype=np.int64)
 
 
-def _pool(raw: np.ndarray, grid: tuple[int, int], pooled_grid: tuple[int, int]) -> np.ndarray:
-    """(B, Hp, Wp) adaptive average pooling of (B, H*W) scores on an H x W grid.
+@dataclass(frozen=True)
+class ImportanceMap:
+    """Per-frame token importance: ``scores`` is a read-only (B, N_v) float64
+    array scoring each slot by its bin of ``pooled_grid``; made by
+    importance_from_attention and importance_from_qk."""
 
-    Output bin (i, j) averages rows [floor(i*H/Hp), floor((i+1)*H/Hp)) and
-    the analogous column span; bins are non-empty and tile the grid. A bin's
+    scores: np.ndarray
+    pooled_grid: tuple[int, int]
+
+
+def _importance(raw: np.ndarray, grid, pooled_grid, names) -> ImportanceMap:
+    """ImportanceMap of (B, H*W) raw scores on an H x W grid, adaptive-average
+    pooled to ``pooled_grid`` (default: the grid) and spread back over the
+    slots of each bin; DataError naming the dumps when float64 arithmetic
+    on their finite values overflowed.
+
+    Bin (i, j) averages rows [floor(i*H/Hp), floor((i+1)*H/Hp)) and the
+    analogous column span; bins are non-empty and tile the grid. A bin's
     sum over every frame at once, divided by its cell count, has the bits of
     its mean; pooling to the grid itself turns a -0.0 score into +0.0.
     """
-    (h, w), (hp, wp) = grid, pooled_grid
+    if not np.isfinite(raw).all():
+        raise DataError(f"{', '.join(names)}: raw importance overflows float64")
+    (h, w), (hp, wp) = grid, tuple(pooled_grid or grid)
+    if raw.shape[1] != h * w:
+        raise DataError(f"raw importance shape {raw.shape} inconsistent with grid {h}x{w}")
     if not (1 <= hp <= h and 1 <= wp <= w):
         raise DataError(f"pooled grid {hp}x{wp} invalid for raw grid {h}x{w}")
     g = raw.reshape(-1, h, w)
@@ -50,45 +67,11 @@ def _pool(raw: np.ndarray, grid: tuple[int, int], pooled_grid: tuple[int, int]) 
     for i in range(hp):
         for j in range(wp):
             sums[:, i, j] = g[:, re[i] : re[i + 1], ce[j] : ce[j + 1]].sum(axis=(1, 2))
-    return sums / np.outer(np.diff(re), np.diff(ce))
-
-
-@dataclass(frozen=True)
-class ImportanceMap:
-    """Per-frame token importance at raw and pooled resolution; made by
-    build_importance, which checks the shapes."""
-
-    raw: np.ndarray      # (B, N_v)
-    pooled: np.ndarray   # (B, Hp, Wp)
-    grid: tuple[int, int]
-    pooled_grid: tuple[int, int]
-
-    def token_scores(self) -> np.ndarray:
-        """(B, N_v) selection scores: each slot scored by its pooled bin."""
-        (h, w), (hp, wp) = self.grid, self.pooled_grid
-        rows = np.repeat(self.pooled, np.diff(_bin_edges(h, hp)), axis=1)
-        return np.repeat(rows, np.diff(_bin_edges(w, wp)), axis=2).reshape(-1, h * w)
-
-
-def build_importance(
-    raw_scores: np.ndarray,
-    grid: tuple[int, int],
-    pooled_grid: tuple[int, int] | None = None,
-) -> ImportanceMap:
-    """Assemble an ImportanceMap from per-frame raw scores (B, N_v)."""
-    raw_scores = np.asarray(raw_scores, dtype=np.float64)
-    (h, w), pg = grid, tuple(pooled_grid or grid)
-    if raw_scores.ndim != 2 or raw_scores.shape[1] != h * w:
-        raise DataError(f"raw importance shape {raw_scores.shape} inconsistent with grid {h}x{w}")
-    return ImportanceMap(raw_scores, _pool(raw_scores, (h, w), pg), (h, w), pg)
-
-
-def _finite_scores(raw: np.ndarray, names) -> np.ndarray:
-    """``raw``, or DataError naming the dumps when float64 arithmetic on
-    their finite values overflowed."""
-    if not np.isfinite(raw).all():
-        raise DataError(f"{', '.join(names)}: raw importance overflows float64")
-    return raw
+    pooled = sums / np.outer(np.diff(re), np.diff(ce))
+    scores = np.repeat(np.repeat(pooled, np.diff(re), axis=1), np.diff(ce), axis=2)
+    scores = scores.reshape(-1, h * w)
+    scores.setflags(write=False)
+    return ImportanceMap(scores, (hp, wp))
 
 
 def importance_from_attention(attn: np.ndarray, grid, pooled_grid=None, *,
@@ -104,7 +87,7 @@ def importance_from_attention(attn: np.ndarray, grid, pooled_grid=None, *,
     _check_dump(attn, name)
     with np.errstate(over="ignore"):
         raw = attn.mean(axis=1, dtype=np.float64)
-    return build_importance(_finite_scores(raw, (name,)), grid, pooled_grid)
+    return _importance(raw, grid, pooled_grid, (name,))
 
 
 def importance_from_qk(q: np.ndarray, k: np.ndarray, grid, pooled_grid=None, *,
@@ -130,26 +113,28 @@ def importance_from_qk(q: np.ndarray, k: np.ndarray, grid, pooled_grid=None, *,
             e = np.exp(logits)
             e /= e.sum(axis=1, keepdims=True)
             raw[f] = e.mean(axis=0)
-    return build_importance(_finite_scores(raw, names), grid, pooled_grid)
+    return _importance(raw, grid, pooled_grid, names)
 
 
 # ---------------------------------------------------------------------------
 # Selection and clustering
 # ---------------------------------------------------------------------------
 
-def attention_select(scores: np.ndarray, keep: int) -> np.ndarray:
-    """Ascending indices of the ``keep`` largest scores (ties: smaller index).
-
-    Selects along the last axis, so a 2-D array selects in every row.
+def attention_select(scores: np.ndarray, keep) -> np.ndarray:
+    """Bool mask of the ``keep`` largest scores along the last axis (ties:
+    smaller index); ``keep`` is one count, or one count per row.
     """
     scores = np.asarray(scores, dtype=np.float64)
+    keep = np.asarray(keep, dtype=np.int64)
     n = scores.shape[-1]
-    if keep > n:
-        raise DataError(f"cannot keep {keep} of {n} tokens")
-    if keep < 0:
-        raise DataError(f"keep must be non-negative, got {keep}")
-    order = np.argsort(-scores, axis=-1, kind="stable")[..., :keep]
-    return np.sort(order, axis=-1)
+    if (keep > n).any():
+        raise DataError(f"cannot keep {keep.max()} of {n} tokens")
+    if (keep < 0).any():
+        raise DataError(f"keep must be non-negative, got {keep.min()}")
+    order = np.argsort(-scores, axis=-1, kind="stable")
+    rank = np.empty_like(order)
+    np.put_along_axis(rank, order, np.arange(n), axis=-1)
+    return rank < keep[..., None]
 
 
 @dataclass(frozen=True)
@@ -279,75 +264,70 @@ def spatial_merge(
     target = math.ceil(cfg.target_ratio * b * n_v)
     survivors = tmr.survivor_count
     pass_through = survivors <= target
+    bounds = np.array(tmr.plan.boundaries)
+    length = np.diff(bounds)
+    # each frame's row of tmr.redundant
+    red_frames = tmr.redundant[np.repeat(np.arange(length.size), length)]
+    # merged row i of segment seg[i] at slot slot[i] joins the cluster of
+    # merged row center[i]; a center is its own
+    seg, slot = np.nonzero(tmr.redundant)
+    rows = np.arange(seg.size)
+    center = rows.copy()
+    values = tmr.merged_values
 
-    if not pass_through:
+    if pass_through:
+        keep = ~red_frames
+    else:
         if imp is None:
             raise DataError(
                 "spatial compression requires attention importance "
                 f"(survivors {survivors} > target {target})")
-        if imp.raw.shape != (b, n_v):
+        # finite, so that no survivor ranks below the merged slots' -inf
+        if imp.scores.shape != (b, n_v) or not np.isfinite(imp.scores).all():
             raise DataError(
-                f"importance shape {imp.raw.shape} does not match stream "
-                f"{b}x{n_v}")
-        if imp.grid != stream.grid:
-            raise DataError(
-                f"importance grid {imp.grid} does not match stream grid "
-                f"{stream.grid}")
+                f"importance scores must be finite and match stream {b}x{n_v}, "
+                f"got shape {imp.scores.shape}")
         if cfg.pooled_grid is not None and imp.pooled_grid != cfg.pooled_grid:
             raise DataError(
                 f"importance pooled to {imp.pooled_grid} but config asks for "
                 f"{cfg.pooled_grid}")
-        scores = imp.token_scores()
         rate = target / survivors
+        keep = attention_select(np.where(red_frames, -np.inf, imp.scores),
+                                np.ceil(rate * (n_v - red_frames.sum(axis=1))))
+        reps = [values[:0]]
+        _, firsts, sizes = np.unique(seg, return_index=True, return_counts=True)
+        for lo, n in zip(firsts.tolist(), sizes.tolist()):
+            k = cfg.knn_k if cfg.knn_k is not None else auto_knn_k(n)
+            state = dpc_knn_cluster(values[lo : lo + n], min(max(k, 1), max(n - 1, 1)),
+                                    math.ceil(rate * n))
+            reps.append(merge_clusters(values[lo : lo + n], state)[0])
+            center[lo : lo + n] = lo + state.assignment
+        values = np.concatenate(reps)
 
-    # every output coordinate, and the representatives among them; these
-    # are made in (frame, slot) order, and so are their values and members
-    keep = np.zeros((b, n_v), dtype=bool)
+    # every member occurrence, cluster by cluster: the center's row, then the
+    # other rows ascending, each in every frame of its segment, less the
+    # center's first-frame occurrence, which is the representative
+    is_center = center == rows
+    order = np.lexsort((rows, ~is_center, center))
+    skip = is_center[order]
+    span = length[seg[order]] - skip
+    # entry i of the flat member list, a row's occurrence, lies in frame first[row] + i
+    first = bounds[seg[order]] - 1 + skip - (np.cumsum(span) - span)
+    members = np.stack((np.repeat(first, span) + np.arange(span.sum()),
+                        np.repeat(slot[order], span)), axis=1)
+
     rep = np.zeros((b, n_v), dtype=bool)
-    rep_values, rep_counts, members = [], [], []
-    first_row = 0
-    for (s, e), red_mask in zip(tmr.plan.segments(), tmr.redundant):
-        f0, length = s - 1, e - s
-        surv, red = np.flatnonzero(~red_mask), np.flatnonzero(red_mask)
-        if pass_through:
-            keep[f0 : e - 1] = ~red_mask
-        elif surv.size:
-            kept = attention_select(scores[f0 : e - 1, surv], math.ceil(rate * surv.size))
-            np.put_along_axis(keep[f0 : e - 1], surv[kept], True, axis=1)
-        if red.size == 0:
-            continue
-        values = tmr.merged_values[first_row : first_row + red.size]
-        first_row += red.size
-        centers = assignment = np.arange(red.size)
-        if not pass_through:
-            k = cfg.knn_k if cfg.knn_k is not None else auto_knn_k(red.size)
-            state = dpc_knn_cluster(values, min(max(k, 1), max(red.size - 1, 1)),
-                                    math.ceil(rate * red.size))
-            values, centers = merge_clusters(values, state)
-            assignment = state.assignment
-        # each cluster's slots, center first, in every frame of the segment;
-        # the center's own first-frame occurrence is the representative
-        idx = np.arange(red.size)
-        order = np.lexsort((idx, idx != assignment, assignment))
-        coords = np.stack((np.tile(np.arange(f0, e - 1), red.size),
-                           np.repeat(red[order], length)), axis=1)
-        members.append(np.delete(coords, np.flatnonzero(order == assignment[order]) * length,
-                                 axis=0))
-        rep_counts.append(np.bincount(assignment)[centers] * length - 1)
-        rep[f0, red[centers]] = True
-        rep_values.append(values)
-
+    rep[bounds[seg[is_center]] - 1, slot[is_center]] = True
     keep |= rep
     frames, slots = np.nonzero(keep)
     is_rep = rep[keep]
     # one gather from the stream at every output coordinate; representative
-    # rows are then overwritten with their merged values
+    # rows, in merged-row order as (frame, slot) order, take their values
     tokens = stream.data.reshape(b * n_v, -1).take(frames * n_v + slots, axis=0)
+    tokens[is_rep] = values
     counts = np.zeros(frames.size, dtype=np.int64)
-    if rep_values:
-        tokens[is_rep] = np.concatenate(rep_values)
-        counts[is_rep] = np.concatenate(rep_counts)
+    cluster_rows = np.bincount(center, minlength=seg.size)[is_center]
+    counts[is_rep] = cluster_rows * length[seg[is_center]] - 1
     kind = PROVENANCE_KINDS.index("temporal_rep" if pass_through else "cluster_rep")
     return CompressedVideo(tokens, ProvenanceArrays(
-        frames, slots, is_rep * kind, np.concatenate(([0], np.cumsum(counts))),
-        np.concatenate(members) if members else np.empty((0, 2), dtype=np.int64)))
+        frames, slots, is_rep * kind, np.concatenate(([0], np.cumsum(counts))), members))

@@ -91,14 +91,6 @@ def _mask_rows(mask: np.ndarray) -> np.ndarray:
     return rows
 
 
-def segment_gain(mask: np.ndarray, t_s: int, t_e: int) -> int:
-    """Prunable-token count of span [t_s, t_e): N(t_s, t_e) * (t_e - t_s - 1)."""
-    rows = _mask_rows(mask)
-    if not 1 <= t_s < t_e <= rows.shape[0] + 2:
-        raise DataError(f"span [{t_s}, {t_e}) out of range for {rows.shape[0] + 1} frames")
-    return int(rows[t_s - 1 : t_e - 2].all(axis=0).sum()) * (t_e - t_s - 1)
-
-
 @dataclass(frozen=True)
 class SegmentPlan:
     """Optimal segmentation as its DP tables.
@@ -177,12 +169,29 @@ class TemporalMergeResult:
     ``merged_values`` is a read-only (R, d) float32 array of their
     first-frame representatives after merging, in ``np.nonzero(redundant)``
     order. Every other slot survives untouched in every frame of its segment.
+    Construction raises DataError unless the arrays fit the plan and stream.
     """
 
     stream: VideoTokenStream
     plan: SegmentPlan
     redundant: np.ndarray
     merged_values: np.ndarray
+
+    def __post_init__(self):
+        b, n_v = self.stream.frames, self.stream.tokens_per_frame
+        if self.plan.boundaries[-1] != b + 1:
+            raise DataError(f"plan covers {self.plan.boundaries[-1] - 1} frames, stream has {b}")
+        red, k = self.redundant, self.plan.n_segments
+        if (not isinstance(red, np.ndarray) or red.dtype != bool or red.shape != (k, n_v)
+                or red[np.diff(self.plan.boundaries) == 1].any()):
+            raise DataError(f"redundant must be a ({k}, {n_v}) bool array, "
+                            "unset for single-frame segments")
+        values, shape = self.merged_values, (int(red.sum()), self.stream.dim)
+        if (not isinstance(values, np.ndarray) or values.dtype != np.float32
+                or values.shape != shape):
+            raise DataError(f"merged_values must be a {shape} float32 array")
+        for arr in (red, values):
+            arr.setflags(write=False)
 
     @property
     def original_count(self) -> int:
@@ -255,6 +264,4 @@ def apply_temporal_merge(
                        else 0.0 + np.add.accumulate(block, dtype=np.float64)[-1])
                 np.divide(acc[red - red[0]], e - s, out=merged[r0:r1])
         _split(seg.size, mean_rows)
-    redundant.setflags(write=False)
-    merged.setflags(write=False)
     return TemporalMergeResult(stream, plan, redundant, merged)

@@ -16,10 +16,10 @@ import test_spatial
 import test_temporal
 from tokmerge import (
     CompressionConfig,
+    ImportanceMap,
     InnerMergeInput,
     SynthSpec,
     apply_temporal_merge,
-    build_importance,
     compress,
     core,
     dpc_knn_cluster,
@@ -250,7 +250,7 @@ def test_criterion_6_budget_and_tau():
                      noise_sigma=0.0, seed=66)
     stream, _ = generate(spec)
     rng = np.random.default_rng(6)
-    imp = build_importance(rng.random((16, 12)), (3, 4))
+    imp = ImportanceMap(rng.random((16, 12)), (3, 4))  # pooled to the grid itself
     mask = pairwise_redundancy(stream, 0.8)
     plan = optimal_segmentation(mask)
     tmr = apply_temporal_merge(stream, plan, mask, "mean")

@@ -17,9 +17,9 @@ import pytest
 import tokmerge
 from tokmerge import (
     CompressionConfig,
+    ImportanceMap,
     SynthSpec,
     apply_temporal_merge,
-    build_importance,
     compress,
     generate,
     importance_from_attention,
@@ -149,7 +149,7 @@ class TestCompress:
         plan = optimal_segmentation(mask)
         tmr = apply_temporal_merge(stream, plan, mask, cfg.temporal_merge_mode)
         raw = np.stack([a.mean(axis=0) for a in attn])
-        imp = build_importance(raw, stream.grid)
+        imp = ImportanceMap(raw, stream.grid)  # pooled to the grid itself
         cv_lib = spatial_merge(tmr, imp, cfg)
         np.testing.assert_array_equal(cv_cli.tokens, cv_lib.tokens)
         assert cv_cli.provenance == cv_lib.provenance
@@ -335,6 +335,21 @@ class TestCompress:
         err = capsys.readouterr().err
         assert (f"{tmp_path / 'attn.npy'}: shape (5, 6, 6), expected (8, 6, 6) "
                 "for 8 frames on grid 2x3") in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("k_dim", [0, 4])
+    def test_qk_query_dim_zero_exit_2(self, tmp_path, capsys, k_dim):
+        """A d = 0 query dump is named by its own shape check, whether the
+        key dump has d = 0 too or not."""
+        np.save(tmp_path / "q.npy", np.zeros((8, 6, 0)))
+        np.save(tmp_path / "k.npy", np.zeros((8, 6, k_dim)))
+        rc = self.run_with_dump(tmp_path, "0.3",
+                                ["--qk", str(tmp_path / "q.npy"), str(tmp_path / "k.npy")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert (f"{tmp_path / 'q.npy'}: shape (8, 6, 0), expected (8, 6, d >= 1) "
+                "for 8 frames on grid 2x3") in err
+        assert "k.npy" not in err and "overflows" not in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("ratio", ["1.0", "0.3"])

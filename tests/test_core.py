@@ -18,7 +18,6 @@ from tokmerge import (
     load_token_stream,
     pairwise_redundancy,
     save_compressed,
-    save_stream,
     validate_config,
 )
 from tokmerge.core import _provenance_arrays, report_from_dict, report_to_dict
@@ -31,7 +30,7 @@ class TestTokenStreamIO:
         stream = VideoTokenStream(
             rng.standard_normal((2, 4, 8)).astype(np.float32), (2, 2))
         path = tmp_path / "tokens.npy"
-        save_stream(stream, path)
+        np.save(path, stream.data)
         loaded = load_token_stream(path, (2, 2))
         assert loaded.frames == 2 and loaded.tokens_per_frame == 4 and loaded.dim == 8
         np.testing.assert_array_equal(loaded.data, stream.data)

@@ -20,10 +20,10 @@ from tokmerge import (  # noqa: E402
     CompressionConfig,
     CompressionReport,
     DataError,
+    ImportanceMap,
     TokenProvenance,
     VideoTokenStream,
     apply_temporal_merge,
-    build_importance,
     optimal_segmentation,
     pairwise_redundancy,
     save_compressed,
@@ -149,7 +149,7 @@ def pipelines(draw):
     mask = pairwise_redundancy(stream, 0.8)
     mode = draw(st.sampled_from(TEMPORAL_MERGE_MODES))
     tmr = apply_temporal_merge(stream, optimal_segmentation(mask), mask, mode)
-    imp = build_importance(rng.random((b, h * w)), (h, w))
+    imp = ImportanceMap(rng.random((b, h * w)), (h, w))  # pooled to the grid itself
     ratio = draw(st.sampled_from([1.0, 0.7, 0.4, 0.2, 0.05]))
     return tmr, imp, CompressionConfig(target_ratio=ratio, temporal_merge_mode=mode)
 

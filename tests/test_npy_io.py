@@ -27,7 +27,6 @@ from tokmerge import (
     load_compressed,
     load_token_stream,
     save_compressed,
-    save_stream,
 )
 from tokmerge.cli import main
 from tokmerge.core import replace_file
@@ -172,6 +171,21 @@ class TestBadFiles:
         with pytest.raises(DataError, match=rf"^{path}: non-finite value at flat offset 5$"):
             load_compressed(tmp_path)
 
+    def test_load_compressed_float64_beyond_float32_names_file_and_offset(self, tmp_path):
+        cv, report = small_output()
+        save_compressed(cv, report, tmp_path)
+        tok = cv.tokens.astype(np.float64)
+        tok[2, 1] = -1e39
+        path = tmp_path / "tokens.npy"
+        np.save(path, tok)
+        with pytest.raises(DataError,
+                           match=rf"^{path}: value out of float32 range at flat offset 5$"):
+            load_compressed(tmp_path)
+        tok[2, 1] = 3.0e38  # in range: narrowed, as load_token_stream does
+        np.save(path, tok)
+        loaded, _ = load_compressed(tmp_path)
+        assert loaded.tokens.dtype == np.float32 and loaded.tokens[2, 1] == np.float32(3.0e38)
+
     def test_missing_dump_named(self, tmp_path, capsys):
         good = tmp_path / "good.npy"
         np.save(good, tokens())
@@ -208,7 +222,8 @@ class TestReplacingWrites:
             import sys
             from pathlib import Path
             import numpy as np
-            from tokmerge import load_token_stream, save_compressed, save_stream
+            from tokmerge import load_token_stream, save_compressed
+            from tokmerge.core import replace_file
             from test_npy_io import small_output, tokens
 
             d = Path(sys.argv[1])
@@ -216,7 +231,7 @@ class TestReplacingWrites:
             stream = load_token_stream(d / "tokens.npy", (2, 3))
             save_compressed(*small_output(), d)
             assert np.array_equal(stream.data, tokens(frames=64))
-            save_stream(stream, d / "tokens.npy")
+            replace_file(d / "tokens.npy", stream.data)
             assert np.array_equal(np.load(d / "tokens.npy"), tokens(frames=64))
             print("ok")
         """)
@@ -234,7 +249,7 @@ class TestReplacingWrites:
         assert main(["compress", "--tokens", str(corpus / "tokens.npy"), "--grid", "2x3",
                      "--out", str(out)]) == 0
         assert main(["report", "--reports", str(out), "--out", str(agg)]) == 0
-        save_stream(load_token_stream(corpus / "tokens.npy", GRID), tmp_path / "copy")
+        replace_file(tmp_path / "copy.npy", load_token_stream(corpus / "tokens.npy", GRID).data)
         assert (tmp_path / "copy.npy").exists()
         assert not list(tmp_path.rglob("*.tmp"))
 

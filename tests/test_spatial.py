@@ -10,16 +10,17 @@ from tokmerge import (
     ClusterState,
     CompressionConfig,
     DataError,
+    ImportanceMap,
     VideoTokenStream,
     apply_temporal_merge,
     attention_select,
-    build_importance,
     dpc_knn_cluster,
     importance_from_attention,
     importance_from_qk,
     merge_clusters,
     optimal_segmentation,
     pairwise_redundancy,
+    spatial,
     spatial_merge,
 )
 from test_temporal import merged_segments
@@ -105,6 +106,15 @@ def pool_importance(raw, pooled_grid):
     return out
 
 
+def spread_bins(pooled, grid):
+    """(..., H*W) slot scores from (..., Hp, Wp) pooled grids: each cell of
+    the H x W grid takes the value of the bin whose floor edges hold it."""
+    (h, w), (hp, wp) = grid, pooled.shape[-2:]
+    rows = [max(i for i in range(hp) if (i * h) // hp <= r) for r in range(h)]
+    cols = [max(j for j in range(wp) if (j * w) // wp <= c) for c in range(w)]
+    return pooled[..., rows, :][..., cols].reshape(*pooled.shape[:-2], h * w)
+
+
 def merge_clusters_loop(tokens, state):
     """Each cluster's float64 mean, narrowed to the token dtype, one cluster
     at a time."""
@@ -117,18 +127,30 @@ def merge_clusters_loop(tokens, state):
 
 
 def qk_raw(q, k):
-    """Raw importance of one frame's q/k through importance_from_qk."""
-    return importance_from_qk(q[None], k[None], (q.shape[0], 1)).raw[0]
+    """Scores of one frame's q/k through importance_from_qk, pooled to the
+    grid itself: its raw importance."""
+    return importance_from_qk(q[None], k[None], (q.shape[0], 1)).scores[0]
 
 
 def attention_raw(a):
-    """Raw importance of one frame's attention through importance_from_attention."""
-    return importance_from_attention(a[None], (a.shape[0], 1)).raw[0]
+    """Scores of one frame's attention through importance_from_attention,
+    pooled to the grid itself: its raw importance."""
+    return importance_from_attention(a[None], (a.shape[0], 1)).scores[0]
+
+
+def pooled_scores(raw, grid, pooled_grid=None):
+    """(B, H*W) slot scores of raw (B, H*W) importance, through the
+    package's pooling."""
+    return spatial._importance(np.asarray(raw, dtype=np.float64), grid, pooled_grid,
+                               ("raw",)).scores
 
 
 def pooled(raw, pooled_grid):
-    """One H x W grid pooled through build_importance."""
-    return build_importance(raw.reshape(1, -1), raw.shape, pooled_grid).pooled[0]
+    """One H x W grid pooled through the package, read at the first cell of
+    each bin."""
+    (h, w), (hp, wp) = raw.shape, pooled_grid
+    scores = pooled_scores(raw.reshape(1, -1), raw.shape, pooled_grid)[0].reshape(h, w)
+    return scores[np.ix_([(i * h) // hp for i in range(hp)], [(j * w) // wp for j in range(wp)])]
 
 
 class TestFrameAttention:
@@ -294,15 +316,17 @@ class TestPoolImportance:
     def test_identity_pooling_matches_bin_loop(self):
         rng = np.random.default_rng(16)
         raw = np.round(rng.random((5, 12)), 1)  # repeated scores, as in ties
-        imp = build_importance(raw, (3, 4))
-        expect = np.stack([pool_importance(f.reshape(3, 4), (3, 4)) for f in raw])
-        np.testing.assert_array_equal(imp.pooled, expect)
-        np.testing.assert_array_equal(imp.token_scores(), raw)
+        scores = pooled_scores(raw, (3, 4))
+        expect = np.stack([pool_importance(f.reshape(3, 4), (3, 4)).ravel() for f in raw])
+        np.testing.assert_array_equal(scores, expect)
+        np.testing.assert_array_equal(scores, raw)
+        with pytest.raises(ValueError):
+            scores[0, 0] = 1.0
 
-    @pytest.mark.parametrize("shape", [(2, 8), (3, 5), (16,)])
+    @pytest.mark.parametrize("shape", [(2, 8, 8), (3, 5, 5), (1, 9, 9)])
     def test_raw_scores_not_on_grid_rejected(self, shape):
         with pytest.raises(DataError, match="inconsistent with grid 4x4"):
-            build_importance(np.ones(shape), (4, 4))
+            importance_from_attention(np.ones(shape), (4, 4))
 
     def test_oversized_pooled_grid_rejected(self):
         with pytest.raises(DataError):
@@ -314,25 +338,32 @@ class TestPoolImportance:
 class TestAttentionSelect:
     def test_keep_all_identity(self):
         scores = np.array([0.3, 0.1, 0.2])
-        np.testing.assert_array_equal(attention_select(scores, 3), [0, 1, 2])
+        np.testing.assert_array_equal(attention_select(scores, 3), [True, True, True])
 
     def test_top_two(self):
         np.testing.assert_array_equal(
-            attention_select(np.array([0.1, 0.9, 0.5]), 2), [1, 2])
+            np.flatnonzero(attention_select(np.array([0.1, 0.9, 0.5]), 2)), [1, 2])
 
     def test_tie_break_toward_smaller_index(self):
         np.testing.assert_array_equal(
-            attention_select(np.full(5, 0.7), 3), [0, 1, 2])
+            np.flatnonzero(attention_select(np.full(5, 0.7), 3)), [0, 1, 2])
 
     def test_rows_select_like_single_frames(self):
-        scores = np.round(np.random.default_rng(17).random((6, 9)), 1)
-        got = attention_select(scores, 4)
-        for row, expect in zip(scores, got):
-            np.testing.assert_array_equal(attention_select(row, 4), expect)
+        rng = np.random.default_rng(17)
+        scores = np.round(rng.random((6, 9)), 1)
+        for keep in (4, rng.integers(0, 10, 6)):
+            got = attention_select(scores, keep)
+            for row, k, expect in zip(scores, np.broadcast_to(keep, 6), got):
+                np.testing.assert_array_equal(attention_select(row, k), expect)
+                assert expect.sum() == k
 
     def test_keep_too_large(self):
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="cannot keep 4 of 3 tokens"):
             attention_select(np.ones(3), 4)
+        with pytest.raises(DataError, match="cannot keep 4 of 3 tokens"):
+            attention_select(np.ones((2, 3)), [1, 4])
+        with pytest.raises(DataError, match="non-negative"):
+            attention_select(np.ones((2, 3)), [-1, 1])
 
 
 class TestDpcKnn:
@@ -436,7 +467,7 @@ def make_pipeline_inputs(rng, b=4, grid=(2, 2), d=8, tau=0.8, redundant_run=None
     mask = pairwise_redundancy(stream, tau)
     plan = optimal_segmentation(mask)
     tmr = apply_temporal_merge(stream, plan, mask, "mean")
-    imp = build_importance(rng.random((b, n_v)), grid)
+    imp = ImportanceMap(rng.random((b, n_v)), grid)  # pooled to the grid itself
     return stream, tmr, imp
 
 
@@ -464,6 +495,19 @@ def test_importance_required_when_compressing():
         spatial_merge(tmr, None, CompressionConfig(target_ratio=0.25))
 
 
+def test_importance_checked_against_stream_and_config():
+    rng = np.random.default_rng(9)
+    _, tmr, imp = make_pipeline_inputs(rng)
+    cfg = CompressionConfig(target_ratio=0.25)
+    with pytest.raises(DataError, match=r"match stream 4x4, got shape \(3, 4\)"):
+        spatial_merge(tmr, ImportanceMap(imp.scores[:3], (2, 2)), cfg)
+    with pytest.raises(DataError, match=r"must be finite and match stream 4x4, got shape \(4, 4\)"):
+        spatial_merge(tmr, ImportanceMap(np.where(imp.scores > 0.5, np.nan, imp.scores), (2, 2)),
+                      cfg)
+    with pytest.raises(DataError, match=r"pooled to \(2, 2\) but config asks for \(1, 2\)"):
+        spatial_merge(tmr, imp, CompressionConfig(target_ratio=0.25, pooled_grid=(1, 2)))
+
+
 def test_all_non_redundant_reduces_to_attention_select():
     """With no temporal redundancy, the stage is per-frame top-k by importance."""
     rng = np.random.default_rng(10)
@@ -475,10 +519,9 @@ def test_all_non_redundant_reduces_to_attention_select():
     n_v = grid[0] * grid[1]
     keep = math.ceil(0.25 * n_v)
     assert cv.count == b * keep
-    scores = imp.token_scores()
     for frame in range(b):
         slots = [p.spatial_index for p in cv.provenance if p.frame == frame]
-        expect = attention_select(scores[frame], keep)
+        expect = np.flatnonzero(attention_select(imp.scores[frame], keep))
         np.testing.assert_array_equal(slots, expect)
 
 
@@ -507,11 +550,11 @@ def test_output_ordering_and_uniqueness():
 
 def test_token_scores_expand_pooled_bins():
     raw = np.arange(16.0).reshape(1, 16)
-    imp = build_importance(raw, (4, 4), pooled_grid=(2, 2))
-    scores = imp.token_scores()[0].reshape(4, 4)
+    scores = pooled_scores(raw, (4, 4), (2, 2))[0].reshape(4, 4)
+    bins = pool_importance(raw.reshape(4, 4), (2, 2))
     for i in range(4):
         for j in range(4):
-            assert scores[i, j] == imp.pooled[0, i // 2, j // 2]
+            assert scores[i, j] == bins[i // 2, j // 2]
 
 
 def test_spatial_merge_with_coarse_pooled_grid():
@@ -519,15 +562,16 @@ def test_spatial_merge_with_coarse_pooled_grid():
     rng = np.random.default_rng(14)
     stream, tmr, _ = make_pipeline_inputs(rng, b=3, grid=(4, 4), d=64)
     assert tmr.pruned_count == 0  # gaussians in d=64 stay below tau
-    raw = rng.random((3, 16))
-    imp = build_importance(raw, (4, 4), pooled_grid=(2, 2))
+    attn = rng.random((3, 16, 16))
+    imp = importance_from_attention(attn, (4, 4), pooled_grid=(2, 2))
     cfg = CompressionConfig(target_ratio=0.25, pooled_grid=(2, 2))
     cv = spatial_merge(tmr, imp, cfg)
     keep = math.ceil(0.25 * 16)
-    scores = imp.token_scores()
-    for frame in range(3):
+    for frame, a in enumerate(attn):
+        scores = spread_bins(pool_importance(importance_scores(a).reshape(4, 4), (2, 2)), (4, 4))
+        np.testing.assert_array_equal(imp.scores[frame], scores)
         slots = [p.spatial_index for p in cv.provenance if p.frame == frame]
-        np.testing.assert_array_equal(slots, attention_select(scores[frame], keep))
+        np.testing.assert_array_equal(slots, np.flatnonzero(attention_select(scores, keep)))
 
 
 def test_single_frame_stream_passes_through():
@@ -567,7 +611,7 @@ def reassembly_oracle(tmr, imp, cfg):
         for f0 in range(start - 1, end - 1):
             kept = np.setdiff1d(np.arange(n_v), red)
             if not pass_through and kept.size:
-                scores = imp.token_scores()[f0, kept]
+                scores = imp.scores[f0, kept]
                 kept = kept[attention_select(scores, math.ceil(rate * kept.size))]
             for slot in kept:
                 entries.append((f0, int(slot), stream.data[f0, slot], "selected", []))

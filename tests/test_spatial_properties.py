@@ -1,10 +1,10 @@
-"""Property tests: the array forms of importance, pooling and cluster means
-give the same bits as the per-frame and per-cluster oracles in
-test_spatial.
+"""Property tests: the array forms of importance, pooling, cluster means and
+the spatial merge give the same bits as the per-frame, per-cluster and
+per-token oracles in test_spatial.
 
-Ties decide which tokens attention selection keeps (``token_scores`` gives
-every slot of a bin one score, and ``attention_select`` breaks ties by
-index), so a 1-ulp drift would change the output; equality is exact.
+Ties decide which tokens attention selection keeps (pooling gives every
+slot of a bin one score, and ``attention_select`` breaks ties by index), so
+a 1-ulp drift would change the output; equality is exact.
 """
 
 import numpy as np
@@ -15,18 +15,27 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from tokmerge import (  # noqa: E402
-    build_importance,
+    CompressionConfig,
+    VideoTokenStream,
+    apply_temporal_merge,
     dpc_knn_cluster,
     importance_from_attention,
     importance_from_qk,
     merge_clusters,
+    optimal_segmentation,
+    pairwise_redundancy,
+    spatial_merge,
 )
+from tokmerge.core import TEMPORAL_MERGE_MODES  # noqa: E402
 from test_innerllm import same_bits  # noqa: E402
 from test_spatial import (  # noqa: E402
     frame_attention,
     importance_scores,
     merge_clusters_loop,
     pool_importance,
+    pooled_scores,
+    reassembly_oracle,
+    spread_bins,
 )
 
 DTYPES = (np.float32, np.float64)
@@ -41,7 +50,8 @@ def test_attention_importance_matches_per_frame_oracle(b, n_v, dtype, seed):
     rng = np.random.default_rng(seed)
     attn = rng.random((b, n_v, n_v)).astype(dtype)
     attn[rng.random(attn.shape) < 0.1] = 0.0  # repeated scores, as in ties
-    raw = importance_from_attention(attn, (n_v, 1)).raw
+    # pooled to the grid itself, the scores are the raw importance
+    raw = importance_from_attention(attn, (n_v, 1)).scores
     assert same_bits(raw, np.stack([importance_scores(a) for a in attn]))
 
 
@@ -51,7 +61,7 @@ def test_attention_importance_matches_per_frame_oracle(b, n_v, dtype, seed):
 def test_qk_importance_matches_per_frame_oracle(b, n_v, d, dtype, scale, seed):
     rng = np.random.default_rng(seed)
     q, k = (rng.standard_normal((2, b, n_v, d)) * scale).astype(dtype)
-    raw = importance_from_qk(q, k, (n_v, 1)).raw
+    raw = importance_from_qk(q, k, (n_v, 1)).scores
     expect = np.stack([importance_scores(frame_attention(qf, kf)) for qf, kf in zip(q, k)])
     assert same_bits(raw, expect)
 
@@ -76,9 +86,8 @@ def pooling_cases(draw):
 @example((np.geomspace(1e8, 1e-8, 5 * 35).reshape(5, -1), (5, 7), (5, 7)))
 def test_pooling_matches_per_frame_oracle(case):
     raw, (h, w), pg = case
-    imp = build_importance(raw, (h, w), pg)
     expect = np.stack([pool_importance(f.reshape(h, w), pg) for f in raw])
-    assert same_bits(imp.pooled, expect)
+    assert same_bits(pooled_scores(raw, (h, w), pg), spread_bins(expect, (h, w)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -100,3 +109,42 @@ def test_merge_clusters_matches_loop_oracle(n, d, dtype, data):
     expect, expect_centers = merge_clusters_loop(tokens, state)
     assert same_bits(reps, expect)
     np.testing.assert_array_equal(centers, expect_centers)
+
+
+@st.composite
+def merge_cases(draw):
+    """(tmr, imp, cfg): up to 13 frames on grids up to 4x4, with several
+    planted segments (some all-redundant), duplicate tokens, integer-tied
+    attention, uneven pooled grids and an explicit or automatic knn_k."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    b, h, w = draw(st.integers(1, 13)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    n_v = h * w
+    data = rng.standard_normal((b, n_v, draw(st.sampled_from((1, 2, 5))))).astype(np.float32)
+    if draw(st.booleans()):  # some slots copy others: duplicate tokens
+        copy = rng.random(n_v) < 0.3
+        data[:, copy] = data[:, rng.integers(0, n_v, copy.sum())]
+    cuts = sorted(draw(st.sets(st.integers(1, b - 1), max_size=4))) if b > 1 else []
+    for s, e in zip([0, *cuts], [*cuts, b]):
+        planted = rng.random(n_v) < draw(st.sampled_from((0.0, 0.5, 1.0)))
+        data[s:e, planted] = data[s, planted]
+    stream = VideoTokenStream(data, (h, w))
+    mask = pairwise_redundancy(stream, 0.8)
+    mode = draw(st.sampled_from(TEMPORAL_MERGE_MODES))
+    tmr = apply_temporal_merge(stream, optimal_segmentation(mask), mask, mode)
+    attn = (rng.integers(0, 3, (b, n_v, n_v)).astype(np.float64) if draw(st.booleans())
+            else rng.random((b, n_v, n_v)))
+    pg = (draw(st.integers(1, h)), draw(st.integers(1, w)))
+    cfg = CompressionConfig(target_ratio=draw(st.sampled_from((1.0, 0.7, 0.4, 0.2, 0.05))),
+                            temporal_merge_mode=mode, pooled_grid=pg,
+                            knn_k=draw(st.sampled_from((None, 1, 2, 3, 5))))
+    return tmr, importance_from_attention(attn, (h, w), pg), cfg
+
+
+@settings(max_examples=200, deadline=None)
+@given(merge_cases())
+def test_spatial_merge_matches_reassembly_oracle(case):
+    tmr, imp, cfg = case
+    cv = spatial_merge(tmr, imp, cfg)
+    tokens, prov = reassembly_oracle(tmr, imp, cfg)
+    assert same_bits(cv.tokens, tokens)
+    assert [(p.frame, p.spatial_index, p.kind, p.members) for p in cv.provenance] == prov

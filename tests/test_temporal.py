@@ -1,5 +1,7 @@
 """Temporal stage tests: mask semantics, DP optimality vs brute force, merging."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from tokmerge import (
     apply_temporal_merge,
     optimal_segmentation,
     pairwise_redundancy,
-    segment_gain,
     temporal,
 )
 
@@ -49,6 +50,15 @@ def reference_similarity(data):
 def reference_mask(data, tau):
     """Oracle: the redundancy mask of the float64 definition."""
     return reference_similarity(data) > tau
+
+
+def segment_gain(mask, t_s, t_e):
+    """Oracle: prunable-token count of span [t_s, t_e) of a (B-1, N_v) mask,
+    N(t_s, t_e) * (t_e - t_s - 1), for the DP's tables to be checked against."""
+    rows = temporal._mask_rows(mask)
+    if not 1 <= t_s < t_e <= rows.shape[0] + 2:
+        raise DataError(f"span [{t_s}, {t_e}) out of range for {rows.shape[0] + 1} frames")
+    return int(rows[t_s - 1 : t_e - 2].all(axis=0).sum()) * (t_e - t_s - 1)
 
 
 def brute_force_gains(rows):
@@ -422,6 +432,28 @@ class TestApplyTemporalMerge:
         stream = random_stream(np.random.default_rng(25), b=6, n_v=3)
         with pytest.raises(DataError, match="pruned 0 occurrences but plan promised 5"):
             apply_temporal_merge(stream, plan, np.zeros_like(rows), "mean")
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("redundant", lambda t: t.redundant[:, :2], r"redundant must be a \(2, 4\) bool"),
+        ("redundant", lambda t: t.redundant.astype(np.int8), r"redundant must be a \(2, 4\) bool"),
+        ("redundant", lambda t: np.ones((2, 4), dtype=bool), "unset for single-frame segments"),
+        ("merged_values", lambda t: t.merged_values[:1], r"merged_values must be a \(2, 5\)"),
+        ("merged_values", lambda t: t.merged_values.astype(np.float64),
+         r"merged_values must be a \(2, 5\) float32"),
+        ("stream", lambda t: random_stream(np.random.default_rng(0), b=5, n_v=4, d=5),
+         "plan covers 4 frames, stream has 5"),
+    ])
+    def test_hand_built_result_checked(self, field, value, message):
+        """A result must fit its plan and stream, or spatial_merge would end
+        in a broadcasting error."""
+        rows = np.zeros((3, 4), dtype=bool)
+        rows[:2, 1:3] = True  # segments [1, 4) with slots 1 and 2, then [4, 5)
+        stream = random_stream(np.random.default_rng(26), b=4, n_v=4, d=5)
+        plan = optimal_segmentation(rows)
+        tmr = apply_temporal_merge(stream, plan, rows, "mean")
+        assert plan.segments() == ((1, 4), (4, 5))
+        with pytest.raises(DataError, match=message):
+            dataclasses.replace(tmr, **{field: value(tmr)})
 
     def test_dimension_mismatch_rejected(self):
         stream = random_stream(np.random.default_rng(5), b=4)
