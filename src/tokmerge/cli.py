@@ -244,7 +244,7 @@ def cmd_report(args) -> int:
         if not isinstance(doc, dict) or "temporal_prune_ratio" not in doc:
             continue
         try:
-            ratios.append(report_from_dict(doc).per_video_histogram_bin)
+            ratios.append(report_from_dict(doc).temporal_prune_ratio)
         except DataError as exc:
             raise DataError(f"{path}: {exc}") from None
     if not ratios:

@@ -47,9 +47,9 @@ class VideoTokenStream:
     """Dense ``(B, N_v, d)`` float32 token embeddings on an ``H x W`` grid.
 
     Slot ``k`` of a frame sits at grid cell ``(k // W, k % W)`` (row-major).
-    Other dtypes are narrowed to float32; non-finite values and values beyond
-    float32 range are rejected with their flat offset. The data array is
-    made read-only on construction.
+    Other real dtypes are narrowed to float32; a non-real dtype, non-finite
+    values and values beyond float32 range are rejected, the last two with
+    their flat offset. The data array is made read-only on construction.
     """
 
     data: np.ndarray
@@ -61,11 +61,6 @@ class VideoTokenStream:
         arr = np.asarray(self.data)
         if arr.ndim != 3:
             raise DataError(f"token array has rank {arr.ndim}, expected 3")
-        source = arr
-        if arr.dtype != np.float32:
-            with np.errstate(over="ignore"):
-                arr = arr.astype(np.float32)
-        arr = np.ascontiguousarray(arr)
         b, n_v, d = arr.shape
         if min(b, n_v, d) < 1:
             raise DataError(f"token array has empty axis: shape {arr.shape}")
@@ -73,21 +68,19 @@ class VideoTokenStream:
         if h < 1 or w < 1 or h * w != n_v:
             raise DataError(
                 f"grid {h}x{w} does not tile {n_v} tokens per frame")
+        if arr.dtype != np.float32:
+            arr = _checked(arr, dtype=np.float32)
+        arr = np.ascontiguousarray(arr)
         # A NaN or +-inf entry makes its token's sum of squares non-finite,
-        # so finite norms certify finite data. A non-finite norm without a
-        # non-finite entry is the sum overflowing float32 on large finite
-        # entries (a single one beyond ~1.8e19 suffices); those are accepted.
-        # An entry that became +-inf only by narrowing was out of range.
+        # so finite norms certify finite float32 data. A non-finite norm
+        # without a non-finite entry is the sum overflowing float32 on large
+        # finite entries (a single one beyond ~1.8e19 suffices); those are
+        # accepted. Other dtypes were checked as they were narrowed.
         sq_norms = np.empty((b, n_v), dtype=np.float32)
         _split(b, lambda lo, hi: np.einsum("bkd,bkd->bk", arr[lo:hi], arr[lo:hi],
                                            out=sq_norms[lo:hi]))
         if not np.isfinite(sq_norms).all():
-            offset = _first_non_finite(arr)
-            if offset is not None:
-                if np.isfinite(source.flat[offset]):
-                    raise DataError(
-                        f"value out of float32 range at flat offset {offset}")
-                raise DataError(f"non-finite value at flat offset {offset}")
+            _checked(arr)
         arr.setflags(write=False)
         sq_norms.setflags(write=False)
         object.__setattr__(self, "data", arr)
@@ -132,27 +125,26 @@ def _split(n: int, fn) -> None:
         list(rest)
 
 
-def _first_non_finite(arr: np.ndarray) -> int | None:
-    """Flat offset of the first NaN or +-inf entry of ``arr``, or None."""
-    bad = np.flatnonzero(~np.isfinite(arr.ravel()))
-    return int(bad[0]) if bad.size else None
+def _checked(arr, name: str | None = None, dtype=None) -> np.ndarray:
+    """``arr`` as an array, narrowed to C-order ``dtype`` (overflow ignored) if given.
 
-
-def _check_real(arr: np.ndarray, name: str | None = None) -> None:
-    """DataError, prefixed with ``name`` when given, unless ``arr`` holds
-    real numbers (bool, integer or float): a float cast would keep only a
-    complex array's real part, and parse or reject a string array."""
-    if arr.dtype.kind not in "biuf":
-        prefix = f"{name}: " if name else ""
-        raise DataError(f"{prefix}dtype {arr.dtype}, expected real values")
-
-
-def _check_dump(arr: np.ndarray, name: str | None = None) -> np.ndarray:
-    """``arr``, or DataError (prefixed with ``name`` when given) unless it
-    holds real numbers, none of them NaN or +-inf (named by flat offset)."""
-    _check_real(arr, name)
-    if (offset := _first_non_finite(arr)) is not None:
-        raise DataError(f"{name + ': ' if name else ''}non-finite value at flat offset {offset}")
+    DataError, prefixed with ``name`` when given, for a dtype that is not
+    real (a float cast would keep only a complex array's real part, and
+    parse or reject a string array), else for the first entry, by flat
+    offset, that is NaN or +-inf or became +-inf only by the narrowing."""
+    source = np.asarray(arr)
+    prefix = f"{name}: " if name else ""
+    if source.dtype.kind not in "biuf":
+        raise DataError(f"{prefix}dtype {source.dtype}, expected real values")
+    arr = source
+    if dtype is not None:
+        with np.errstate(over="ignore"):
+            arr = source.astype(dtype, order="C", copy=False)
+    if not np.isfinite(arr).all():
+        offset = int(np.argmin(np.isfinite(arr.ravel())))
+        if np.isfinite(source.flat[offset]):
+            raise DataError(f"{prefix}value out of {arr.dtype} range at flat offset {offset}")
+        raise DataError(f"{prefix}non-finite value at flat offset {offset}")
     return arr
 
 
@@ -617,16 +609,9 @@ def load_compressed(out_dir) -> tuple[CompressedVideo, CompressionReport]:
     coordinates must be JSON integers and members [frame, slot] pairs. A
     violation raises DataError naming the file (and the field or offset).
     """
-    def float32_tokens(arr):
-        _check_dump(arr)
-        with np.errstate(over="ignore"):
-            narrowed = np.asarray(arr, dtype=np.float32)
-        if narrowed is not arr and (offset := _first_non_finite(narrowed)) is not None:
-            raise DataError(f"value out of float32 range at flat offset {offset}")
-        return narrowed
-
     meta_path = Path(out_dir) / META_FILE
-    tokens = _load_npy(Path(out_dir) / TOKENS_FILE, 2, "token", check=float32_tokens)
+    tokens = _load_npy(Path(out_dir) / TOKENS_FILE, 2, "token",
+                       lambda arr: _checked(arr, dtype=np.float32))
     if not meta_path.exists():
         raise DataError(f"metadata file not found: {meta_path}")
     try:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataError, _check_real, _group_mean
+from .core import DataError, _checked, _group_mean
 
 # Candidate rows scored per block, and retained rows gathered per block by
 # the exact recheck. A block's float32 similarities take
@@ -33,29 +33,23 @@ def check_hidden(hidden) -> np.ndarray:
     """Hidden states as a C-contiguous float32 (N, d) array of finite values.
 
     Finiteness is the precondition of the error band in similarity_assign.
-    A complex, string or other non-real dtype raises DataError.
+    A non-real dtype, a non-finite value or one beyond float32 range raises
+    DataError, the last two with their flat offset.
     """
     hidden = np.asarray(hidden)
-    _check_real(hidden)
-    with np.errstate(over="ignore"):  # beyond float32 range reads as inf
-        hidden = np.ascontiguousarray(hidden, dtype=np.float32)
     if hidden.ndim != 2:
         raise DataError(f"hidden states must be 2-D, got rank {hidden.ndim}")
-    if not np.isfinite(hidden).all():
-        row = np.argmin(np.isfinite(hidden).all(axis=1))
-        raise DataError(f"hidden state row {row} is not finite in float32")
-    return hidden
+    return _checked(hidden, dtype=np.float32)
 
 
 def check_last_attn(last_attn) -> np.ndarray:
     """Attention scores as a float64 (N,) array of finite non-negative values;
-    a complex, string or other non-real dtype raises DataError."""
+    any other rank, a non-real dtype or a non-finite value (with its flat
+    offset) raises DataError."""
     attn = np.asarray(last_attn)
-    _check_real(attn)
-    attn = np.asarray(attn, dtype=np.float64).ravel()
-    if not np.isfinite(attn).all():
-        raise DataError(
-            f"non-finite attention score at index {np.argmin(np.isfinite(attn))}")
+    if attn.ndim != 1:
+        raise DataError(f"attention row must be 1-D (N,), got shape {attn.shape}")
+    attn = _checked(attn, dtype=np.float64)
     if (attn < 0).any():
         raise DataError("attention scores must be non-negative")
     return attn

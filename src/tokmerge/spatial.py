@@ -19,7 +19,7 @@ from .core import (
     CompressionConfig,
     DataError,
     ProvenanceArrays,
-    _check_dump,
+    _checked,
     _group_mean,
 )
 from .temporal import TemporalMergeResult
@@ -84,7 +84,7 @@ def importance_from_attention(attn: np.ndarray, grid, pooled_grid=None, *,
     attn = np.asarray(attn)
     if attn.ndim != 3 or attn.shape[1] != attn.shape[2]:
         raise DataError(f"attention stack must be (B, N_v, N_v), got {attn.shape}")
-    _check_dump(attn, name)
+    _checked(attn, name)
     with np.errstate(over="ignore"):
         raw = attn.mean(axis=1, dtype=np.float64)
     return _importance(raw, grid, pooled_grid, (name,))
@@ -92,17 +92,19 @@ def importance_from_attention(attn: np.ndarray, grid, pooled_grid=None, *,
 
 def importance_from_qk(q: np.ndarray, k: np.ndarray, grid, pooled_grid=None, *,
                        names=("query", "key")) -> ImportanceMap:
-    """ImportanceMap from (B, N_v, d) query/key dumps: each frame's attention is
-    the float64 row-softmax of q @ k.T / sqrt(d) (row maximum subtracted
-    first), scored as in importance_from_attention; non-real dtypes,
-    non-finite entries and float64 overflow are rejected as there, naming
-    the dumps by ``names``."""
+    """ImportanceMap from (B, N_v, d >= 1) query/key dumps: each frame's
+    attention is the float64 row-softmax of q @ k.T / sqrt(d) (row maximum
+    subtracted first), scored as in importance_from_attention; non-real
+    dtypes, non-finite entries and float64 overflow are rejected as there,
+    naming the dumps by ``names``."""
     q = np.asarray(q)
     k = np.asarray(k)
     if q.ndim != 3 or q.shape != k.shape:
         raise DataError(f"q/k dump shape mismatch: {q.shape} vs {k.shape}")
+    if q.shape[2] < 1:
+        raise DataError(f"{', '.join(names)}: shape {q.shape}, expected (B, N_v, d >= 1)")
     for arr, name in zip((q, k), names):
-        _check_dump(arr, name)
+        _checked(arr, name)
     raw = np.empty(q.shape[:2])
     scale = math.sqrt(q.shape[2])
     with np.errstate(over="ignore", invalid="ignore"):

@@ -8,6 +8,7 @@ is excluded by design; criteria 1-6 and 8 below stand in for it.
 import functools
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -317,3 +318,27 @@ def test_criterion_8_throughput(monkeypatch):
     assert elapsed < 2.0, f"pipeline took {elapsed:.2f}s"
     print(f"  (pipeline wall time {elapsed * 1e3:.0f} ms, "
           f"{layer_token_counts(profile, cv.count, cfg)[0]} tokens retained)")
+
+
+# ---------------------------------------------------------------------------
+# Memory of the full pipeline on a long video
+# ---------------------------------------------------------------------------
+
+def test_compress_peak_memory_linear_in_frames():
+    """compress holds O(B * N_v) memory beyond its outputs: its tracemalloc
+    peak stays within twice the outputs plus eight (B, N_v) int64 arrays.
+    One dense B x B int64 table (32 MB here) would break the bound."""
+    b, n_v = 2048, 196
+    spec = SynthSpec(frames=b, grid=(14, 14), dim=16,
+                     segments=((32, 0.75),) * (b // 32), seed=17)
+    stream, _ = generate(spec)
+    tracemalloc.start()
+    try:
+        cv, report = compress(stream, CompressionConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    outputs = cv.tokens.nbytes + sum(a.nbytes for a in cv.provenance_arrays)
+    bound = 2 * outputs + 8 * b * n_v * 8
+    assert report.temporal_prune_ratio > 0.7
+    assert peak <= bound, f"peak {peak / 2**20:.1f} MB > bound {bound / 2**20:.1f} MB"

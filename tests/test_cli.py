@@ -234,13 +234,19 @@ class TestCompress:
         assert f"{bad}: {rows} rows" in err and f"final_count {self.FINAL_COUNT}" in err
         assert not out.exists()
 
+    # ids name the broken input; hidden.npy rows hold 8 values
     @pytest.mark.parametrize("bad_file,row,value,message", [
-        ("hidden.npy", 4, np.nan, "row 4 is not finite"),
-        ("hidden.npy", 0, np.inf, "row 0 is not finite"),
-        ("hidden.npy", 2, 1e300, "row 2 is not finite in float32"),
+        pytest.param("hidden.npy", 4, np.nan, "non-finite value at flat offset 32",
+                     id="hidden.npy-4-nan-row 4 is not finite"),
+        pytest.param("hidden.npy", 0, np.inf, "non-finite value at flat offset 0",
+                     id="hidden.npy-0-inf-row 0 is not finite"),
+        pytest.param("hidden.npy", 2, 1e300, "value out of float32 range at flat offset 16",
+                     id="hidden.npy-2-1e+300-row 2 is not finite in float32"),
         ("last.npy", 5, -0.1, "must be non-negative"),
-        ("last.npy", 7, np.nan, "non-finite attention score at index 7"),
-        ("last.npy", 0, np.inf, "non-finite attention score at index 0")])
+        pytest.param("last.npy", 7, np.nan, "non-finite value at flat offset 7",
+                     id="last.npy-7-nan-non-finite attention score at index 7"),
+        pytest.param("last.npy", 0, np.inf, "non-finite value at flat offset 0",
+                     id="last.npy-0-inf-non-finite attention score at index 0")])
     def test_inner_dumps_invalid_values_exit_2(self, tmp_path, capsys,
                                                bad_file, row, value, message):
         spec, stream, tokens = write_corpus(tmp_path)

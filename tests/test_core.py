@@ -177,6 +177,20 @@ class TestTokenStreamIO:
         loaded = load_token_stream(path, (2, 2))
         np.testing.assert_array_equal(loaded.data, arr.astype(np.float32))
 
+    @pytest.mark.parametrize("dtype", ["complex128", "<U3"])
+    def test_non_real_dtype_rejected_before_narrowing(self, tmp_path, dtype):
+        # a cast would keep only the real part, or parse the strings
+        arr = np.full((2, 4, 8), "1.5" if dtype == "<U3" else 1.5 + 2j, dtype=dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=f"^dtype {dtype}, expected real values$"):
+                VideoTokenStream(arr, (2, 2))
+        path = tmp_path / "t.npy"
+        np.save(path, arr)
+        with pytest.raises(DataError, match=re.escape(
+                f"{path}: dtype {dtype}, expected float32/float64")):
+            load_token_stream(path, (2, 2))
+
     def test_data_is_read_only(self):
         stream = VideoTokenStream(np.ones((1, 1, 2), dtype=np.float32), (1, 1))
         with pytest.raises(ValueError):

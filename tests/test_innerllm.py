@@ -1,7 +1,9 @@
 """Inner-merge tests: ranking, cosine assignment, group means, conservation."""
 
 import math
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -413,13 +415,32 @@ class TestInput:
     def test_non_finite_hidden_rejected(self, value):
         hidden = np.ones((3, 2))
         hidden[1, 0] = value
-        with pytest.raises(DataError, match="row 1 is not finite"):
+        fault = "value out of float32 range" if np.isfinite(value) else "non-finite value"
+        with pytest.raises(DataError, match=f"^{fault} at flat offset 2$"):
             InnerMergeInput(hidden, np.ones(3))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_attention_rejected(self, value):
-        with pytest.raises(DataError, match="non-finite attention score at index 2"):
+        with pytest.raises(DataError, match="^non-finite value at flat offset 2$"):
             InnerMergeInput(np.ones((3, 2)), np.array([0.5, 0.1, value]))
+
+    @pytest.mark.parametrize("shape", [(3, 1), (1, 3), ()], ids=["column", "row", "scalar"])
+    def test_attention_row_not_1d_rejected(self, shape):
+        attn = np.full(shape, 0.5)
+        with pytest.raises(DataError, match=re.escape(
+                f"attention row must be 1-D (N,), got shape {shape}")):
+            innerllm.check_last_attn(attn)
+        with pytest.raises(DataError, match="attention row must be 1-D"):
+            InnerMergeInput(np.ones((attn.size, 2)), attn)
+
+    def test_float64_hidden_beyond_float32_range(self):
+        hidden = np.ones((3, 2))
+        hidden[0, 0] = 1e39
+        hidden[2, 1] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="^value out of float32 range at flat offset 0$"):
+                InnerMergeInput(hidden, np.ones(3))
 
     @pytest.mark.parametrize("which", ["hidden", "last_attn"])
     def test_complex_dump_rejected(self, which):

@@ -285,6 +285,18 @@ class TestOverflowingDumps:
                 importance_from_qk(q, k, (2, 2), names=("q.npy", "k.npy"))
 
 
+def test_qk_dumps_with_zero_dim_named():
+    """d = 0 dumps fail their shape contract rather than overflowing."""
+    q = k = np.zeros((2, 4, 0), dtype=np.float32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match=(
+                r"^query, key: shape \(2, 4, 0\), expected \(B, N_v, d >= 1\)$")):
+            importance_from_qk(q, k, (2, 2))
+        with pytest.raises(DataError, match="^q.npy, k.npy: shape"):
+            importance_from_qk(q, k, (2, 2), names=("q.npy", "k.npy"))
+
+
 class TestPoolImportance:
     def test_constant_grid(self):
         out = pooled(np.full((6, 9), 3.5), (2, 3))
