@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .core import CompressionConfig, ConfigError, ModelProfile
+from .innerllm import retained_count
 
 
 def _load_profiles() -> dict[str, ModelProfile]:
@@ -69,12 +70,13 @@ def decode_flops(profile: ModelProfile, n: list[int], r_dec: int = DECODE_TOKENS
 
 def layer_token_counts(profile: ModelProfile, retained_tokens: int,
                        cfg: CompressionConfig) -> list[int]:
-    """Per-layer schedule: full count through layer K, reduced by R% after
-    (the config's inner merge; the full count everywhere when disabled)."""
+    """Per-layer schedule: full count through layer K, then the count the
+    config's inner merge keeps, innerllm.retained_count (the full count
+    everywhere when the inner merge is disabled)."""
     t = profile.layers_T
     if not cfg.inner_enabled:
         return [retained_tokens] * t
-    reduced = int(retained_tokens * (100.0 - cfg.inner_ratio_R) / 100.0)
+    reduced = retained_count(retained_tokens, cfg.inner_ratio_R)
     return [retained_tokens if i <= cfg.inner_layer_K else reduced
             for i in range(1, t + 1)]
 

@@ -79,18 +79,29 @@ class InnerMergeResult:
     assignment: dict[int, int]        # candidate index -> retained index
 
 
-def rank_by_last_attention(last_attn: np.ndarray, ratio_r: float) -> tuple[np.ndarray, np.ndarray]:
-    """Split indices into (retained, candidates) by the bottom-R% scores.
+def retained_count(n: int, ratio_r: float) -> int:
+    """Tokens left after merging the bottom R% of ``n``: N - floor(R*N/100).
 
-    floor(R*N/100) candidates are taken from the lowest scores; on ties the
-    larger index becomes the candidate (smaller indices are preferentially
-    retained). Both lists come back ascending.
+    The one rule for this count: rank_by_last_attention keeps this many and
+    cost.layer_token_counts prices it after layer K. R < 100 keeps at least
+    one token for every N >= 1.
     """
     if not 0 <= ratio_r < 100:
         raise DataError(f"merge ratio must be in [0, 100), got {ratio_r}")
-    scores = np.asarray(last_attn, dtype=np.float64).ravel()
+    return n - int(ratio_r * n / 100)
+
+
+def rank_by_last_attention(last_attn: np.ndarray, ratio_r: float) -> tuple[np.ndarray, np.ndarray]:
+    """Split indices into (retained, candidates) by the bottom-R% scores.
+
+    ``last_attn`` is checked by check_last_attn. retained_count(N, R) tokens
+    are kept and the rest taken from the lowest scores; on ties the larger
+    index becomes the candidate (smaller indices are preferentially
+    retained). Both lists come back ascending.
+    """
+    scores = check_last_attn(last_attn)
     n = scores.shape[0]
-    n_cand = int(ratio_r * n / 100)
+    n_cand = n - retained_count(n, ratio_r)
     # primary key: score ascending; secondary: index descending
     order = np.lexsort((-np.arange(n), scores))
     candidates = np.sort(order[:n_cand])
@@ -167,7 +178,7 @@ def similarity_assign(
         return np.empty(0, dtype=np.int64)
     if retained.size == 0:
         raise DataError("cannot assign candidates: retained set is empty")
-    hidden = np.asarray(hidden)
+    hidden = _checked(hidden)  # finite, the band's precondition; not narrowed
     d = hidden.shape[1]
     # Error band. Let u = 2**-24. A retained unit row entry is the float32
     # entry times a float64 reciprocal norm (relative error below

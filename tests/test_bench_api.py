@@ -63,15 +63,15 @@ def worker():
         sys.path.remove(str(WORKER.parent))
 
 
-def tiny_video(tmp_path, source):
+def tiny_video(tmp_path, source, target_ratio=0.3):
     """A manifest run and video entry of 6 frames on a 2x3 grid, with one
-    redundant run, clustered at target ratio 0.3: ``attn`` pools the
+    redundant run, clustered at ``target_ratio``: ``attn`` pools the
     attention to 1x2, ``qk`` brings query/key and inner-merge dumps."""
     rng = np.random.default_rng(3)
     data = rng.standard_normal((6, 6, 8)).astype(np.float32)
     data[1:5, :4] = data[1, :4]
     np.save(tmp_path / "tokens.npy", data)
-    run = {"grid": [2, 3], "tau": 0.8, "target_ratio": 0.3,
+    run = {"grid": [2, 3], "tau": 0.8, "target_ratio": target_ratio,
            "pooled_grid": [1, 2] if source == "attn" else None}
     video = {"frames": 6, "tokens": str(tmp_path / "tokens.npy")}
     if source == "attn":
@@ -82,7 +82,7 @@ def tiny_video(tmp_path, source):
     for path in video["qk"]:
         np.save(path, rng.standard_normal((6, 6, 4)))
     stream = tokmerge.VideoTokenStream(data, (2, 3))
-    cfg = tokmerge.validate_config({"tau": 0.8, "target_ratio": 0.3})
+    cfg = tokmerge.validate_config({"tau": 0.8, "target_ratio": target_ratio})
     imp = tokmerge.importance_from_qk(*(np.load(p) for p in video["qk"]), (2, 3))
     final = tokmerge.compress(stream, cfg, imp)[1].final_count
     video["hidden"], video["last_attn"] = (str(tmp_path / "hidden.npy"),
@@ -92,9 +92,15 @@ def tiny_video(tmp_path, source):
     return run, video
 
 
-@pytest.mark.parametrize("source", ["attn", "qk"])
-def test_traced_compress_runs_in_process(worker, tmp_path, source):
-    run, video = tiny_video(tmp_path, source)
+@pytest.mark.parametrize("source, target_ratio, inner_rows", [
+    pytest.param("attn", 0.3, None, id="attn"),
+    pytest.param("qk", 0.3, 6, id="qk"),
+    # final_count 19 at R = 50: the benchmark's checker expects
+    # 19 - floor(9.5) = 10 inner rows, so a merge rounding the other way fails
+    pytest.param("qk", 0.35, 10, id="qk-odd"),
+])
+def test_traced_compress_runs_in_process(worker, tmp_path, source, target_ratio, inner_rows):
+    run, video = tiny_video(tmp_path, source, target_ratio)
     out = tmp_path / "out"
     spans = worker.Spans()
     counts = worker.traced_compress(run, video, out, spans)
@@ -106,3 +112,4 @@ def test_traced_compress_runs_in_process(worker, tmp_path, source):
     if source == "qk":
         assert "innerllm.merge" in spans.called
         assert (out / "inner.json").exists()
+        assert np.load(out / "inner_tokens.npy").shape[0] == inner_rows

@@ -106,7 +106,8 @@ class TestPipelineReport:
 
     def test_layer_schedule_follows_config(self):
         cfg = validate_config({"inner_layer_K": 2, "inner_ratio_R": 25})
-        assert layer_token_counts(OV7B, 101, cfg) == [101, 101] + [75] * 26
+        # the inner merge's count: 101 - floor(25 * 101 / 100) = 76
+        assert layer_token_counts(OV7B, 101, cfg) == [101, 101] + [76] * 26
         off = validate_config({"inner_enabled": False, "inner_layer_K": 2})
         assert layer_token_counts(OV7B, 101, off) == [101] * 28
 

@@ -44,13 +44,13 @@ CASES = {
         "tokens.npy":
             "0e29854c843a7e71e179cc1cb5716d211db3370f45c6fe93330cd0574e706a49",
         "compressed.json":
-            "76fb8bae3b64f0f4ecba2a4708038f1041e3d101666686db64e87bc7649eaefb",
+            "c387f98e7f9593e0068769649eebdf105dcba43ecb9e28f9818c10421d193dd5",
     },
     "pooled-attn": {
         "tokens.npy":
             "9e533a4e9831e41a2f1cb3c10a9c89066792756632d57ed4d98e04fda50061e1",
         "compressed.json":
-            "2ec19d4f72d86a441a13ce28bc3636dd3f1d78c50011afa940662135ba893dc3",
+            "5d077ea8e218d98b536b9af3365714f44490981c89ad8c9b0656ee4b6ebd9139",
     },
     "cluster-qk-inner": {
         "tokens.npy":

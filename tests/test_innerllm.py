@@ -11,12 +11,15 @@ import pytest
 from tokmerge import (
     DataError,
     InnerMergeInput,
+    get_profile,
     inner_merge,
     innerllm,
     merge_assigned,
     rank_by_last_attention,
     similarity_assign,
+    validate_config,
 )
+from tokmerge.cost import layer_token_counts
 
 
 def reference_similarities(candidates, retained, hidden):
@@ -167,6 +170,18 @@ class TestRanking:
     def test_r_out_of_range(self):
         with pytest.raises(DataError):
             rank_by_last_attention(np.ones(4), 100)
+
+    def test_count_matches_flops_schedule(self):
+        # one rule for the post-layer-K count: the merge keeps what the
+        # FLOPs schedule prices, and at least one token of N >= 1
+        profile = get_profile("llava-ov-7b")
+        scores = np.random.default_rng(4).random(2000)
+        for r in (0, 0.5, 10, 25, 30, 33.3, 50, 66.7, 70, 99.9):
+            cfg = validate_config({"inner_ratio_R": r})
+            for n in range(2001):
+                kept = layer_token_counts(profile, n, cfg)[-1]
+                assert rank_by_last_attention(scores[:n], r)[0].size == kept, (n, r)
+                assert kept >= min(n, 1), (n, r)
 
 
 class TestAssignment:
@@ -432,6 +447,26 @@ class TestInput:
             innerllm.check_last_attn(attn)
         with pytest.raises(DataError, match="attention row must be 1-D"):
             InnerMergeInput(np.ones((attn.size, 2)), attn)
+
+    @pytest.mark.parametrize("scores, fault", [
+        ([[0.3], [0.1], [0.2]], re.escape("attention row must be 1-D (N,), got shape (3, 1)")),
+        ([0.3, np.nan, 0.2], "^non-finite value at flat offset 1$"),
+        ([0.3, -1.0, 0.2], "^attention scores must be non-negative$"),
+    ], ids=["column", "nan", "negative"])
+    def test_ranking_checks_scores(self, scores, fault):
+        with pytest.raises(DataError, match=fault):
+            rank_by_last_attention(np.array(scores), 50)
+
+    @pytest.mark.parametrize("value, fault", [
+        (np.nan, "^non-finite value at flat offset 5$"),
+        (-np.inf, "^non-finite value at flat offset 5$"),
+        (1j, "^dtype complex128, expected real values$"),
+    ], ids=["nan", "-inf", "complex"])
+    def test_assignment_checks_hidden(self, value, fault):
+        hidden = np.ones((4, 2), dtype=np.result_type(value, np.float64))
+        hidden[2, 1] = value
+        with pytest.raises(DataError, match=fault):
+            similarity_assign(np.array([0]), np.array([1, 2, 3]), hidden)
 
     def test_float64_hidden_beyond_float32_range(self):
         hidden = np.ones((3, 2))
