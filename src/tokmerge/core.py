@@ -18,7 +18,7 @@ import math
 import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
@@ -235,9 +235,18 @@ def load_token_stream(path, grid: tuple[int, int]) -> VideoTokenStream:
 # Configuration
 # ---------------------------------------------------------------------------
 
+def _require_real(raw, name: str) -> float:
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {raw!r}")
+    return float(raw)
+
+
 @dataclass(frozen=True)
 class CompressionConfig:
-    """Validated pipeline settings; build via validate_config()."""
+    """Pipeline settings, checked on construction: an out-of-range or
+    mistyped field raises ``ConfigError``. ``tau``, ``target_ratio`` and
+    ``inner_ratio_R`` are stored as float, ``pooled_grid`` as a tuple, and
+    ``knn_k`` ``"auto"`` as None."""
 
     tau: float = 0.8
     target_ratio: float = 1.0
@@ -248,93 +257,60 @@ class CompressionConfig:
     inner_layer_K: int = 18
     inner_ratio_R: float = 50.0
 
-    def to_dict(self) -> dict:
-        return {
-            "tau": self.tau,
-            "target_ratio": self.target_ratio,
-            "temporal_merge_mode": self.temporal_merge_mode,
-            "pooled_grid": list(self.pooled_grid) if self.pooled_grid else None,
-            "knn_k": "auto" if self.knn_k is None else self.knn_k,
-            "inner_enabled": self.inner_enabled,
-            "inner_layer_K": self.inner_layer_K,
-            "inner_ratio_R": self.inner_ratio_R,
-        }
+    def __post_init__(self):
+        tau = _require_real(self.tau, "tau")
+        if not 0.0 <= tau <= 1.0:
+            raise ConfigError(f"tau must be in [0, 1], got {tau}")
+        object.__setattr__(self, "tau", tau)
 
+        ratio = _require_real(self.target_ratio, "target_ratio")
+        if not 0.0 < ratio <= 1.0:
+            raise ConfigError(f"target_ratio must be in (0, 1], got {ratio}")
+        object.__setattr__(self, "target_ratio", ratio)
 
-_CONFIG_DEFAULTS = CompressionConfig().to_dict()
+        if self.temporal_merge_mode not in TEMPORAL_MERGE_MODES:
+            raise ConfigError(f"temporal_merge_mode must be one of {TEMPORAL_MERGE_MODES}, "
+                              f"got {self.temporal_merge_mode!r}")
 
+        pooled = self.pooled_grid
+        if pooled is not None:
+            if (not isinstance(pooled, (list, tuple)) or len(pooled) != 2
+                    or any(isinstance(x, bool) or not isinstance(x, int) or x < 1 for x in pooled)):
+                raise ConfigError(
+                    f"pooled_grid must be two positive integers [rows, cols], got {pooled!r}")
+            object.__setattr__(self, "pooled_grid", tuple(pooled))
 
-def _require_real(raw, name: str) -> float:
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise ConfigError(f"{name} must be a number, got {raw!r}")
-    return float(raw)
+        knn_k = self.knn_k
+        if knn_k in (None, "auto"):
+            object.__setattr__(self, "knn_k", None)
+        elif isinstance(knn_k, int) and not isinstance(knn_k, bool):
+            if knn_k < 1:
+                raise ConfigError(f"knn_k must be >= 1 or \"auto\", got {knn_k}")
+        else:
+            raise ConfigError(f"knn_k must be an integer or \"auto\", got {knn_k!r}")
+
+        if not isinstance(self.inner_enabled, bool):
+            raise ConfigError(f"inner_enabled must be a boolean, got {self.inner_enabled!r}")
+
+        k = self.inner_layer_K
+        if isinstance(k, bool) or not isinstance(k, int) or k < 0:
+            raise ConfigError(f"inner_layer_K must be a non-negative integer, got {k!r}")
+
+        ratio_R = _require_real(self.inner_ratio_R, "inner_ratio_R")
+        if not 0.0 <= ratio_R < 100.0:
+            raise ConfigError(f"inner_ratio_R must be in [0, 100), got {ratio_R}")
+        object.__setattr__(self, "inner_ratio_R", ratio_R)
 
 
 def validate_config(raw: dict | None) -> CompressionConfig:
-    """Validate a raw config document; a missing field takes the
-    ``CompressionConfig`` default (pooled_grid None is the stream grid).
-    Idempotent: validating ``cfg.to_dict()`` reproduces ``cfg``.
-    """
+    """The ``CompressionConfig`` of a raw config document; a missing field
+    takes its default (pooled_grid None is the stream grid), and an unknown
+    field raises ``ConfigError``."""
     raw = dict(raw or {})
-    unknown = set(raw) - set(_CONFIG_DEFAULTS)
+    unknown = set(raw) - {f.name for f in fields(CompressionConfig)}
     if unknown:
         raise ConfigError(f"unknown config field(s): {sorted(unknown)}")
-    raw = {**_CONFIG_DEFAULTS, **raw}
-
-    tau = _require_real(raw["tau"], "tau")
-    if not 0.0 <= tau <= 1.0:
-        raise ConfigError(f"tau must be in [0, 1], got {tau}")
-
-    target_ratio = _require_real(raw["target_ratio"], "target_ratio")
-    if not 0.0 < target_ratio <= 1.0:
-        raise ConfigError(f"target_ratio must be in (0, 1], got {target_ratio}")
-
-    mode = raw["temporal_merge_mode"]
-    if mode not in TEMPORAL_MERGE_MODES:
-        raise ConfigError(
-            f"temporal_merge_mode must be one of {TEMPORAL_MERGE_MODES}, got {mode!r}")
-
-    pooled = raw["pooled_grid"]
-    if pooled is not None:
-        if (not isinstance(pooled, (list, tuple)) or len(pooled) != 2
-                or any(isinstance(x, bool) or not isinstance(x, int) or x < 1 for x in pooled)):
-            raise ConfigError(
-                f"pooled_grid must be two positive integers [rows, cols], got {pooled!r}")
-        pooled = tuple(pooled)
-
-    knn_k = raw["knn_k"]
-    if knn_k in (None, "auto"):
-        knn_k = None
-    elif isinstance(knn_k, int) and not isinstance(knn_k, bool):
-        if knn_k < 1:
-            raise ConfigError(f"knn_k must be >= 1 or \"auto\", got {knn_k}")
-    else:
-        raise ConfigError(f"knn_k must be an integer or \"auto\", got {knn_k!r}")
-
-    inner_enabled = raw["inner_enabled"]
-    if not isinstance(inner_enabled, bool):
-        raise ConfigError(f"inner_enabled must be a boolean, got {inner_enabled!r}")
-
-    inner_layer_K = raw["inner_layer_K"]
-    if isinstance(inner_layer_K, bool) or not isinstance(inner_layer_K, int) \
-            or inner_layer_K < 0:
-        raise ConfigError(
-            f"inner_layer_K must be a non-negative integer, got {inner_layer_K!r}")
-
-    inner_ratio_R = _require_real(raw["inner_ratio_R"], "inner_ratio_R")
-    if not 0.0 <= inner_ratio_R < 100.0:
-        raise ConfigError(f"inner_ratio_R must be in [0, 100), got {inner_ratio_R}")
-
-    return CompressionConfig(
-        tau=tau,
-        target_ratio=target_ratio,
-        temporal_merge_mode=mode,
-        pooled_grid=pooled,
-        knn_k=knn_k,
-        inner_enabled=inner_enabled,
-        inner_layer_K=inner_layer_K,
-        inner_ratio_R=inner_ratio_R,
-    )
+    return CompressionConfig(**raw)
 
 
 # ---------------------------------------------------------------------------

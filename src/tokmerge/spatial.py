@@ -300,8 +300,7 @@ def spatial_merge(
         _, firsts, sizes = np.unique(seg, return_index=True, return_counts=True)
         for lo, n in zip(firsts.tolist(), sizes.tolist()):
             k = cfg.knn_k if cfg.knn_k is not None else auto_knn_k(n)
-            state = dpc_knn_cluster(values[lo : lo + n], min(max(k, 1), max(n - 1, 1)),
-                                    math.ceil(rate * n))
+            state = dpc_knn_cluster(values[lo : lo + n], min(k, n - 1), math.ceil(rate * n))
             reps.append(merge_clusters(values[lo : lo + n], state)[0])
             center[lo : lo + n] = lo + state.assignment
         values = np.concatenate(reps)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataError, VideoTokenStream
+from .core import ConfigError, VideoTokenStream
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -69,7 +69,7 @@ class SynthSpec:
     lengths sum to ``frames``; within each segment the first
     round(fraction * N_v) slots repeat a per-segment base vector plus
     Gaussian noise of scale ``noise_sigma``, and all other slots are i.i.d.
-    standard normal.
+    standard normal. A field out of range raises ``ConfigError``.
     """
 
     frames: int
@@ -82,15 +82,15 @@ class SynthSpec:
     def __post_init__(self):
         h, w = self.grid
         if self.frames < 1 or h < 1 or w < 1 or self.dim < 1:
-            raise DataError("frames, grid, and dim must be positive")
+            raise ConfigError("frames, grid, and dim must be positive")
         lengths = [s[0] for s in self.segments]
         if not lengths or any(l < 1 for l in lengths) or sum(lengths) != self.frames:
-            raise DataError(
+            raise ConfigError(
                 f"segment lengths {lengths} must be positive and sum to {self.frames}")
         if any(not 0.0 <= f <= 1.0 for _, f in self.segments):
-            raise DataError("redundant fractions must lie in [0, 1]")
-        if self.noise_sigma < 0:
-            raise DataError("noise_sigma must be >= 0")
+            raise ConfigError("redundant fractions must lie in [0, 1]")
+        if not 0.0 <= self.noise_sigma < np.inf:
+            raise ConfigError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         object.__setattr__(self, "segments",
                            tuple((int(l), float(f)) for l, f in self.segments))
         object.__setattr__(self, "grid", (int(h), int(w)))

@@ -671,6 +671,19 @@ class TestSynthAndReport:
         spec_doc = json.loads((out / "spec.json").read_text())
         assert spec_doc["planted_boundaries"] == [1, 4, 7]
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--frames", "6", "--segments", "3:0.5,2:0.5"],
+         "segment lengths [3, 2] must be positive and sum to 6"),
+        (["--frames", "6", "--segments", "3:0.5,3:0.5", "--noise", "nan"],
+         "noise_sigma must be finite and >= 0, got nan"),
+    ])
+    def test_synth_bad_flags_exit_1(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "synth"
+        rc = main(["synth", "--out", str(out), "--grid", "2x2", "--dim", "4", *flags])
+        assert rc == 1
+        assert f"tokmerge: error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_report_single_video(self, tmp_path, capsys):
         spec, stream, tokens = write_corpus(tmp_path)
         out = tmp_path / "video1"

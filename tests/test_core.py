@@ -1,14 +1,18 @@
 """Core type, config, and I/O round-trip tests."""
 
+import dataclasses
 import json
+import math
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tokmerge import (
     CompressedVideo,
+    CompressionConfig,
     CompressionReport,
     ConfigError,
     DataError,
@@ -17,6 +21,10 @@ from tokmerge import (
     load_compressed,
     load_token_stream,
     pairwise_redundancy,
+    SynthSpec,
+    compress,
+    generate,
+    importance_from_attention,
     save_compressed,
     validate_config,
 )
@@ -197,6 +205,14 @@ class TestTokenStreamIO:
             stream.data[0, 0, 0] = 5.0
 
 
+def assert_rejected(doc: dict, message: str):
+    """A config document and the same fields passed to ``CompressionConfig``
+    both raise ``ConfigError`` with exactly ``message``."""
+    for build in (validate_config, lambda raw: CompressionConfig(**raw)):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            build(doc)
+
+
 class TestConfig:
     def test_empty_document_defaults(self):
         cfg = validate_config({})
@@ -206,10 +222,10 @@ class TestConfig:
         assert cfg.temporal_merge_mode == "mean"
         assert cfg.knn_k is None
         assert cfg.inner_enabled
+        assert cfg == CompressionConfig()
 
     def test_tau_out_of_range(self):
-        with pytest.raises(ConfigError, match=r"tau must be in \[0, 1\]"):
-            validate_config({"tau": 1.5})
+        assert_rejected({"tau": 1.5}, "tau must be in [0, 1], got 1.5")
 
     def test_target_ratio_leaves_tau_default(self):
         cfg = validate_config({"target_ratio": 0.10})
@@ -220,27 +236,69 @@ class TestConfig:
         cfg = validate_config({"tau": 0.65, "target_ratio": 0.25,
                                "pooled_grid": [7, 7], "knn_k": 5,
                                "temporal_merge_mode": "first"})
-        again = validate_config(cfg.to_dict())
+        again = validate_config(dataclasses.asdict(cfg))
         assert again == cfg
-        assert validate_config(again.to_dict()) == again
+        assert validate_config(dataclasses.asdict(again)) == again
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError, match="unknown"):
             validate_config({"tua": 0.8})
 
     def test_bad_mode(self):
-        with pytest.raises(ConfigError, match="temporal_merge_mode"):
-            validate_config({"temporal_merge_mode": "median"})
+        assert_rejected({"temporal_merge_mode": "median"},
+                        "temporal_merge_mode must be one of ('mean', 'first'), got 'median'")
 
     def test_bad_inner_ratio(self):
-        with pytest.raises(ConfigError, match=r"\[0, 100\)"):
-            validate_config({"inner_ratio_R": 100})
+        assert_rejected({"inner_ratio_R": 100}, "inner_ratio_R must be in [0, 100), got 100.0")
 
     @pytest.mark.parametrize("pooled", [7, True, [True, 2]])
     def test_pooled_grid_not_two_integers_rejected(self, pooled):
-        with pytest.raises(ConfigError, match=re.escape(
-                f"pooled_grid must be two positive integers [rows, cols], got {pooled!r}")):
-            validate_config({"pooled_grid": pooled})
+        assert_rejected({"pooled_grid": pooled},
+                        f"pooled_grid must be two positive integers [rows, cols], got {pooled!r}")
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"tau": math.nan}, "tau must be in [0, 1], got nan"),
+        ({"tau": 2.0}, "tau must be in [0, 1], got 2.0"),
+        ({"tau": "0.8"}, "tau must be a number, got '0.8'"),
+        ({"target_ratio": math.nan}, "target_ratio must be in (0, 1], got nan"),
+        ({"target_ratio": 0}, "target_ratio must be in (0, 1], got 0.0"),
+        ({"target_ratio": 3.0}, "target_ratio must be in (0, 1], got 3.0"),
+        ({"knn_k": 0}, 'knn_k must be >= 1 or "auto", got 0'),
+        ({"knn_k": 2.0}, 'knn_k must be an integer or "auto", got 2.0'),
+        ({"inner_enabled": "no"}, "inner_enabled must be a boolean, got 'no'"),
+        ({"inner_layer_K": -3}, "inner_layer_K must be a non-negative integer, got -3"),
+        ({"inner_ratio_R": True}, "inner_ratio_R must be a number, got True"),
+    ])
+    def test_rejected_by_both_entry_points(self, doc, message):
+        assert_rejected(doc, message)
+
+    def test_fields_normalised_on_construction(self):
+        cfg = CompressionConfig(tau=1, target_ratio=1, pooled_grid=[1, 2], knn_k="auto",
+                                inner_ratio_R=25)
+        assert (cfg.tau, cfg.target_ratio, cfg.inner_ratio_R) == (1.0, 1.0, 25.0)
+        assert all(type(v) is float for v in (cfg.tau, cfg.target_ratio, cfg.inner_ratio_R))
+        assert cfg.pooled_grid == (1, 2) and cfg.knn_k is None
+        assert cfg == validate_config({"tau": 1, "target_ratio": 1, "pooled_grid": [1, 2],
+                                       "knn_k": "auto", "inner_ratio_R": 25})
+
+    def test_readme_config_bullet_names_every_field(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        bullet = readme.split("* **Config**", 1)[1].split("\n* **", 1)[0]
+        missing = [f.name for f in dataclasses.fields(CompressionConfig)
+                   if f"`{f.name}`" not in bullet]
+        assert not missing, f"README Config bullet does not document {missing}"
+
+    def test_list_pooled_grid_clusters_in_library(self):
+        """A list pooled_grid matches a (1, 2)-pooled ImportanceMap in compress."""
+        cfg = CompressionConfig(target_ratio=0.25, pooled_grid=[1, 2])
+        assert cfg == validate_config({"target_ratio": 0.25, "pooled_grid": [1, 2]})
+        stream, _ = generate(SynthSpec(frames=4, grid=(2, 4), dim=16,
+                                       segments=((4, 0.5),), seed=3))
+        rng = np.random.default_rng(3)
+        imp = importance_from_attention(rng.random((4, 8, 8)), stream.grid, pooled_grid=(1, 2))
+        assert imp.pooled_grid == (1, 2)
+        cv, _ = compress(stream, cfg, imp)
+        assert {p.kind for p in cv.provenance} == {"selected", "cluster_rep"}
 
 
 def arrays(records):

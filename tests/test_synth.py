@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tokmerge import (
-    DataError,
+    ConfigError,
     SynthSpec,
     generate,
     optimal_segmentation,
@@ -70,10 +70,16 @@ def test_noise_degrades_gracefully():
 
 
 def test_segment_lengths_must_sum():
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError):
         spec_with(segments=((4, 0.5), (3, 0.5)))
 
 
 def test_fraction_out_of_range():
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError):
         spec_with(segments=((8, 1.2),))
+
+
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -1.0])
+def test_noise_sigma_must_be_finite_and_non_negative(sigma):
+    with pytest.raises(ConfigError, match=f"noise_sigma must be finite and >= 0, got {sigma}"):
+        spec_with(noise_sigma=sigma)
