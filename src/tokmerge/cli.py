@@ -150,7 +150,7 @@ def cmd_compress(args) -> int:
             if rows != final:
                 raise DataError(f"{path}: {rows} rows, but the compressed video has "
                                 f"final_count {final} tokens")
-        inner_input = InnerMergeInput(hidden, last)
+        inner_input = InnerMergeInput._of_checked(hidden, last)  # checked on load
     out = Path(args.out)
     save_compressed(cv, report, out)
     del cv  # the inner merge runs with only its own dumps resident

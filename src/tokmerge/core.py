@@ -13,6 +13,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
 import math
 import numbers
@@ -107,20 +109,56 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _split(n: int, fn) -> None:
+@functools.cache
+def _blas_thread_query():
+    """The thread-count function of numpy's bundled OpenBLAS, or None."""
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            handle = ctypes.CDLL(str(lib))
+        except OSError:
+            continue
+        for sym in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                    "openblas_get_num_threads"):
+            query = getattr(handle, sym, None)
+            if query is not None:
+                query.argtypes, query.restype = [], ctypes.c_int
+                return query
+    return None
+
+
+def _blas_threads() -> int | None:
+    """Threads numpy's bundled OpenBLAS runs one product on, asked of the
+    library on every call; None when it cannot be asked."""
+    query = _blas_thread_query()
+    return query() if query else None
+
+
+def _split(n: int, fn, *, blas: bool = False) -> None:
     """Run ``fn(lo, hi)`` over contiguous pieces of ``range(n)``, one per
-    usable CPU, the first on the calling thread (one piece starts no thread).
+    worker, the first on the calling thread (one piece starts no thread).
+    There is a worker per usable CPU; pieces that call BLAS (``blas``) get
+    ``cpus // blas_threads``, so the pieces and BLAS's own threads together
+    fit the CPUs, and one piece when BLAS's thread count cannot be read.
     Each call writes only its own part of a preallocated output, so the bits
-    do not depend on the piece count. The pool lives for one call: a pool
-    kept across calls hangs a forked child that calls again.
+    do not depend on the piece count, and every piece runs under the
+    caller's numpy error state. The pool lives for one call: a pool kept
+    across calls hangs a forked child that calls again.
     """
-    workers = min(_cpu_count(), n)
+    cpus = _cpu_count()
+    if blas:
+        cpus //= _blas_threads() or cpus
+    workers = min(cpus, n)
     if workers <= 1:
         fn(0, n)
         return
+    err = np.geterr()  # pool threads start with numpy's default error state
+
+    def piece(lo, hi):
+        with np.errstate(**err):
+            fn(lo, hi)
     cuts = [n * i // workers for i in range(workers + 1)]
     with ThreadPoolExecutor(workers - 1) as pool:
-        rest = pool.map(fn, cuts[1:-1], cuts[2:])
+        rest = pool.map(piece, cuts[1:-1], cuts[2:])
         fn(0, cuts[1])
         list(rest)
 

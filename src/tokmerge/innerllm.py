@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataError, _checked, _group_mean
+from .core import DataError, _checked, _group_mean, _split
 
 # Candidate rows scored per block, and retained rows gathered per block by
 # the exact recheck. A block's float32 similarities take
@@ -71,6 +71,15 @@ class InnerMergeInput:
         object.__setattr__(self, "hidden", hidden)
         object.__setattr__(self, "last_attn", attn)
 
+    @classmethod
+    def _of_checked(cls, hidden: np.ndarray, last_attn: np.ndarray) -> InnerMergeInput:
+        """The input of arrays that check_hidden and check_last_attn
+        returned, with equal row counts, not checked a second time."""
+        inp = object.__new__(cls)
+        object.__setattr__(inp, "hidden", hidden)
+        object.__setattr__(inp, "last_attn", last_attn)
+        return inp
+
 
 @dataclass(frozen=True)
 class InnerMergeResult:
@@ -99,7 +108,11 @@ def rank_by_last_attention(last_attn: np.ndarray, ratio_r: float) -> tuple[np.nd
     index becomes the candidate (smaller indices are preferentially
     retained). Both lists come back ascending.
     """
-    scores = check_last_attn(last_attn)
+    return _rank(check_last_attn(last_attn), ratio_r)
+
+
+def _rank(scores: np.ndarray, ratio_r: float) -> tuple[np.ndarray, np.ndarray]:
+    """rank_by_last_attention of scores check_last_attn returned."""
     n = scores.shape[0]
     n_cand = n - retained_count(n, ratio_r)
     # primary key: score ascending; secondary: index descending
@@ -178,7 +191,19 @@ def similarity_assign(
         return np.empty(0, dtype=np.int64)
     if retained.size == 0:
         raise DataError("cannot assign candidates: retained set is empty")
-    hidden = _checked(hidden)  # finite, the band's precondition; not narrowed
+    # finite, the band's precondition; not narrowed
+    return _assign(candidates, retained, _checked(hidden))
+
+
+def _assign(candidates: np.ndarray, retained: np.ndarray, hidden: np.ndarray) -> np.ndarray:
+    """similarity_assign of int64 indices into finite hidden states;
+    ``retained`` may be empty only when ``candidates`` is.
+
+    The rows of each block are scored in ``_split`` pieces: gather, norms,
+    float32 product, argmax and gap. The targets they decide do not depend
+    on how the product sums, and the exact recheck runs on the calling
+    thread once the block is scored.
+    """
     d = hidden.shape[1]
     # Error band. Let u = 2**-24. A retained unit row entry is the float32
     # entry times a float64 reciprocal norm (relative error below
@@ -204,22 +229,29 @@ def similarity_assign(
     all_certified = bool(_certified(r_norms, _RETAINED_NORMS).all())
     targets = np.empty(candidates.size, dtype=np.int64)
     block = np.empty((min(candidates.size, _ASSIGN_CHUNK), retained.size), dtype=np.float32)
+    c_norms, top, gap = np.empty((3, block.shape[0]))
+    best = np.empty(block.shape[0], dtype=np.int64)
     for lo in range(0, candidates.size, _ASSIGN_CHUNK):
         cand = candidates[lo : lo + _ASSIGN_CHUNK]
-        rows = hidden[cand]
-        c_norms = _norms(rows)
-        certified = _certified(c_norms, _CANDIDATE_NORMS) & all_certified
-        with np.errstate(over="ignore", invalid="ignore"):  # uncertified rows
-            sims = np.matmul(rows.astype(np.float32, copy=False), r_units.T,
-                             out=block[: cand.size])
-            at = np.arange(cand.size), sims.argmax(axis=1)
-            top = sims[at].astype(np.float64)
-            sims[at] = -np.inf
-            gap = top - sims.max(axis=1)
-            sims[at] = top
+        n = cand.size
+        sims = block[:n]
+
+        def score(a, b):  # rows [a, b) of the block
+            rows = hidden[cand[a:b]]
+            c_norms[a:b] = _norms(rows)
+            with np.errstate(over="ignore", invalid="ignore"):  # uncertified rows
+                part = np.matmul(rows.astype(np.float32, copy=False), r_units.T,
+                                 out=sims[a:b])
+                at = np.arange(b - a), part.argmax(axis=1)
+                best[a:b], top[a:b] = at[1], part[at]
+                part[at] = -np.inf
+                gap[a:b] = top[a:b] - part.max(axis=1)
+                part[at] = top[a:b]
+        _split(n, score, blas=True)
+        certified = _certified(c_norms[:n], _CANDIDATE_NORMS) & all_certified
         # a zero candidate scores 0 everywhere, exactly as in float64
-        sure = (c_norms == 0) | (certified & (gap > 2 * band * c_norms))
-        targets[lo : lo + cand.size] = retained[at[1]]
+        sure = (c_norms[:n] == 0) | (certified & (gap[:n] > 2 * band * c_norms[:n]))
+        targets[lo : lo + n] = retained[best[:n]]
         for i in np.flatnonzero(~sure):
             near = (np.flatnonzero(sims[i] >= top[i] - 2 * band * c_norms[i])
                     if certified[i] else np.arange(retained.size))
@@ -269,6 +301,6 @@ def merge_assigned(
 
 def inner_merge(inp: InnerMergeInput, ratio_r: float) -> InnerMergeResult:
     """rank -> assign -> merge, as one call."""
-    retained, candidates = rank_by_last_attention(inp.last_attn, ratio_r)
-    targets = similarity_assign(candidates, retained, inp.hidden)
+    retained, candidates = _rank(inp.last_attn, ratio_r)  # inp is checked
+    targets = _assign(candidates, retained, inp.hidden)
     return merge_assigned(inp.hidden, retained, candidates, targets)

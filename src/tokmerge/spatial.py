@@ -21,6 +21,7 @@ from .core import (
     ProvenanceArrays,
     _checked,
     _group_mean,
+    _split,
 )
 from .temporal import TemporalMergeResult
 
@@ -107,14 +108,17 @@ def importance_from_qk(q: np.ndarray, k: np.ndarray, grid, pooled_grid=None, *,
         _checked(arr, name)
     raw = np.empty(q.shape[:2])
     scale = math.sqrt(q.shape[2])
-    with np.errstate(over="ignore", invalid="ignore"):
-        for f in range(q.shape[0]):
+
+    def frames(lo, hi):
+        for f in range(lo, hi):
             logits = np.asarray(q[f], dtype=np.float64) @ np.asarray(k[f], dtype=np.float64).T
             logits /= scale
             logits -= logits.max(axis=1, keepdims=True)
             e = np.exp(logits)
             e /= e.sum(axis=1, keepdims=True)
             raw[f] = e.mean(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _split(q.shape[0], frames, blas=True)
     return _importance(raw, grid, pooled_grid, names)
 
 
@@ -296,13 +300,17 @@ def spatial_merge(
         rate = target / survivors
         keep = attention_select(np.where(red_frames, -np.inf, imp.scores),
                                 np.ceil(rate * (n_v - red_frames.sum(axis=1))))
-        reps = [values[:0]]
         _, firsts, sizes = np.unique(seg, return_index=True, return_counts=True)
-        for lo, n in zip(firsts.tolist(), sizes.tolist()):
-            k = cfg.knn_k if cfg.knn_k is not None else auto_knn_k(n)
-            state = dpc_knn_cluster(values[lo : lo + n], min(k, n - 1), math.ceil(rate * n))
-            reps.append(merge_clusters(values[lo : lo + n], state)[0])
-            center[lo : lo + n] = lo + state.assignment
+        reps = [values[:0]] * (firsts.size + 1)
+
+        def cluster(first, last):  # segments [first, last)
+            for i in range(first, last):
+                lo, n = int(firsts[i]), int(sizes[i])
+                k = cfg.knn_k if cfg.knn_k is not None else auto_knn_k(n)
+                state = dpc_knn_cluster(values[lo : lo + n], min(k, n - 1), math.ceil(rate * n))
+                reps[i + 1] = merge_clusters(values[lo : lo + n], state)[0]
+                center[lo : lo + n] = lo + state.assignment
+        _split(firsts.size, cluster, blas=True)
         values = np.concatenate(reps)
 
     # every member occurrence, cluster by cluster: the center's row, then the

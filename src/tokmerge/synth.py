@@ -132,10 +132,14 @@ def generate(spec: SynthSpec) -> tuple[VideoTokenStream, np.ndarray]:
     for s, ((length, _), n_p) in enumerate(zip(spec.segments, spec.planted_counts())):
         if n_p:
             rows = slice(frame - 1, frame - 1 + length)
-            data[rows, :n_p, :] = bases[s, :n_p, :] \
-                + spec.noise_sigma * noise[rows, :n_p, :]
+            with np.errstate(over="ignore"):
+                data[rows, :n_p, :] = bases[s, :n_p, :] \
+                    + spec.noise_sigma * noise[rows, :n_p, :]
             truth[frame - 1 : frame + length - 2, :n_p] = True
         frame += length
 
+    if not (np.abs(data) <= np.finfo(np.float32).max).all():
+        raise ConfigError(f"noise_sigma {spec.noise_sigma} puts token values "
+                          "beyond float32 range")
     stream = VideoTokenStream(data.astype(np.float32), spec.grid)
     return stream, truth

@@ -29,7 +29,7 @@ from tokmerge import (
     spatial_merge,
     validate_config,
 )
-from tokmerge import cli
+from tokmerge import cli, innerllm
 from tokmerge.cli import main
 
 
@@ -214,6 +214,25 @@ class TestCompress:
         assert inner.shape == (n - n // 2, 8)  # R=50 drops half
         meta = json.loads((out / "inner.json").read_text())
         assert len(meta["retained_indices"]) == n - n // 2
+
+    def test_inner_dumps_checked_once(self, tmp_path, monkeypatch):
+        """Each dump's values are checked when it is loaded, and not again
+        by the inner merge."""
+        spec, stream, tokens = write_corpus(tmp_path)
+        rng = np.random.default_rng(3)
+        np.save(tmp_path / "hidden.npy", rng.standard_normal((self.FINAL_COUNT, 8)))
+        np.save(tmp_path / "last.npy", rng.random(self.FINAL_COUNT))
+        checked, check = [], innerllm._checked
+
+        def counting(arr, *args, **kwargs):
+            checked.append(np.shape(arr))
+            return check(arr, *args, **kwargs)
+        monkeypatch.setattr(innerllm, "_checked", counting)
+        assert main(["compress", "--tokens", str(tokens), "--grid", "2x3",
+                     "--out", str(tmp_path / "out"),
+                     "--hidden", str(tmp_path / "hidden.npy"),
+                     "--last-attn", str(tmp_path / "last.npy")]) == 0
+        assert checked == [(self.FINAL_COUNT, 8), (self.FINAL_COUNT,)]
 
     @pytest.mark.parametrize("hidden_rows,last_rows", [(24, 18), (18, 17), (0, 18)])
     def test_inner_dumps_not_final_count_exit_2(self, tmp_path, capsys,
@@ -676,12 +695,14 @@ class TestSynthAndReport:
          "segment lengths [3, 2] must be positive and sum to 6"),
         (["--frames", "6", "--segments", "3:0.5,3:0.5", "--noise", "nan"],
          "noise_sigma must be finite and >= 0, got nan"),
+        (["--frames", "2", "--segments", "2:0.5", "--noise", "1e39"],
+         "noise_sigma 1e+39 puts token values beyond float32 range"),
     ])
     def test_synth_bad_flags_exit_1(self, tmp_path, capsys, flags, message):
         out = tmp_path / "synth"
         rc = main(["synth", "--out", str(out), "--grid", "2x2", "--dim", "4", *flags])
         assert rc == 1
-        assert f"tokmerge: error: {message}" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"tokmerge: error: {message}\n"
         assert not out.exists()
 
     def test_report_single_video(self, tmp_path, capsys):

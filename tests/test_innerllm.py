@@ -477,6 +477,17 @@ class TestInput:
             with pytest.raises(DataError, match="^value out of float32 range at flat offset 0$"):
                 InnerMergeInput(hidden, np.ones(3))
 
+    def test_inner_merge_checks_each_input_once(self, monkeypatch):
+        checked, check = [], innerllm._checked
+
+        def counting(arr, *args, **kwargs):
+            checked.append(np.shape(arr))
+            return check(arr, *args, **kwargs)
+        monkeypatch.setattr(innerllm, "_checked", counting)
+        rng = np.random.default_rng(4)
+        inner_merge(InnerMergeInput(rng.standard_normal((10, 3)), rng.random(10)), 50)
+        assert checked == [(10, 3), (10,)]
+
     @pytest.mark.parametrize("which", ["hidden", "last_attn"])
     def test_complex_dump_rejected(self, which):
         dumps = {"hidden": np.ones((3, 2)), "last_attn": np.ones(3)}

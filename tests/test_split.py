@@ -1,12 +1,14 @@
-"""Whole-stream passes split across CPUs: how ``core._split`` cuts the work,
-when it starts threads, bit identity for any worker count, fork safety.
+"""Work split across CPUs: how ``core._split`` cuts the work, when it
+starts threads, bit identity for any worker count, fork safety.
 
-The worker count is forced by replacing ``core._cpu_count``; ``_split``
-reads it on every call.
+The worker count is forced by replacing ``core._cpu_count``, and the BLAS
+thread count that the matrix-product stages divide it by by replacing
+``core._blas_threads``; ``_split`` reads both on every call.
 """
 
 import os
 import signal
+import subprocess
 import sys
 import threading
 import time
@@ -17,11 +19,20 @@ import pytest
 import test_golden
 from test_temporal import merged_segments, reference_merged_values
 from tokmerge import (
+    CompressionConfig,
+    ImportanceMap,
+    SynthSpec,
     VideoTokenStream,
     apply_temporal_merge,
     core,
+    generate,
+    importance_from_qk,
+    inner_merge,
+    innerllm,
     optimal_segmentation,
     pairwise_redundancy,
+    similarity_assign,
+    spatial_merge,
 )
 from tokmerge.cli import main
 
@@ -33,6 +44,25 @@ def force_workers(monkeypatch):
     def force(n):
         monkeypatch.setattr(core, "_cpu_count", lambda: n)
     return force
+
+
+@pytest.fixture
+def force_blas(monkeypatch):
+    def force(n):
+        monkeypatch.setattr(core, "_blas_threads", lambda: n)
+    return force
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """The number of threads started so far, as a one-item list."""
+    started, start = [0], threading.Thread.start
+
+    def counting(self):
+        started[0] += 1
+        start(self)
+    monkeypatch.setattr(threading.Thread, "start", counting)
+    return started
 
 
 def record_split(n):
@@ -83,6 +113,48 @@ class TestSplit:
         if hasattr(os, "sched_getaffinity"):
             assert core._cpu_count() == len(os.sched_getaffinity(0))
         assert core._cpu_count() >= 1
+
+    @pytest.mark.parametrize("mode", ["ignore", "raise"])
+    def test_pieces_run_under_the_callers_error_state(self, force_workers, mode):
+        """Pool threads start with numpy's default error state (warn), so
+        without the caller's state an overflow the caller silenced warns,
+        an error under this suite's warning filter."""
+        force_workers(2)
+        big, out = np.full(4, 1e300), np.zeros(4)
+
+        def square(lo, hi):
+            np.multiply(big[lo:hi], big[lo:hi], out=out[lo:hi])
+        with np.errstate(over=mode):
+            if mode == "raise":
+                with pytest.raises(FloatingPointError, match="overflow"):
+                    core._split(4, square)
+            else:
+                core._split(4, square)
+                assert np.isposinf(out).all()
+
+    @pytest.mark.parametrize("cpus, blas, pieces", [
+        (1, 1, 1), (2, 1, 2), (2, 2, 1), (2, None, 1), (3, 1, 3), (8, 2, 4), (8, 3, 2),
+        (8, 8, 1), (4, 8, 1), (8, None, 1)])
+    def test_blas_pieces_share_the_cpus(self, force_workers, force_blas, cpus, blas, pieces):
+        """Pieces that call BLAS get cpus // blas_threads workers, and one
+        piece when BLAS's thread count is unknown; other pieces every CPU."""
+        force_workers(cpus)
+        force_blas(blas)
+        calls = []
+        core._split(12, lambda lo, hi: calls.append((lo, hi)), blas=True)
+        assert len(calls) == pieces
+        assert len(record_split(12)) == cpus
+
+    def test_blas_threads_read_from_the_library(self):
+        """The count follows OPENBLAS_NUM_THREADS in a fresh interpreter."""
+        if core._blas_threads() is None:
+            pytest.skip("numpy has no bundled OpenBLAS to ask")
+        code = "from tokmerge import core; print(core._blas_threads())"
+        for n in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=n)
+            out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                 text=True, timeout=60, check=True)
+            assert out.stdout.strip() == n
 
 
 def bits(arr):
@@ -209,9 +281,151 @@ class TestBitIdentity:
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     @pytest.mark.parametrize("case", sorted(test_golden.CASES))
-    def test_golden_digests(self, force_workers, tmp_path, case, workers):
+    def test_golden_digests(self, force_workers, force_blas, tmp_path, case, workers):
         force_workers(workers)
+        force_blas(1)  # the matrix-product stages split too
         assert test_golden.compress_case(case, tmp_path) == test_golden.CASES[case]
+
+
+BLAS_WORKER_COUNTS = (1, 2, 3, 8)
+
+
+def qk_dumps():
+    """Q/K dumps of 9 frames on a 2x3 grid, logits up to ~1e4 in some frames."""
+    rng = np.random.default_rng(21)
+    q, k = rng.standard_normal((2, 9, 6, 5))
+    return q * 10.0 ** rng.integers(-2, 3, (9, 1, 1)), k.astype(np.float32)
+
+
+def clustering_inputs():
+    """A temporal merge of six planted segments whose merged slots are
+    clustered at target ratio 0.3, and random importance on its grid."""
+    spec = SynthSpec(frames=22, grid=(3, 4), dim=6, noise_sigma=0.01, seed=5,
+                     segments=((3, 0.5), (4, 1.0), (3, 0.25), (5, 0.75), (3, 0.5), (4, 1.0)))
+    stream = generate(spec)[0]
+    mask = pairwise_redundancy(stream, 0.8)
+    tmr = apply_temporal_merge(stream, optimal_segmentation(mask), mask, "mean")
+    imp = ImportanceMap(np.random.default_rng(6).random((22, 12)), (3, 4))
+    return tmr, imp, CompressionConfig(target_ratio=0.3)
+
+
+def assign_inputs(uncertified):
+    """Hidden states of 40 retained tokens and 23 candidates, each candidate
+    near a retained token and scaled by 1e-3 to 1e3. Two retained tokens
+    are exact copies, so their candidates tie and are rechecked, which
+    takes each row's own norm and gap; with ``uncertified``, float64 rows
+    scaled to 1e200 and 1e-160 leave every row to the recheck."""
+    rng = np.random.default_rng(22)
+    hidden = rng.standard_normal((63, 12))
+    hidden[31], hidden[17] = hidden[3], hidden[9]
+    near = rng.integers(0, 40, 23)
+    near[::5] = 3
+    hidden[40:] = hidden[near] + 1e-3 * rng.standard_normal((23, 12))
+    hidden[40:] *= 10.0 ** rng.integers(-3, 4, (23, 1))
+    if uncertified:
+        hidden[[5, 44]] *= 1e200
+        hidden[[6, 50]] *= 1e-160
+    else:
+        hidden = hidden.astype(np.float32)
+    return np.arange(40, 63), np.arange(40), hidden
+
+
+def blas_stage_outputs():
+    """Bits of the three matrix-product stages: Q/K importance scores,
+    clustered spatial-merge tokens and provenance, and inner-merge targets
+    on float32 and on uncertified float64 states."""
+    tmr, imp, cfg = clustering_inputs()
+    cv = spatial_merge(tmr, imp, cfg)
+    with np.errstate(over="ignore", invalid="ignore"):  # the uncertified rows
+        targets = [similarity_assign(*assign_inputs(u)) for u in (False, True)]
+    return [bits(importance_from_qk(*qk_dumps(), (2, 3), (1, 3)).scores),
+            bits(cv.tokens), *cv.provenance_arrays, *targets]
+
+
+class TestBlasStages:
+    """Q/K importance, DPC-KNN clustering and the inner-merge scoring split
+    across workers when BLAS runs one thread."""
+
+    def test_inputs_cover_the_cases(self, monkeypatch):
+        tmr, _, _ = clustering_inputs()
+        assert np.unique(np.nonzero(tmr.redundant)[0]).size == 6  # six clustered segments
+        calls = []
+        exact = innerllm._exact_argmax
+
+        def recheck(hidden, cand, cols):
+            calls.append(int(cand))
+            return exact(hidden, cand, cols)
+        monkeypatch.setattr(innerllm, "_exact_argmax", recheck)
+        similarity_assign(*assign_inputs(False))
+        assert 0 < len(calls) < 23  # near ties rechecked, the rest decided in float32
+        calls.clear()
+        with np.errstate(over="ignore", invalid="ignore"):
+            similarity_assign(*assign_inputs(True))
+        assert len(calls) == 23
+
+    @pytest.mark.parametrize("chunk", [7, 2048])
+    def test_outputs_equal_for_every_worker_count(
+            self, force_workers, force_blas, thread_starts, monkeypatch, chunk):
+        """With 7-row blocks, 23 candidates make blocks of 7, 7, 7 and 2
+        rows, and 2, 3 or 8 workers cut each block into pieces. The same
+        rows are rechecked, each on the calling thread."""
+        monkeypatch.setattr(innerllm, "_ASSIGN_CHUNK", chunk)
+        rechecks = []
+        exact = innerllm._exact_argmax
+
+        def recheck(hidden, cand, cols):
+            rechecks.append((int(cand), threading.get_ident()))
+            return exact(hidden, cand, cols)
+        monkeypatch.setattr(innerllm, "_exact_argmax", recheck)
+        force_blas(1)
+        results, rechecked = [], []
+        for workers in BLAS_WORKER_COUNTS:
+            force_workers(workers)
+            before = thread_starts[0]
+            results.append(blas_stage_outputs())
+            assert (thread_starts[0] > before) == (workers > 1)
+            rechecked.append(rechecks.copy())
+            rechecks.clear()
+        assert {ident for r in rechecked for _, ident in r} == {threading.get_ident()}
+        assert all(r == rechecked[0] for r in rechecked)
+        for got in results[1:]:
+            for a, b in zip(got, results[0]):
+                np.testing.assert_array_equal(a, b)
+
+    def test_more_workers_than_cores_with_frequent_switches(self, force_workers, force_blas):
+        force_blas(1)
+        force_workers(1)
+        expect = blas_stage_outputs()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            force_workers(8)
+            for _ in range(3):
+                for a, b in zip(blas_stage_outputs(), expect):
+                    np.testing.assert_array_equal(a, b)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("cpus, blas", [(2, 2), (2, None), (8, 8), (8, None)])
+    def test_no_thread_when_blas_covers_the_cpus(
+            self, force_workers, force_blas, monkeypatch, cpus, blas):
+        """BLAS running a thread per CPU, or a thread count that cannot be
+        read, keeps the three stages on the calling thread."""
+        force_workers(cpus)
+        force_blas(blas)
+        q, k = qk_dumps()
+        tmr, imp, cfg = clustering_inputs()
+        candidates, retained, hidden = assign_inputs(False)
+        rng = np.random.default_rng(9)
+        inp = innerllm.InnerMergeInput(rng.standard_normal((30, 8)), rng.random(30))
+
+        def refuse(self):
+            raise AssertionError("a thread was started")
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        importance_from_qk(q, k, (2, 3))
+        spatial_merge(tmr, imp, cfg)
+        similarity_assign(candidates, retained, hidden)
+        inner_merge(inp, 50)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")

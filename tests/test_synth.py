@@ -1,5 +1,7 @@
 """Synthetic corpus tests: determinism, planted masks, boundary recovery."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -83,3 +85,13 @@ def test_fraction_out_of_range():
 def test_noise_sigma_must_be_finite_and_non_negative(sigma):
     with pytest.raises(ConfigError, match=f"noise_sigma must be finite and >= 0, got {sigma}"):
         spec_with(noise_sigma=sigma)
+
+
+@pytest.mark.parametrize("sigma", [1e39, 1e308])
+def test_noise_beyond_float32_range_is_a_config_error(sigma):
+    # 1e308 also overflows the float64 sum, which must not warn
+    with pytest.raises(ConfigError, match=re.escape(
+            f"noise_sigma {sigma} puts token values beyond float32 range")):
+        generate(spec_with(noise_sigma=sigma))
+    # noise scales only planted slots
+    assert generate(spec_with(noise_sigma=sigma, segments=((4, 0.0), (4, 0.0))))[0].frames == 8
