@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from .core import (
     CompressionReport,
     ConfigError,
     DataError,
+    _load_json,
     _load_npy,
     load_token_stream,
     replace_file,
@@ -67,27 +69,14 @@ def _parse_segments(text: str) -> tuple[tuple[int, float], ...]:
             f"segments must look like LEN:FRAC[,LEN:FRAC...], got {text!r}") from None
 
 
-def _load_json(path: Path) -> dict:
-    if not path.exists():
-        raise DataError(f"file not found: {path}")
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"malformed JSON in {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise DataError(f"{path}: expected a JSON object, got {type(doc).__name__}")
-    return doc
-
-
 def _config_from_args(args) -> CompressionConfig:
-    raw = _load_json(Path(args.config)) if args.config else {}
-    if args.tau is not None:
-        raw["tau"] = args.tau
-    if args.target_ratio is not None:
-        raw["target_ratio"] = args.target_ratio
-    if getattr(args, "pooled_grid", None):
-        raw["pooled_grid"] = list(_parse_grid(args.pooled_grid))
+    """The ``--config`` document (where the subcommand takes one) with every
+    given flag whose dest is a config field laid over it."""
+    raw = _load_json(args.config, "config") if getattr(args, "config", None) else {}
+    for f in fields(CompressionConfig):
+        value = getattr(args, f.name, None)
+        if value is not None:
+            raw[f.name] = list(_parse_grid(value)) if f.name == "pooled_grid" else value
     return validate_config(raw)
 
 
@@ -127,6 +116,10 @@ def _outer_phase(args) -> tuple[CompressionConfig, CompressedVideo, CompressionR
     dumps are released when this returns."""
     stream = load_token_stream(args.tokens, _parse_grid(args.grid))
     cfg = _config_from_args(args)
+    (h, w), (hp, wp) = stream.grid, cfg.pooled_grid or stream.grid
+    if hp > h or wp > w:
+        raise ConfigError(f"pooled_grid {hp}x{wp} must fit within the token grid "
+                          f"{h}x{w} of {args.tokens}")
     inner = bool(args.hidden or args.last_attn)
     if inner and not (args.hidden and args.last_attn):
         raise ConfigError("--hidden and --last-attn must be given together")
@@ -172,7 +165,7 @@ def cmd_compress(args) -> int:
 
 def cmd_segment(args) -> int:
     stream = load_token_stream(args.tokens, _parse_grid(args.grid))
-    tau = validate_config({} if args.tau is None else {"tau": args.tau}).tau
+    tau = _config_from_args(args).tau
     mask = pairwise_redundancy(stream, tau)
     plan = optimal_segmentation(mask)
     doc = {
@@ -189,14 +182,11 @@ def cmd_segment(args) -> int:
 
 def cmd_flops(args) -> int:
     profile = get_profile(args.profile)
-    raw = {"inner_enabled": not args.no_inner, "inner_layer_K": args.inner_layer,
-           "inner_ratio_R": args.inner_ratio}
-    cfg = validate_config({k: v for k, v in raw.items() if v is not None})
+    cfg = _config_from_args(args)
     retained = retained_for_ratio(profile, args.ratio, args.frames)
     report = pipeline_cost_report(profile, cfg, retained)
-    doc = {"profile": profile.name, "retained_tokens": retained}
-    doc.update(report.to_dict())
-    json.dump(doc, sys.stdout, indent=1)
+    json.dump({"profile": profile.name, "retained_tokens": retained, **asdict(report)},
+              sys.stdout, indent=1)
     print()
     return 0
 
@@ -216,15 +206,8 @@ def cmd_synth(args) -> int:
     replace_file(out / "tokens.npy", stream.data)
     replace_file(out / "truth_mask.npy", truth)
     replace_file(out / "spec.json", json.dumps({
-        "frames": spec.frames,
-        "grid": list(spec.grid),
-        "dim": spec.dim,
-        "segments": [list(s) for s in spec.segments],
-        "noise_sigma": spec.noise_sigma,
-        "seed": spec.seed,
-        "planted_boundaries": list(spec.planted_boundaries()),
-        "planted_gain": spec.planted_gain(),
-    }, indent=1) + "\n")
+        **asdict(spec), "planted_boundaries": spec.planted_boundaries(),
+        "planted_gain": spec.planted_gain()}, indent=1) + "\n")
     print(f"wrote {out} (B={spec.frames}, N_v={spec.tokens_per_frame}, d={spec.dim})")
     return 0
 
@@ -238,7 +221,7 @@ def cmd_report(args) -> int:
         raise DataError(f"report directory not found: {root}")
     ratios = []
     for path in sorted(root.rglob("*.json")):
-        doc = _load_json(path)
+        doc = _load_json(path, "report")
         if "report" in doc:
             doc = doc["report"]
         if not isinstance(doc, dict) or "temporal_prune_ratio" not in doc:
@@ -304,9 +287,9 @@ def build_parser() -> _Parser:
     p.add_argument("--ratio", type=float, required=True,
                    help="retained token ratio in (0, 1]")
     p.add_argument("--frames", type=int, help="frame count override")
-    p.add_argument("--inner-layer", dest="inner_layer", type=int)
-    p.add_argument("--inner-ratio", dest="inner_ratio", type=float)
-    p.add_argument("--no-inner", dest="no_inner", action="store_true")
+    p.add_argument("--inner-layer", dest="inner_layer_K", metavar="INNER_LAYER", type=int)
+    p.add_argument("--inner-ratio", dest="inner_ratio_R", metavar="INNER_RATIO", type=float)
+    p.add_argument("--no-inner", dest="inner_enabled", action="store_false", default=None)
     p.set_defaults(func=cmd_flops)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus")

@@ -234,6 +234,23 @@ def _load_npy(path, rank: int, what: str, check=np.asarray):
         raise DataError(f"{path}: {exc}") from None
 
 
+def _load_json(path, what: str) -> dict:
+    """The JSON object in the file at ``path``; DataError, naming the file,
+    when it is missing, malformed (not UTF-8, or nested past Python's
+    recursion limit, included) or not an object."""
+    path = Path(path)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except FileNotFoundError:
+        raise DataError(f"{what} file not found: {path}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        raise DataError(f"malformed JSON in {path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    return doc
+
+
 def replace_file(path, content: str | np.ndarray) -> None:
     """Write ``content`` (a string as UTF-8, an array as ``.npy``) to a
     sibling temporary file and rename it over ``path``: the old file is
@@ -626,15 +643,12 @@ def load_compressed(out_dir) -> tuple[CompressedVideo, CompressionReport]:
     meta_path = Path(out_dir) / META_FILE
     tokens = _load_npy(Path(out_dir) / TOKENS_FILE, 2, "token",
                        lambda arr: _checked(arr, dtype=np.float32))
-    if not meta_path.exists():
-        raise DataError(f"metadata file not found: {meta_path}")
+    doc = _load_json(meta_path, "metadata")
     try:
-        with open(meta_path, encoding="utf-8") as fh:
-            doc = json.load(fh)
         columns = [[p[key] for p in doc["provenance"]] for key in _RECORD_FIELDS]
         return (CompressedVideo(tokens, _provenance_arrays(*columns)),
                 report_from_dict(doc["report"]))
-    except (json.JSONDecodeError, DataError) as exc:
+    except DataError as exc:
         raise DataError(f"{meta_path}: {exc}") from None
     except KeyError as exc:
         raise DataError(f"{meta_path}: missing field {exc}") from None

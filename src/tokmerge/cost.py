@@ -100,16 +100,6 @@ class CostReport:
     baseline_flops: float
     ratio: float
 
-    def to_dict(self) -> dict:
-        return {
-            "per_layer_tokens": list(self.per_layer_tokens),
-            "prefill_flops": self.prefill_flops,
-            "decode_flops": self.decode_flops,
-            "total_flops": self.total_flops,
-            "baseline_flops": self.baseline_flops,
-            "ratio": self.ratio,
-        }
-
 
 def pipeline_cost_report(
     profile: ModelProfile,

@@ -79,13 +79,14 @@ def importance_from_attention(attn: np.ndarray, grid, pooled_grid=None, *,
                               name="attention") -> ImportanceMap:
     """ImportanceMap from a (B, N_v, N_v) per-frame attention stack; a token's
     raw score is the float64 mean of its column (the attention it receives).
-    A complex, string or other non-real dtype, or a NaN or +-inf entry
-    (with its offset), raises DataError naming ``name``; so does a float64
-    mean that overflows."""
+    A complex, string or other non-real dtype, a NaN or +-inf entry (with
+    its offset) or a negative entry raises DataError naming ``name``; so
+    does a float64 mean that overflows."""
     attn = np.asarray(attn)
     if attn.ndim != 3 or attn.shape[1] != attn.shape[2]:
         raise DataError(f"attention stack must be (B, N_v, N_v), got {attn.shape}")
-    _checked(attn, name)
+    if _checked(attn, name).min(initial=0) < 0:
+        raise DataError(f"{name}: attention scores must be non-negative")
     with np.errstate(over="ignore"):
         raw = attn.mean(axis=1, dtype=np.float64)
     return _importance(raw, grid, pooled_grid, (name,))

@@ -191,6 +191,49 @@ class TestCompress:
                 f"[rows, cols], got {pooled!r}\n") == err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("content, message", [
+        (None, "config file not found: {path}"),
+        ("{", "malformed JSON in {path}: Expecting property name enclosed in double "
+              "quotes: line 1 column 2 (char 1)"),
+        ("[0.5]", "{path}: expected a JSON object, got list"),
+        ("[" * 100_000 + "]" * 100_000, "malformed JSON in {path}: maximum recursion depth "
+                                        "exceeded while decoding a JSON array from a unicode string"),
+        (b"{\xff}", "malformed JSON in {path}: 'utf-8' codec can't decode byte 0xff in "
+                    "position 1: invalid start byte"),
+    ], ids=["missing", "malformed", "list", "deep", "not-utf8"])
+    def test_config_file_unreadable_exit_2(self, tmp_path, capsys, content, message):
+        spec, stream, tokens = write_corpus(tmp_path)
+        cfg_path = tmp_path / "cfg.json"
+        if content is not None:
+            cfg_path.write_bytes(content if isinstance(content, bytes) else content.encode())
+        rc = main(["compress", "--tokens", str(tokens), "--grid", "2x3",
+                   "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"tokmerge: error: {message.format(path=cfg_path)}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("dump", [None, "--attn", "--qk"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_pooled_grid_beyond_token_grid_exit_1(self, tmp_path, capsys, source, dump):
+        """Checked as a setting before any dump is read: the dumps here are
+        not array files at all."""
+        spec, stream, tokens = write_corpus(tmp_path)
+        for name in ("attn.npy", "q.npy", "k.npy"):
+            (tmp_path / name).write_bytes(b"not an array")
+        args = {None: [], "--attn": ["--attn", str(tmp_path / "attn.npy")],
+                "--qk": ["--qk", str(tmp_path / "q.npy"), str(tmp_path / "k.npy")]}[dump]
+        if source == "flag":
+            args += ["--pooled-grid", "9x9"]
+        else:
+            (tmp_path / "cfg.json").write_text(json.dumps({"pooled_grid": [9, 9]}))
+            args += ["--config", str(tmp_path / "cfg.json")]
+        rc = main(["compress", "--tokens", str(tokens), "--grid", "2x3",
+                   "--out", str(tmp_path / "o"), *args])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"tokmerge: error: pooled_grid 9x9 must fit within the token grid 2x3 of {tokens}\n")
+        assert not (tmp_path / "o").exists()
+
     # final_count of write_corpus() at the default target ratio 1.0: the
     # inner-merge dumps hold one row per compressed token
     FINAL_COUNT = 18
@@ -399,6 +442,15 @@ class TestCompress:
         assert rc == 2
         err = capsys.readouterr().err
         assert f"{tmp_path / 'attn.npy'}: raw importance overflows float64" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("ratio", ["1.0", "0.25"])
+    def test_attention_dump_negative_exit_2(self, tmp_path, capsys, ratio):
+        np.save(tmp_path / "attn.npy", np.full((8, 6, 6), -1.0))
+        rc = self.run_with_dump(tmp_path, ratio, ["--attn", str(tmp_path / "attn.npy")])
+        assert rc == 2
+        assert capsys.readouterr().err == (f"tokmerge: error: {tmp_path / 'attn.npy'}: "
+                                           "attention scores must be non-negative\n")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flag", ["--attn", "--qk", "--hidden", "--last-attn"])
@@ -620,6 +672,12 @@ class TestFlops:
         err = capsys.readouterr().err
         assert "llava-ov-7b" in err and "llava-ov-72b" in err
 
+    def test_ratio_zero_exit_1(self, capsys):
+        rc = main(["flops", "--profile", "llava-ov-7b", "--ratio", "0"])
+        assert rc == 1
+        assert capsys.readouterr() == (
+            "", "tokmerge: error: retained ratio must be in (0, 1], got 0.0\n")
+
     def test_inner_defaults_are_the_config_defaults(self, capsys):
         outs = []
         for extra in ([], ["--inner-layer", "18", "--inner-ratio", "50"]):
@@ -697,6 +755,9 @@ class TestSynthAndReport:
          "noise_sigma must be finite and >= 0, got nan"),
         (["--frames", "2", "--segments", "2:0.5", "--noise", "1e39"],
          "noise_sigma 1e+39 puts token values beyond float32 range"),
+        (["--frames", "6", "--segments", "3-0.5,3:0.5"],
+         "segments must look like LEN:FRAC[,LEN:FRAC...], got '3-0.5,3:0.5'"),
+        (["--frames", "0", "--segments", "1:0.5"], "frames, grid, and dim must be positive"),
     ])
     def test_synth_bad_flags_exit_1(self, tmp_path, capsys, flags, message):
         out = tmp_path / "synth"
@@ -792,6 +853,14 @@ class TestSynthAndReport:
         empty.mkdir()
         rc = main(["report", "--reports", str(empty), "--out", str(tmp_path / "agg")])
         assert rc == 2
+
+    def test_missing_directory_exit_2(self, tmp_path, capsys):
+        absent = tmp_path / "none"
+        rc = main(["report", "--reports", str(absent), "--out", str(tmp_path / "agg")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"tokmerge: error: report directory not found: {absent}\n")
+        assert not (tmp_path / "agg").exists()
 
 
 class TestUsageErrors:

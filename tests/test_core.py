@@ -16,6 +16,7 @@ from tokmerge import (
     CompressionReport,
     ConfigError,
     DataError,
+    ProvenanceArrays,
     TokenProvenance,
     VideoTokenStream,
     load_compressed,
@@ -54,6 +55,10 @@ class TestTokenStreamIO:
         np.save(path, np.ones((2, 4), dtype=np.float32))
         with pytest.raises(DataError, match="rank 2, expected 3"):
             load_token_stream(path, (2, 2))
+
+    def test_direct_rank_two_rejected(self):
+        with pytest.raises(DataError, match="^token array has rank 2, expected 3$"):
+            VideoTokenStream(np.ones((2, 4), dtype=np.float32), (2, 2))
 
     def test_nan_reported_with_flat_offset(self, tmp_path):
         arr = np.zeros((2, 4, 8), dtype=np.float32)
@@ -405,6 +410,22 @@ class TestCompressedIO:
         with pytest.raises(DataError, match="int64"):
             CompressedVideo(np.zeros((1, 2), dtype=np.float32), arrays(prov))
 
+    @pytest.mark.parametrize("tokens, columns, message", [
+        (np.zeros(2), ([], [], [], [0], np.zeros((0, 2))), "tokens must be 2-D, got rank 1"),
+        (np.zeros((2, 2)), ([0], [0], [0], [0, 0], np.zeros((0, 2))),
+         "2 tokens but 1 provenance records"),
+        (np.zeros((1, 2)), ([0], [0], [1], [0, 1], np.zeros((1, 3))),
+         re.escape("provenance members must be (frame, slot) pairs")),
+        (np.zeros((1, 2)), ([0], [0], [3], [0, 0], np.zeros((0, 2))),
+         "provenance arrays are inconsistent"),
+        (np.zeros((1, 2)), ([0], [0], [1], [0, 2], np.zeros((1, 2))),
+         "provenance arrays are inconsistent"),
+    ], ids=["tokens-rank-1", "record-count", "member-triples", "unknown-kind",
+            "offsets-past-members"])
+    def test_inconsistent_arrays_rejected(self, tokens, columns, message):
+        with pytest.raises(DataError, match=f"^{message}$"):
+            CompressedVideo(tokens, ProvenanceArrays(*columns))
+
     def test_load_tokens_not_npy_rejected(self, tmp_path):
         save_compressed(small_cv(), small_report(), tmp_path)
         tokens = tmp_path / "tokens.npy"
@@ -443,6 +464,21 @@ class TestCompressedIO:
             load_compressed(tmp_path)
         message = str(info.value)
         assert message.startswith(f"{meta}: ") and field in message and shown in message
+
+    @pytest.mark.parametrize("content, message", [
+        (None, "metadata file not found: {meta}"),
+        ("{", "malformed JSON in {meta}: Expecting property name enclosed in double "
+              "quotes: line 1 column 2 (char 1)"),
+        ("[]", "{meta}: expected a JSON object, got list"),
+    ], ids=["missing", "malformed", "list"])
+    def test_load_unreadable_metadata_names_file(self, tmp_path, content, message):
+        save_compressed(small_cv(), small_report(), tmp_path)
+        meta = tmp_path / "compressed.json"
+        meta.unlink()
+        if content is not None:
+            meta.write_text(content, encoding="utf-8")
+        with pytest.raises(DataError, match=f"^{re.escape(message.format(meta=meta))}$"):
+            load_compressed(tmp_path)
 
     def test_load_provenance_not_a_list_of_objects(self, tmp_path):
         save_compressed(small_cv(), small_report(), tmp_path)
@@ -483,3 +519,10 @@ class TestCompressedIO:
         with pytest.raises(DataError):
             CompressionReport(10, 12, 3, 0.5, 0.3, (), 1.0, 1.0)
 
+    @pytest.mark.parametrize("prune, overall, message", [
+        (0.5, 0.3, "temporal_prune_ratio inconsistent with counts"),
+        (0.2, 0.4, "overall_retained_ratio inconsistent with counts"),
+    ])
+    def test_ratios_disagreeing_with_counts_rejected(self, prune, overall, message):
+        with pytest.raises(DataError, match=f"^{message}$"):
+            CompressionReport(10, 8, 3, prune, overall, (), 1.0, 1.0)

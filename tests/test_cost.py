@@ -45,6 +45,10 @@ class TestPrefill:
         with pytest.raises(ConfigError):
             prefill_flops(OV7B, [100] * 27)
 
+    def test_negative_count_rejected(self):
+        with pytest.raises(ConfigError, match="^per-layer token counts must be non-negative$"):
+            prefill_flops(OV7B, [-1] + [0] * 27)
+
     def test_monotone_in_every_layer(self):
         base = [500] * 28
         v0 = prefill_flops(OV7B, base)
@@ -64,6 +68,10 @@ class TestPrefill:
 class TestDecode:
     def test_zero_predictions(self):
         assert decode_flops(OV7B, [6272] * 28, r_dec=0) == 0.0
+
+    def test_negative_prediction_count_rejected(self):
+        with pytest.raises(ConfigError, match="^decode token count must be >= 0, got -1$"):
+            decode_flops(OV7B, [0] * 28, -1)
 
     def test_hand_evaluated_unit_case(self):
         tiny = ModelProfile("tiny", 1, 1, 1, 1, 1)
@@ -131,3 +139,8 @@ class TestRetainedForRatio:
     def test_unknown_profile(self):
         with pytest.raises(ConfigError, match="llava-ov-7b"):
             get_profile("noSuchModel")
+
+    def test_profile_dimensions_must_be_positive(self):
+        with pytest.raises(ConfigError, match="^profile tiny: ffn_m must be positive$"):
+            ModelProfile("tiny", hidden_d=8, ffn_m=0, layers_T=2, tokens_per_frame_Nv=4,
+                         default_frames_B=1)

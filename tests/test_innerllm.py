@@ -426,6 +426,10 @@ class TestInput:
         with pytest.raises(DataError):
             InnerMergeInput(np.ones((3, 2)), np.ones(2))
 
+    def test_hidden_not_2d_rejected(self):
+        with pytest.raises(DataError, match="^hidden states must be 2-D, got rank 1$"):
+            InnerMergeInput(np.ones(3), np.ones(3))
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e300])
     def test_non_finite_hidden_rejected(self, value):
         hidden = np.ones((3, 2))

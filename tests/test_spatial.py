@@ -210,6 +210,16 @@ class TestImportanceScores:
         with pytest.raises(DataError, match="must be \\(B, N_v, N_v\\)"):
             importance_from_attention(np.ones((1, 3, 4)), (3, 1))
 
+    def test_negative_entry_rejected(self):
+        attn = np.full((2, 4, 4), 0.25)
+        attn[1, 0, 3] = -1e-300
+        with pytest.raises(DataError, match="^attention: attention scores must be non-negative$"):
+            importance_from_attention(attn, (2, 2))
+        with pytest.raises(DataError, match="^attn.npy: attention scores must be non-negative$"):
+            importance_from_attention(attn, (2, 2), name="attn.npy")
+        attn[1, 0, 3] = -0.0  # not below zero
+        importance_from_attention(attn, (2, 2))
+
 
 class TestNonFiniteDumps:
     """A NaN or +-inf dump entry raises DataError naming its flat offset,
@@ -423,6 +433,15 @@ class TestDpcKnn:
     def test_bad_k_rejected(self):
         with pytest.raises(DataError):
             dpc_knn_cluster(np.ones((4, 2)), 4, 1)
+
+    @pytest.mark.parametrize("tokens, c, message", [
+        (np.ones((0, 2)), 1, r"token matrix must be non-empty 2-D, got \(0, 2\)"),
+        (np.ones(4), 1, r"token matrix must be non-empty 2-D, got \(4,\)"),
+        (np.ones((4, 2)), 0, "center count must be >= 1, got 0"),
+    ])
+    def test_bad_tokens_or_center_count_rejected(self, tokens, c, message):
+        with pytest.raises(DataError, match=f"^{message}$"):
+            dpc_knn_cluster(tokens, 1, c)
 
 
 class TestMergeClusters:

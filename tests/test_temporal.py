@@ -455,6 +455,12 @@ class TestApplyTemporalMerge:
         with pytest.raises(DataError, match=message):
             dataclasses.replace(tmr, **{field: value(tmr)})
 
+    def test_unknown_mode_rejected(self):
+        stream = random_stream(np.random.default_rng(5), b=4)
+        mask = pairwise_redundancy(stream, 0.8)
+        with pytest.raises(DataError, match="^unknown merge mode 'median'$"):
+            apply_temporal_merge(stream, optimal_segmentation(mask), mask, "median")
+
     def test_dimension_mismatch_rejected(self):
         stream = random_stream(np.random.default_rng(5), b=4)
         mask = pairwise_redundancy(stream, 0.8)
