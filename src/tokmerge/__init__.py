@@ -36,9 +36,6 @@ from .innerllm import (
     InnerMergeInput,
     InnerMergeResult,
     inner_merge,
-    merge_assigned,
-    rank_by_last_attention,
-    similarity_assign,
 )
 from .pipeline import compress
 from .spatial import (
@@ -93,16 +90,13 @@ __all__ = [
     "inner_merge",
     "load_compressed",
     "load_token_stream",
-    "merge_assigned",
     "merge_clusters",
     "optimal_segmentation",
     "pairwise_redundancy",
     "pipeline_cost_report",
     "prefill_flops",
-    "rank_by_last_attention",
     "retained_for_ratio",
     "save_compressed",
-    "similarity_assign",
     "spatial_merge",
     "validate_config",
 ]

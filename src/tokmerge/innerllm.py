@@ -32,7 +32,7 @@ _CANDIDATE_NORMS = (2.0**-60, 2.0**60)
 def check_hidden(hidden) -> np.ndarray:
     """Hidden states as a C-contiguous float32 (N, d) array of finite values.
 
-    Finiteness is the precondition of the error band in similarity_assign.
+    Finiteness is the precondition of the error band in _assign.
     A non-real dtype, a non-finite value or one beyond float32 range raises
     DataError, the last two with their flat offset.
     """
@@ -91,7 +91,7 @@ class InnerMergeResult:
 def retained_count(n: int, ratio_r: float) -> int:
     """Tokens left after merging the bottom R% of ``n``: N - floor(R*N/100).
 
-    The one rule for this count: rank_by_last_attention keeps this many and
+    The one rule for this count: inner_merge keeps this many and
     cost.layer_token_counts prices it after layer K. R < 100 keeps at least
     one token for every N >= 1.
     """
@@ -100,19 +100,14 @@ def retained_count(n: int, ratio_r: float) -> int:
     return n - int(ratio_r * n / 100)
 
 
-def rank_by_last_attention(last_attn: np.ndarray, ratio_r: float) -> tuple[np.ndarray, np.ndarray]:
-    """Split indices into (retained, candidates) by the bottom-R% scores.
-
-    ``last_attn`` is checked by check_last_attn. retained_count(N, R) tokens
-    are kept and the rest taken from the lowest scores; on ties the larger
-    index becomes the candidate (smaller indices are preferentially
-    retained). Both lists come back ascending.
-    """
-    return _rank(check_last_attn(last_attn), ratio_r)
-
-
 def _rank(scores: np.ndarray, ratio_r: float) -> tuple[np.ndarray, np.ndarray]:
-    """rank_by_last_attention of scores check_last_attn returned."""
+    """Split indices into (retained, candidates) by the bottom-R% of scores
+    that check_last_attn returned.
+
+    retained_count(N, R) tokens are kept and the rest taken from the lowest
+    scores; on ties the larger index becomes the candidate (smaller indices
+    are preferentially retained). Both lists come back ascending.
+    """
     n = scores.shape[0]
     n_cand = n - retained_count(n, ratio_r)
     # primary key: score ascending; secondary: index descending
@@ -167,42 +162,22 @@ def _exact_argmax(hidden: np.ndarray, cand: int, cols: np.ndarray) -> int:
     return int(np.argmax(sims))
 
 
-def similarity_assign(
-    candidates: np.ndarray,
-    retained: np.ndarray,
-    hidden: np.ndarray,
-) -> np.ndarray:
-    """Retained index of each candidate's most cosine-similar retained token.
+def _assign(candidates: np.ndarray, retained: np.ndarray, hidden: np.ndarray) -> np.ndarray:
+    """Position in ``retained`` of each candidate's most cosine-similar
+    retained token, as an int64 array aligned with ``candidates``.
 
-    Returns an int64 array aligned with ``candidates``. The similarity is
-    the float64 cosine of the hidden rows; zero-norm vectors have
-    similarity 0 against everything, and ties go to the earlier retained
-    position (the smaller index for ascending ``retained``).
+    Both are int64 indices into finite hidden states, and ``retained`` may
+    be empty only when ``candidates`` is. The similarity is the float64
+    cosine of the hidden rows; zero-norm vectors have similarity 0 against
+    everything, and ties go to the earlier position.
 
     Candidates are scored in blocks of ``_ASSIGN_CHUNK`` rows against
-    float32 unit rows of the retained tokens. A row whose best score leads
-    the runner-up by more than twice a proven error band is decided there;
-    every other row is recomputed in float64 against the retained tokens
-    within that band.
-    """
-    candidates = np.asarray(candidates, dtype=np.int64)
-    retained = np.asarray(retained, dtype=np.int64)
-    if candidates.size == 0:
-        return np.empty(0, dtype=np.int64)
-    if retained.size == 0:
-        raise DataError("cannot assign candidates: retained set is empty")
-    # finite, the band's precondition; not narrowed
-    return _assign(candidates, retained, _checked(hidden))
-
-
-def _assign(candidates: np.ndarray, retained: np.ndarray, hidden: np.ndarray) -> np.ndarray:
-    """similarity_assign of int64 indices into finite hidden states;
-    ``retained`` may be empty only when ``candidates`` is.
-
-    The rows of each block are scored in ``_split`` pieces: gather, norms,
-    float32 product, argmax and gap. The targets they decide do not depend
-    on how the product sums, and the exact recheck runs on the calling
-    thread once the block is scored.
+    float32 unit rows of the retained tokens, each block in ``_split``
+    pieces: gather, norms, float32 product, argmax and gap. A row whose best
+    score leads the runner-up by more than twice a proven error band is
+    decided there; every other row is recomputed in float64 against the
+    retained tokens within that band, on the calling thread once the block
+    is scored. So the positions do not depend on how the product sums.
     """
     d = hidden.shape[1]
     # Error band. Let u = 2**-24. A retained unit row entry is the float32
@@ -227,7 +202,7 @@ def _assign(candidates: np.ndarray, retained: np.ndarray, hidden: np.ndarray) ->
     band = (2 * d + 3) * 2.0**-24 + 1e-12 if d <= 2**21 else np.inf
     r_norms, r_units = _unit_rows(hidden, retained)
     all_certified = bool(_certified(r_norms, _RETAINED_NORMS).all())
-    targets = np.empty(candidates.size, dtype=np.int64)
+    slots = np.empty(candidates.size, dtype=np.int64)
     block = np.empty((min(candidates.size, _ASSIGN_CHUNK), retained.size), dtype=np.float32)
     c_norms, top, gap = np.empty((3, block.shape[0]))
     best = np.empty(block.shape[0], dtype=np.int64)
@@ -251,56 +226,39 @@ def _assign(candidates: np.ndarray, retained: np.ndarray, hidden: np.ndarray) ->
         certified = _certified(c_norms[:n], _CANDIDATE_NORMS) & all_certified
         # a zero candidate scores 0 everywhere, exactly as in float64
         sure = (c_norms[:n] == 0) | (certified & (gap[:n] > 2 * band * c_norms[:n]))
-        targets[lo : lo + n] = retained[best[:n]]
+        slots[lo : lo + n] = best[:n]
         for i in np.flatnonzero(~sure):
             near = (np.flatnonzero(sims[i] >= top[i] - 2 * band * c_norms[i])
                     if certified[i] else np.arange(retained.size))
-            targets[lo + i] = retained[near[_exact_argmax(hidden, cand[i], retained[near])]]
-    return targets
+            slots[lo + i] = near[_exact_argmax(hidden, cand[i], retained[near])]
+    return slots
 
 
-def merge_assigned(
-    hidden: np.ndarray,
-    retained: np.ndarray,
-    candidates: np.ndarray,
-    targets: np.ndarray,
-) -> InnerMergeResult:
+def _merge(hidden: np.ndarray, retained: np.ndarray, candidates: np.ndarray,
+           slots: np.ndarray) -> InnerMergeResult:
     """Average each retained token with the candidates assigned to it.
 
-    ``targets[i]`` is the retained index that ``candidates[i]`` merges into.
-    A retained token with n assignees becomes the mean of the n + 1 hidden
+    ``slots[i]`` is the position in ``retained`` of the token that
+    ``candidates[i]`` merges into; all three are int64 arrays, and
+    ``candidates`` is ascending, as _rank and _assign return them. A
+    retained token with n assignees becomes the mean of the n + 1 hidden
     states: a float64 sum from +0.0 of its own row, then of its candidates
     in ascending index order, divided by n + 1 and narrowed to the hidden
     dtype. Unassigned retained tokens pass through unchanged (a -0.0 entry
     becomes +0.0).
     """
-    hidden = np.asarray(hidden)
-    retained = np.asarray(retained, dtype=np.int64)
-    candidates = np.asarray(candidates, dtype=np.int64).ravel()
-    targets = np.asarray(targets, dtype=np.int64).ravel()
-    if candidates.size != targets.size:
-        raise DataError(f"{targets.size} targets for {candidates.size} candidates")
-    group = np.zeros(targets.size, dtype=np.int64)
-    if retained.size:
-        order = np.argsort(retained, kind="stable")
-        slot = np.searchsorted(retained, targets, sorter=order)
-        group = order[np.minimum(slot, retained.size - 1)]
-    missing = targets[retained[group] != targets] if retained.size else targets
-    if missing.size:
-        raise DataError(f"assignment target {missing[0]} is not a retained index")
-
     # each retained row first, then its candidates in ascending index order
-    ids = np.concatenate((retained, candidates))
-    groups = np.concatenate((np.arange(retained.size), group))
-    members = ids[np.lexsort((ids, np.arange(ids.size) >= retained.size, groups))]
+    groups = np.concatenate((np.arange(retained.size), slots))
+    members = np.concatenate((retained, candidates))[np.argsort(groups, kind="stable")]
     updated = _group_mean(hidden, members, np.bincount(groups, minlength=retained.size))
     return InnerMergeResult(
         retained_indices=retained, updated=updated,
-        assignment=dict(zip(candidates.tolist(), targets.tolist())))
+        assignment=dict(zip(candidates.tolist(), retained[slots].tolist())))
 
 
 def inner_merge(inp: InnerMergeInput, ratio_r: float) -> InnerMergeResult:
-    """rank -> assign -> merge, as one call."""
-    retained, candidates = _rank(inp.last_attn, ratio_r)  # inp is checked
-    targets = _assign(candidates, retained, inp.hidden)
-    return merge_assigned(inp.hidden, retained, candidates, targets)
+    """Merge the bottom R% of tokens by last-token attention, each into its
+    most cosine-similar retained token: _rank, _assign and _merge over the
+    arrays ``inp`` checked on construction."""
+    retained, candidates = _rank(inp.last_attn, ratio_r)
+    return _merge(inp.hidden, retained, candidates, _assign(candidates, retained, inp.hidden))

@@ -17,6 +17,7 @@ from .core import (
     PROVENANCE_KINDS,
     CompressedVideo,
     CompressionConfig,
+    ConfigError,
     DataError,
     ProvenanceArrays,
     _checked,
@@ -265,8 +266,19 @@ def spatial_merge(
     A representative's members are its own slot in the segment's later
     frames, then, for each other slot of its cluster in ascending order,
     that slot in every frame of the segment.
+
+    ``cfg.pooled_grid`` (the stream grid when None) must fit within the
+    stream grid, else ConfigError, and an importance map must be pooled on
+    it, else DataError.
     """
     stream = tmr.stream
+    (h, w), pooled = stream.grid, cfg.pooled_grid or stream.grid
+    if pooled[0] > h or pooled[1] > w:
+        raise ConfigError(f"pooled_grid {pooled[0]}x{pooled[1]} must fit within "
+                          f"the token grid {h}x{w}")
+    if imp is not None and imp.pooled_grid != pooled:
+        raise DataError(
+            f"importance pooled to {imp.pooled_grid} but config asks for {pooled}")
     b, n_v = stream.frames, stream.tokens_per_frame
     target = math.ceil(cfg.target_ratio * b * n_v)
     survivors = tmr.survivor_count
@@ -294,10 +306,6 @@ def spatial_merge(
             raise DataError(
                 f"importance scores must be finite and match stream {b}x{n_v}, "
                 f"got shape {imp.scores.shape}")
-        if cfg.pooled_grid is not None and imp.pooled_grid != cfg.pooled_grid:
-            raise DataError(
-                f"importance pooled to {imp.pooled_grid} but config asks for "
-                f"{cfg.pooled_grid}")
         rate = target / survivors
         keep = attention_select(np.where(red_frames, -np.inf, imp.scores),
                                 np.ceil(rate * (n_v - red_frames.sum(axis=1))))

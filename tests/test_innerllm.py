@@ -14,12 +14,27 @@ from tokmerge import (
     get_profile,
     inner_merge,
     innerllm,
-    merge_assigned,
-    rank_by_last_attention,
-    similarity_assign,
     validate_config,
 )
 from tokmerge.cost import layer_token_counts
+from tokmerge.innerllm import _assign, _merge, _rank, retained_count
+
+
+def reference_rank(scores, ratio_r):
+    """Python ``sorted`` by (score, -index): the first
+    N - retained_count(N, R) become the candidates, so on ties the larger
+    index does; (retained, candidates) as ascending int64 arrays."""
+    n = len(scores)
+    order = sorted(range(n), key=lambda i: (scores[i], -i))
+    n_cand = n - retained_count(n, ratio_r)
+    return (np.array(sorted(order[n_cand:]), dtype=np.int64),
+            np.array(sorted(order[:n_cand]), dtype=np.int64))
+
+
+def assign(candidates, retained, hidden):
+    """The retained index each candidate merges into: ``_assign``'s
+    positions into ``retained``, mapped through it."""
+    return retained[_assign(candidates, retained, hidden)]
 
 
 def reference_similarities(candidates, retained, hidden):
@@ -38,7 +53,7 @@ def reference_similarities(candidates, retained, hidden):
 
 
 def reference_assign(candidates, retained, hidden):
-    """The former ``similarity_assign``: first maximum of each row."""
+    """The former dense assignment: first maximum of each row."""
     sims = reference_similarities(candidates, retained, hidden)
     return np.asarray(retained, dtype=np.int64)[np.argmax(sims, axis=1)]
 
@@ -87,7 +102,7 @@ def assert_matches_reference(got, candidates, retained, hidden):
 
 
 def reference_merge(hidden, retained, candidates, targets):
-    """The former dict-and-loop ``merge_assigned``: each group gathered as
+    """The former dict-and-loop merge: each group gathered as
     [retained, candidates ascending] and averaged with a float64 ``mean``."""
     hidden = np.asarray(hidden)
     retained = np.asarray(retained, dtype=np.int64)
@@ -142,18 +157,17 @@ def count_rechecks(monkeypatch):
 
 class TestRanking:
     def test_r_zero_retains_all(self):
-        retained, candidates = rank_by_last_attention(np.array([0.5, 0.2, 0.9]), 0)
+        retained, candidates = _rank(np.array([0.5, 0.2, 0.9]), 0)
         np.testing.assert_array_equal(retained, [0, 1, 2])
         assert candidates.size == 0
 
     def test_bottom_two_by_score(self):
-        retained, candidates = rank_by_last_attention(
-            np.array([0.4, 0.1, 0.3, 0.2]), 50)
+        retained, candidates = _rank(np.array([0.4, 0.1, 0.3, 0.2]), 50)
         np.testing.assert_array_equal(candidates, [1, 3])
         np.testing.assert_array_equal(retained, [0, 2])
 
     def test_tie_break_retains_smaller_indices(self):
-        retained, candidates = rank_by_last_attention(np.full(4, 0.25), 50)
+        retained, candidates = _rank(np.full(4, 0.25), 50)
         np.testing.assert_array_equal(retained, [0, 1])
         np.testing.assert_array_equal(candidates, [2, 3])
 
@@ -162,14 +176,23 @@ class TestRanking:
         for _ in range(50):
             n = int(rng.integers(1, 40))
             r = float(rng.uniform(0, 99.9))
-            retained, candidates = rank_by_last_attention(rng.random(n), r)
+            retained, candidates = _rank(rng.random(n), r)
             assert candidates.size == math.floor(r * n / 100)
             assert retained.size + candidates.size == n
             assert not set(retained) & set(candidates)
 
+    def test_matches_sorted_oracle(self):
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            n = int(rng.integers(0, 40))
+            scores = rng.integers(0, 4, n) / 4  # many exact ties
+            r = float(rng.uniform(0, 99.9))
+            for got, expect in zip(_rank(scores, r), reference_rank(scores, r)):
+                np.testing.assert_array_equal(got, expect)
+
     def test_r_out_of_range(self):
         with pytest.raises(DataError):
-            rank_by_last_attention(np.ones(4), 100)
+            _rank(np.ones(4), 100)
 
     def test_count_matches_flops_schedule(self):
         # one rule for the post-layer-K count: the merge keeps what the
@@ -180,20 +203,20 @@ class TestRanking:
             cfg = validate_config({"inner_ratio_R": r})
             for n in range(2001):
                 kept = layer_token_counts(profile, n, cfg)[-1]
-                assert rank_by_last_attention(scores[:n], r)[0].size == kept, (n, r)
+                assert _rank(scores[:n], r)[0].size == kept, (n, r)
                 assert kept >= min(n, 1), (n, r)
 
 
 class TestAssignment:
     def test_single_retained_token(self):
         hidden = np.random.default_rng(1).standard_normal((5, 4))
-        targets = similarity_assign(np.array([1, 2, 3, 4]), np.array([0]), hidden)
-        assert targets.dtype == np.int64
-        np.testing.assert_array_equal(targets, [0, 0, 0, 0])
+        slots = _assign(np.array([1, 2, 3, 4]), np.array([0]), hidden)
+        assert slots.dtype == np.int64
+        np.testing.assert_array_equal(slots, [0, 0, 0, 0])
 
     def test_exact_match_wins(self):
         hidden = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 2.0]])
-        targets = similarity_assign(np.array([2]), np.array([0, 1]), hidden)
+        targets = assign(np.array([2]), np.array([0, 1]), hidden)
         np.testing.assert_array_equal(targets, [1])  # cos = 1 with token 1
 
     def test_matches_brute_force(self):
@@ -201,10 +224,10 @@ class TestAssignment:
         for _ in range(40):
             n = int(rng.integers(2, 9))
             hidden = rng.standard_normal((n, 4))
-            retained, candidates = rank_by_last_attention(rng.random(n), 50)
+            retained, candidates = reference_rank(rng.random(n), 50)
             if candidates.size == 0:
                 continue
-            got = similarity_assign(candidates, retained, hidden)
+            got = assign(candidates, retained, hidden)
             assert (dict(zip(candidates.tolist(), got.tolist()))
                     == cosine_argmax_oracle(candidates, retained, hidden))
 
@@ -215,25 +238,21 @@ class TestAssignment:
         hidden = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.2], [0.0, 0.0],
                            [-2.0, 0.3]])
         retained, candidates = np.array([0, 1, 2]), np.array([3, 4])
-        got = similarity_assign(candidates, retained, hidden)
+        got = assign(candidates, retained, hidden)
         np.testing.assert_array_equal(got, [0, 2])
         assert (dict(zip(candidates.tolist(), got.tolist()))
                 == cosine_argmax_oracle(candidates, retained, hidden))
 
-    def test_empty_retained_rejected(self):
-        with pytest.raises(DataError):
-            similarity_assign(np.array([0]), np.array([], dtype=int), np.ones((1, 2)))
-
     def test_no_candidates(self):
-        targets = similarity_assign(np.array([], dtype=int), np.array([0]), np.ones((1, 2)))
-        assert targets.dtype == np.int64 and targets.size == 0
+        slots = _assign(np.array([], dtype=np.int64), np.array([0]), np.ones((1, 2)))
+        assert slots.dtype == np.int64 and slots.size == 0
 
     @pytest.mark.parametrize("n,d", [(64, 16), (3174, 896)])
     def test_matches_reference_on_random_states(self, n, d):
         rng = np.random.default_rng(n)
         hidden = rng.standard_normal((n, d), dtype=np.float32)
-        retained, candidates = rank_by_last_attention(rng.random(n), 50)
-        np.testing.assert_array_equal(similarity_assign(candidates, retained, hidden),
+        retained, candidates = reference_rank(rng.random(n), 50)
+        np.testing.assert_array_equal(assign(candidates, retained, hidden),
                                       reference_assign(candidates, retained, hidden))
 
     @pytest.mark.parametrize("n_cand", [1, 4, 5, 9])
@@ -247,7 +266,7 @@ class TestAssignment:
             (n_cand, 6), dtype=np.float32)
         hidden[3] = hidden[7]  # a duplicated retained vector in another chunk
         retained, candidates = np.arange(11), np.arange(11, 11 + n_cand)
-        assert_matches_reference(similarity_assign(candidates, retained, hidden),
+        assert_matches_reference(assign(candidates, retained, hidden),
                                  candidates, retained, hidden)
 
     def test_duplicate_retained_vectors_smallest_index_wins(self, monkeypatch):
@@ -265,7 +284,7 @@ class TestAssignment:
             p = pairs[i % len(pairs)][0]
             hidden[n_r + i] = hidden[p] + 1e-3 * rng.standard_normal(d, dtype=np.float32)
         calls = count_rechecks(monkeypatch)
-        targets = similarity_assign(np.arange(n_r, n_r + 40), np.arange(n_r), hidden)
+        targets = assign(np.arange(n_r, n_r + 40), np.arange(n_r), hidden)
         np.testing.assert_array_equal(targets, [pairs[i % len(pairs)][0] for i in range(40)])
         assert len(calls) == 40  # every row is an exact tie
 
@@ -285,7 +304,7 @@ class TestAssignment:
         for dtype in (np.float64, np.float32):
             h = hidden.astype(dtype)
             calls = count_rechecks(monkeypatch)
-            got = similarity_assign(np.array([3]), np.array([0, 1, 2]), h)
+            got = assign(np.array([3]), np.array([0, 1, 2]), h)
             assert_matches_reference(got, np.array([3]), np.array([0, 1, 2]), h)
             np.testing.assert_array_equal(got, [1])
             # a lead of more than twice the band is decided in float32
@@ -300,8 +319,8 @@ class TestAssignment:
         hidden[[6, 31]] *= 1e30
         hidden[[7, 33]] *= -1e30
         hidden[35] = 1e-42 * hidden[6] / np.abs(hidden[6]).max()
-        retained, candidates = rank_by_last_attention(rng.random(n), 50)
-        assert_matches_reference(similarity_assign(candidates, retained, hidden),
+        retained, candidates = reference_rank(rng.random(n), 50)
+        assert_matches_reference(assign(candidates, retained, hidden),
                                  candidates, retained, hidden)
 
     @pytest.mark.parametrize("scale", [1e-160, 1e200])
@@ -313,7 +332,7 @@ class TestAssignment:
         retained, candidates = np.arange(6), np.arange(6, 12)
         calls = count_rechecks(monkeypatch)
         with np.errstate(over="ignore", invalid="ignore"):
-            got = similarity_assign(candidates, retained, hidden)
+            got = assign(candidates, retained, hidden)
             np.testing.assert_array_equal(got, reference_assign(candidates, retained, hidden))
         assert len(calls) == 6  # one uncertified retained row rechecks every row
 
@@ -321,13 +340,13 @@ class TestAssignment:
 class TestMerge:
     def test_no_candidates_identity(self):
         hidden = np.random.default_rng(3).standard_normal((4, 3)).astype(np.float32)
-        result = merge_assigned(hidden, np.arange(4), [], [])
+        result = _merge(hidden, np.arange(4), np.empty(0, np.int64), np.empty(0, np.int64))
         np.testing.assert_array_equal(result.updated, hidden)
         assert result.assignment == {}
 
     def test_two_assignees_mean(self):
         hidden = np.array([[3.0, 0.0], [0.0, 3.0], [3.0, 3.0]], dtype=np.float32)
-        result = merge_assigned(hidden, np.array([0]), np.array([1, 2]), np.array([0, 0]))
+        result = _merge(hidden, np.array([0]), np.array([1, 2]), np.array([0, 0]))
         np.testing.assert_allclose(result.updated, [[2.0, 2.0]])
         assert result.assignment == {1: 0, 2: 0}
 
@@ -371,15 +390,16 @@ class TestMerge:
         hidden = (rng.standard_normal((n, d))
                   * 2.0 ** rng.integers(-60, 60, (n, d))).astype(np.float32)
         hidden[rng.random((n, d)) < 0.1] = -0.0
-        retained, candidates = rank_by_last_attention(rng.random(n), 75)
-        targets = retained[np.minimum(rng.geometric(0.3, candidates.size), 99)]
-        result = merge_assigned(hidden, retained, candidates, targets)
+        retained, candidates = reference_rank(rng.random(n), 75)
+        slots = np.minimum(rng.geometric(0.3, candidates.size), 99)
+        targets = retained[slots]
+        result = _merge(hidden, retained, candidates, slots)
         assert same_bits(result.updated,
                          reference_merge(hidden, retained, candidates, targets))
 
     def test_negative_zero_row_passes_as_positive_zero(self):
         hidden = np.array([[-0.0, 1.5], [2.0, -0.0], [-0.0, -0.0]], dtype=np.float32)
-        result = merge_assigned(hidden, np.array([0, 2]), np.array([1]), np.array([2]))
+        result = _merge(hidden, np.array([0, 2]), np.array([1]), np.array([1]))
         assert same_bits(result.updated, np.array([[0.0, 1.5], [1.0, 0.0]], np.float32))
 
     def test_one_dimension_sums_in_member_order(self):
@@ -389,32 +409,11 @@ class TestMerge:
         hidden = (rng.standard_normal((40, 1))
                   * 2.0 ** rng.integers(-60, 60, (40, 1))).astype(np.float32)
         candidates = np.arange(1, 40)
-        result = merge_assigned(hidden, np.array([0]), candidates, np.zeros(39, np.int64))
+        result = _merge(hidden, np.array([0]), candidates, np.zeros(39, np.int64))
         acc = 0.0
         for x in hidden[:, 0].astype(np.float64):
             acc += x
         assert same_bits(result.updated, np.array([[acc / 40]], np.float32))
-
-    def test_unknown_target_rejected(self):
-        with pytest.raises(DataError, match="target 3 is not a retained index"):
-            merge_assigned(np.ones((4, 2)), np.array([0, 1]), np.array([2]), np.array([3]))
-        with pytest.raises(DataError, match="not a retained index"):
-            merge_assigned(np.ones((4, 2)), np.array([], dtype=int), np.array([2]),
-                           np.array([0]))
-
-    def test_target_count_mismatch_rejected(self):
-        with pytest.raises(DataError, match="2 targets for 1 candidates"):
-            merge_assigned(np.ones((4, 2)), np.array([0, 1]), np.array([2]),
-                           np.array([0, 1]))
-
-    def test_unsorted_retained(self):
-        rng = np.random.default_rng(10)
-        hidden = rng.standard_normal((8, 3)).astype(np.float32)
-        retained, candidates = np.array([5, 0, 3]), np.array([1, 2, 4, 6, 7])
-        targets = np.array([3, 5, 3, 0, 3])
-        result = merge_assigned(hidden, retained, candidates, targets)
-        assert same_bits(result.updated,
-                         reference_merge(hidden, retained, candidates, targets))
 
 
 class TestInput:
@@ -451,26 +450,6 @@ class TestInput:
             innerllm.check_last_attn(attn)
         with pytest.raises(DataError, match="attention row must be 1-D"):
             InnerMergeInput(np.ones((attn.size, 2)), attn)
-
-    @pytest.mark.parametrize("scores, fault", [
-        ([[0.3], [0.1], [0.2]], re.escape("attention row must be 1-D (N,), got shape (3, 1)")),
-        ([0.3, np.nan, 0.2], "^non-finite value at flat offset 1$"),
-        ([0.3, -1.0, 0.2], "^attention scores must be non-negative$"),
-    ], ids=["column", "nan", "negative"])
-    def test_ranking_checks_scores(self, scores, fault):
-        with pytest.raises(DataError, match=fault):
-            rank_by_last_attention(np.array(scores), 50)
-
-    @pytest.mark.parametrize("value, fault", [
-        (np.nan, "^non-finite value at flat offset 5$"),
-        (-np.inf, "^non-finite value at flat offset 5$"),
-        (1j, "^dtype complex128, expected real values$"),
-    ], ids=["nan", "-inf", "complex"])
-    def test_assignment_checks_hidden(self, value, fault):
-        hidden = np.ones((4, 2), dtype=np.result_type(value, np.float64))
-        hidden[2, 1] = value
-        with pytest.raises(DataError, match=fault):
-            similarity_assign(np.array([0]), np.array([1, 2, 3]), hidden)
 
     def test_float64_hidden_beyond_float32_range(self):
         hidden = np.ones((3, 2))

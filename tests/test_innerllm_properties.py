@@ -1,10 +1,11 @@
 """Property tests: the chunked inner merge equals the former dense one.
 
-``similarity_assign`` must choose the same targets as ``reference_assign``
+``innerllm._assign`` must choose the same targets as ``reference_assign``
 (the former single float64 BLAS product) wherever that one is decided,
-and the smallest index on exact ties; ``merge_assigned`` must give the
+and the smallest index on exact ties; ``innerllm._merge`` must give the
 same bits as ``reference_merge`` (the former per-group ``mean``); both for
-any chunk size.
+any chunk size, and so must ``inner_merge``. Retained and candidate
+tokens come from the ``reference_rank`` oracle.
 """
 
 from unittest import mock
@@ -20,13 +21,11 @@ from tokmerge import (  # noqa: E402
     InnerMergeInput,
     inner_merge,
     innerllm,
-    merge_assigned,
-    rank_by_last_attention,
-    similarity_assign,
 )
 from test_innerllm import (  # noqa: E402
     assert_matches_reference,
     reference_merge,
+    reference_rank,
     same_bits,
 )
 
@@ -75,11 +74,11 @@ def hidden_states(draw, dims=DIMS):
 @given(hidden_states(), st.sampled_from(CHUNKS), st.floats(0, 99))
 def test_assign_matches_reference(case, chunk, ratio):
     hidden, rng = case
-    retained, candidates = rank_by_last_attention(rng.random(hidden.shape[0]), ratio)
+    retained, candidates = reference_rank(rng.random(hidden.shape[0]), ratio)
     if retained.size == 0 or candidates.size == 0:
         return
     with mock.patch.object(innerllm, "_ASSIGN_CHUNK", chunk):
-        got = similarity_assign(candidates, retained, hidden)
+        got = retained[innerllm._assign(candidates, retained, hidden)]
     assert_matches_reference(got, candidates, retained, hidden)
 
 
@@ -93,11 +92,12 @@ def test_merge_matches_reference(case, ratio, wide):
     if wide:  # values spanning 2**+-60, where summation order shows
         hidden = hidden * np.float32(2.0) ** rng.integers(-60, 60, (n, d))
     hidden[rng.random((n, d)) < 0.1] = -0.0
-    retained, candidates = rank_by_last_attention(rng.random(n), ratio)
+    retained, candidates = reference_rank(rng.random(n), ratio)
     if retained.size == 0:
         return
-    targets = retained[rng.integers(0, min(retained.size, 4), candidates.size)]
-    got = merge_assigned(hidden, retained, candidates, targets).updated
+    slots = rng.integers(0, min(retained.size, 4), candidates.size)
+    targets = retained[slots]
+    got = innerllm._merge(hidden, retained, candidates, slots).updated
     assert same_bits(got, reference_merge(hidden, retained, candidates, targets))
 
 
@@ -108,7 +108,7 @@ def test_inner_merge_matches_reference(case, chunk, ratio):
     last = rng.random(hidden.shape[0])
     with mock.patch.object(innerllm, "_ASSIGN_CHUNK", chunk):
         result = inner_merge(InnerMergeInput(hidden, last), ratio)
-    retained, candidates = rank_by_last_attention(last, ratio)
+    retained, candidates = reference_rank(last, ratio)
     targets = np.array([result.assignment[c] for c in candidates.tolist()], np.int64)
     if candidates.size:
         assert_matches_reference(targets, candidates, retained, hidden)

@@ -9,11 +9,13 @@ import pytest
 from tokmerge import (
     ClusterState,
     CompressionConfig,
+    ConfigError,
     DataError,
     ImportanceMap,
     VideoTokenStream,
     apply_temporal_merge,
     attention_select,
+    compress,
     dpc_knn_cluster,
     importance_from_attention,
     importance_from_qk,
@@ -528,7 +530,7 @@ def test_importance_required_when_compressing():
 
 def test_importance_checked_against_stream_and_config():
     rng = np.random.default_rng(9)
-    _, tmr, imp = make_pipeline_inputs(rng)
+    stream, tmr, imp = make_pipeline_inputs(rng)
     cfg = CompressionConfig(target_ratio=0.25)
     with pytest.raises(DataError, match=r"match stream 4x4, got shape \(3, 4\)"):
         spatial_merge(tmr, ImportanceMap(imp.scores[:3], (2, 2)), cfg)
@@ -537,6 +539,15 @@ def test_importance_checked_against_stream_and_config():
                       cfg)
     with pytest.raises(DataError, match=r"pooled to \(2, 2\) but config asks for \(1, 2\)"):
         spatial_merge(tmr, imp, CompressionConfig(target_ratio=0.25, pooled_grid=(1, 2)))
+    # no pooled_grid is the stream grid, so a map pooled 1x2 is rejected as with (2, 2)
+    with pytest.raises(DataError, match=r"pooled to \(1, 2\) but config asks for \(2, 2\)"):
+        spatial_merge(tmr, ImportanceMap(imp.scores, (1, 2)), cfg)
+    # a pooled grid beyond the stream grid, also in a pass-through run with no map
+    fault = "^pooled_grid 9x9 must fit within the token grid 2x2$"
+    with pytest.raises(ConfigError, match=fault):
+        compress(stream, CompressionConfig(pooled_grid=(9, 9)))
+    with pytest.raises(ConfigError, match=fault):
+        spatial_merge(tmr, None, CompressionConfig(target_ratio=0.25, pooled_grid=(9, 9)))
 
 
 def test_all_non_redundant_reduces_to_attention_select():

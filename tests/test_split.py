@@ -31,7 +31,6 @@ from tokmerge import (
     innerllm,
     optimal_segmentation,
     pairwise_redundancy,
-    similarity_assign,
     spatial_merge,
 )
 from tokmerge.cli import main
@@ -332,14 +331,14 @@ def assign_inputs(uncertified):
 
 def blas_stage_outputs():
     """Bits of the three matrix-product stages: Q/K importance scores,
-    clustered spatial-merge tokens and provenance, and inner-merge targets
-    on float32 and on uncertified float64 states."""
+    clustered spatial-merge tokens and provenance, and inner-merge
+    assignments on float32 and on uncertified float64 states."""
     tmr, imp, cfg = clustering_inputs()
     cv = spatial_merge(tmr, imp, cfg)
     with np.errstate(over="ignore", invalid="ignore"):  # the uncertified rows
-        targets = [similarity_assign(*assign_inputs(u)) for u in (False, True)]
+        slots = [innerllm._assign(*assign_inputs(u)) for u in (False, True)]
     return [bits(importance_from_qk(*qk_dumps(), (2, 3), (1, 3)).scores),
-            bits(cv.tokens), *cv.provenance_arrays, *targets]
+            bits(cv.tokens), *cv.provenance_arrays, *slots]
 
 
 class TestBlasStages:
@@ -356,11 +355,11 @@ class TestBlasStages:
             calls.append(int(cand))
             return exact(hidden, cand, cols)
         monkeypatch.setattr(innerllm, "_exact_argmax", recheck)
-        similarity_assign(*assign_inputs(False))
+        innerllm._assign(*assign_inputs(False))
         assert 0 < len(calls) < 23  # near ties rechecked, the rest decided in float32
         calls.clear()
         with np.errstate(over="ignore", invalid="ignore"):
-            similarity_assign(*assign_inputs(True))
+            innerllm._assign(*assign_inputs(True))
         assert len(calls) == 23
 
     @pytest.mark.parametrize("chunk", [7, 2048])
@@ -424,7 +423,7 @@ class TestBlasStages:
         monkeypatch.setattr(threading.Thread, "start", refuse)
         importance_from_qk(q, k, (2, 3))
         spatial_merge(tmr, imp, cfg)
-        similarity_assign(candidates, retained, hidden)
+        innerllm._assign(candidates, retained, hidden)
         inner_merge(inp, 50)
 
 
