@@ -39,13 +39,9 @@ from .innerllm import (
 )
 from .pipeline import compress
 from .spatial import (
-    ClusterState,
     ImportanceMap,
-    attention_select,
-    dpc_knn_cluster,
     importance_from_attention,
     importance_from_qk,
-    merge_clusters,
     spatial_merge,
 )
 from .synth import SynthSpec, generate
@@ -60,7 +56,6 @@ from .temporal import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClusterState",
     "CompressedVideo",
     "CompressionConfig",
     "CompressionReport",
@@ -79,10 +74,8 @@ __all__ = [
     "TokenProvenance",
     "VideoTokenStream",
     "apply_temporal_merge",
-    "attention_select",
     "compress",
     "decode_flops",
-    "dpc_knn_cluster",
     "generate",
     "get_profile",
     "importance_from_attention",
@@ -90,7 +83,6 @@ __all__ = [
     "inner_merge",
     "load_compressed",
     "load_token_stream",
-    "merge_clusters",
     "optimal_segmentation",
     "pairwise_redundancy",
     "pipeline_cost_report",

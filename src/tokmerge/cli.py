@@ -32,7 +32,7 @@ from .core import (
 from .cost import get_profile, pipeline_cost_report, retained_for_ratio
 from .innerllm import InnerMergeInput, check_hidden, check_last_attn, inner_merge
 from .pipeline import DEFAULT_PROFILE, compress
-from .spatial import ImportanceMap, importance_from_attention, importance_from_qk
+from .spatial import ImportanceMap, _pooled_grid, importance_from_attention, importance_from_qk
 from .synth import SynthSpec, generate
 from .temporal import optimal_segmentation, pairwise_redundancy
 
@@ -116,10 +116,10 @@ def _outer_phase(args) -> tuple[CompressionConfig, CompressedVideo, CompressionR
     dumps are released when this returns."""
     stream = load_token_stream(args.tokens, _parse_grid(args.grid))
     cfg = _config_from_args(args)
-    (h, w), (hp, wp) = stream.grid, cfg.pooled_grid or stream.grid
-    if hp > h or wp > w:
-        raise ConfigError(f"pooled_grid {hp}x{wp} must fit within the token grid "
-                          f"{h}x{w} of {args.tokens}")
+    try:
+        _pooled_grid(stream.grid, cfg.pooled_grid)
+    except ConfigError as exc:
+        raise ConfigError(f"{exc} of {args.tokens}") from None
     inner = bool(args.hidden or args.last_attn)
     if inner and not (args.hidden and args.last_attn):
         raise ConfigError("--hidden and --last-attn must be given together")
@@ -222,9 +222,11 @@ def cmd_report(args) -> int:
     ratios = []
     for path in sorted(root.rglob("*.json")):
         doc = _load_json(path, "report")
+        # a compressed.json nests its report; other JSON (spec.json,
+        # summary.json, configs) is not a report and is skipped
         if "report" in doc:
             doc = doc["report"]
-        if not isinstance(doc, dict) or "temporal_prune_ratio" not in doc:
+        elif "temporal_prune_ratio" not in doc:
             continue
         try:
             ratios.append(report_from_dict(doc).temporal_prune_ratio)

@@ -31,6 +31,15 @@ from .temporal import TemporalMergeResult
 # Importance
 # ---------------------------------------------------------------------------
 
+def _pooled_grid(grid, pooled_grid) -> tuple[int, int]:
+    """``pooled_grid``, or ``grid`` when None; ConfigError unless it fits
+    within ``grid`` with positive sides."""
+    (h, w), (hp, wp) = grid, tuple(pooled_grid or grid)
+    if not (1 <= hp <= h and 1 <= wp <= w):
+        raise ConfigError(f"pooled_grid {hp}x{wp} must fit within the token grid {h}x{w}")
+    return hp, wp
+
+
 def _bin_edges(size: int, bins: int) -> np.ndarray:
     return np.array([(i * size) // bins for i in range(bins + 1)], dtype=np.int64)
 
@@ -47,9 +56,9 @@ class ImportanceMap:
 
 def _importance(raw: np.ndarray, grid, pooled_grid, names) -> ImportanceMap:
     """ImportanceMap of (B, H*W) raw scores on an H x W grid, adaptive-average
-    pooled to ``pooled_grid`` (default: the grid) and spread back over the
-    slots of each bin; DataError naming the dumps when float64 arithmetic
-    on their finite values overflowed.
+    pooled to ``pooled_grid`` (default: the grid; see _pooled_grid) and
+    spread back over the slots of each bin; DataError naming the dumps when
+    float64 arithmetic on their finite values overflowed.
 
     Bin (i, j) averages rows [floor(i*H/Hp), floor((i+1)*H/Hp)) and the
     analogous column span; bins are non-empty and tile the grid. A bin's
@@ -58,11 +67,10 @@ def _importance(raw: np.ndarray, grid, pooled_grid, names) -> ImportanceMap:
     """
     if not np.isfinite(raw).all():
         raise DataError(f"{', '.join(names)}: raw importance overflows float64")
-    (h, w), (hp, wp) = grid, tuple(pooled_grid or grid)
+    h, w = grid
     if raw.shape[1] != h * w:
         raise DataError(f"raw importance shape {raw.shape} inconsistent with grid {h}x{w}")
-    if not (1 <= hp <= h and 1 <= wp <= w):
-        raise DataError(f"pooled grid {hp}x{wp} invalid for raw grid {h}x{w}")
+    hp, wp = _pooled_grid(grid, pooled_grid)
     g = raw.reshape(-1, h, w)
     re, ce = _bin_edges(h, hp), _bin_edges(w, wp)
     sums = np.empty((g.shape[0], hp, wp), dtype=np.float64)
@@ -128,63 +136,39 @@ def importance_from_qk(q: np.ndarray, k: np.ndarray, grid, pooled_grid=None, *,
 # Selection and clustering
 # ---------------------------------------------------------------------------
 
-def attention_select(scores: np.ndarray, keep) -> np.ndarray:
-    """Bool mask of the ``keep`` largest scores along the last axis (ties:
-    smaller index); ``keep`` is one count, or one count per row.
-    """
-    scores = np.asarray(scores, dtype=np.float64)
-    keep = np.asarray(keep, dtype=np.int64)
-    n = scores.shape[-1]
-    if (keep > n).any():
-        raise DataError(f"cannot keep {keep.max()} of {n} tokens")
-    if (keep < 0).any():
-        raise DataError(f"keep must be non-negative, got {keep.min()}")
+def _select(scores: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Bool mask of the ``keep`` (int64, one per row) largest float64
+    ``scores`` along the last axis; ties go to the smaller index."""
     order = np.argsort(-scores, axis=-1, kind="stable")
     rank = np.empty_like(order)
-    np.put_along_axis(rank, order, np.arange(n), axis=-1)
+    np.put_along_axis(rank, order, np.arange(scores.shape[-1]), axis=-1)
     return rank < keep[..., None]
 
 
-@dataclass(frozen=True)
-class ClusterState:
-    """Density-peak clustering state over N tokens.
-
-    ``assignment[i]`` is the token index of the center token ``i`` belongs
-    to; centers map to themselves. ``centers`` is ascending.
-    """
-
-    rho: np.ndarray
-    delta: np.ndarray
-    gamma: np.ndarray
-    k_used: int
-    centers: np.ndarray
-    assignment: np.ndarray
+def _dist2(points: np.ndarray, refs: np.ndarray) -> np.ndarray:
+    """(N, M) squared Euclidean distances from each point to each reference."""
+    sp = np.einsum("nd,nd->n", points, points)
+    sr = np.einsum("md,md->m", refs, refs)
+    return np.clip(sp[:, None] + sr[None, :] - 2.0 * (points @ refs.T), 0.0, None)
 
 
-def dpc_knn_cluster(tokens: np.ndarray, k: int, c: int) -> ClusterState:
-    """Pick ``c`` density-peak centers and assign every token to the nearest.
+def _cluster(tokens: np.ndarray, k: int, c: int) -> tuple[np.ndarray, np.ndarray]:
+    """DPC-KNN over N >= 1 token rows, with 1 <= k < N unless N == 1 and
+    c >= 1: the ascending int64 ``centers`` and each row's ``assignment``,
+    its nearest center (ties: smaller index), a center its own.
 
     Local density rho_i = exp(-mean squared distance to the k nearest
     neighbors); delta_i is the distance to the closest token earlier in the
     density order (density descending, ties by ascending index), and the
-    order-first token gets its farthest distance instead; gamma =
-    rho * delta ranks centers (ties toward smaller index, ``c`` clamped to
-    N). Requires 1 <= k < N unless N == 1.
+    order-first token gets its farthest distance instead; the ``c``
+    (clamped to N) largest gamma = rho * delta are the centers, ties
+    toward smaller index.
     """
-    tokens = np.asarray(tokens, dtype=np.float64)
-    if tokens.ndim != 2 or tokens.shape[0] < 1:
-        raise DataError(f"token matrix must be non-empty 2-D, got {tokens.shape}")
     n = tokens.shape[0]
-    if c < 1:
-        raise DataError(f"center count must be >= 1, got {c}")
     if n == 1:
-        return ClusterState(rho=np.ones(1), delta=np.zeros(1), gamma=np.zeros(1),
-                            k_used=0, centers=np.zeros(1, dtype=np.int64),
-                            assignment=np.zeros(1, dtype=np.int64))
-    if not 1 <= k < n:
-        raise DataError(f"neighbor count k={k} invalid for {n} tokens")
-
-    d2 = dist2_to(tokens, tokens)
+        return np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    tokens = np.asarray(tokens, dtype=np.float64)
+    d2 = _dist2(tokens, tokens)
     np.fill_diagonal(d2, np.inf)
 
     # ascending partial sort keeps the k-NN mean bit-reproducible
@@ -197,52 +181,14 @@ def dpc_knn_cluster(tokens: np.ndarray, k: int, c: int) -> ClusterState:
     idx = np.arange(n)
     precedes = (rho[None, :] > rho[:, None]) | (
         (rho[None, :] == rho[:, None]) & (idx[None, :] < idx[:, None]))
-    masked = np.where(precedes, dist, np.inf)
-    delta = masked.min(axis=1)
-    top = ~np.isfinite(delta)  # exactly one order-first token
-    finite = np.where(np.isfinite(dist), dist, -np.inf)
-    delta[top] = finite[top].max(axis=1)
+    delta = np.where(precedes, dist, np.inf).min(axis=1)
+    top = int(np.argmax(rho))  # the order-first token, the one with no predecessor
+    delta[top] = np.delete(dist[top], top).max()
 
-    gamma = rho * delta
-    c_eff = min(c, n)
-    centers = np.sort(np.argsort(-gamma, kind="stable")[:c_eff])
-
-    assignment = centers[np.argmin(dist2_to(tokens, tokens[centers]), axis=1)]
+    centers = np.sort(np.argsort(-(rho * delta), kind="stable")[:c])
+    assignment = centers[np.argmin(_dist2(tokens, tokens[centers]), axis=1)]
     assignment[centers] = centers
-    return ClusterState(rho=rho, delta=delta, gamma=gamma, k_used=k,
-                        centers=centers.astype(np.int64),
-                        assignment=assignment.astype(np.int64))
-
-
-def dist2_to(points: np.ndarray, refs: np.ndarray) -> np.ndarray:
-    """(N, M) squared Euclidean distances from each point to each reference."""
-    sp = np.einsum("nd,nd->n", points, points)
-    sr = np.einsum("md,md->m", refs, refs)
-    d2 = sp[:, None] + sr[None, :] - 2.0 * (points @ refs.T)
-    return np.clip(d2, 0.0, None)
-
-
-def merge_clusters(tokens: np.ndarray, state: ClusterState) -> tuple[np.ndarray, np.ndarray]:
-    """Mean of each cluster (center + assigned members), keeping input dtype.
-
-    A cluster's mean is a float64 sum from +0.0 of its members' rows in
-    ascending index order, divided by the cluster size and narrowed to the
-    token dtype; a one-token cluster is its row (a -0.0 entry becomes +0.0).
-    Raises DataError unless every token is assigned to a center and every
-    center to itself.
-    """
-    tokens = np.asarray(tokens)
-    a, c = state.assignment, state.centers
-    if not (np.isin(a, c).all() and (a[c] == c).all()):
-        raise DataError("cluster assignment must map each token to a center, a center to itself")
-    members = np.argsort(state.assignment, kind="stable")
-    sizes = np.bincount(state.assignment, minlength=tokens.shape[0])[state.centers]
-    return _group_mean(tokens, members, sizes), state.centers
-
-
-def auto_knn_k(n: int) -> int:
-    """Default neighbor count: max(2, floor(sqrt(N))), capped at N - 1."""
-    return min(max(2, int(math.isqrt(n))), n - 1)
+    return centers, assignment
 
 
 # ---------------------------------------------------------------------------
@@ -258,10 +204,12 @@ def spatial_merge(
 
     With survivors <= ceil(target_ratio * B * N_v) the stage passes tokens
     through unchanged. Otherwise a uniform keep rate r = target/survivors
-    applies: each frame's non-redundant tokens go through attention_select
-    (ceil(r * count) kept) and each segment's redundant set is
-    cluster-merged to ceil(r * count) representatives placed at their
-    center's spatial index. Output is ordered by (frame, spatial index).
+    applies: each frame keeps the ceil(r * count) of its non-redundant
+    tokens with the largest importance scores (ties to the smaller spatial
+    index), and each segment's redundant set is DPC-KNN cluster-merged to
+    ceil(r * count) representatives placed at their center's spatial index,
+    each the float64 mean of its cluster's rows summed in ascending order.
+    Output is ordered by (frame, spatial index).
 
     A representative's members are its own slot in the segment's later
     frames, then, for each other slot of its cluster in ascending order,
@@ -272,10 +220,7 @@ def spatial_merge(
     it, else DataError.
     """
     stream = tmr.stream
-    (h, w), pooled = stream.grid, cfg.pooled_grid or stream.grid
-    if pooled[0] > h or pooled[1] > w:
-        raise ConfigError(f"pooled_grid {pooled[0]}x{pooled[1]} must fit within "
-                          f"the token grid {h}x{w}")
+    pooled = _pooled_grid(stream.grid, cfg.pooled_grid)
     if imp is not None and imp.pooled_grid != pooled:
         raise DataError(
             f"importance pooled to {imp.pooled_grid} but config asks for {pooled}")
@@ -307,25 +252,29 @@ def spatial_merge(
                 f"importance scores must be finite and match stream {b}x{n_v}, "
                 f"got shape {imp.scores.shape}")
         rate = target / survivors
-        keep = attention_select(np.where(red_frames, -np.inf, imp.scores),
-                                np.ceil(rate * (n_v - red_frames.sum(axis=1))))
+        keep = _select(np.where(red_frames, -np.inf, imp.scores),
+                       np.ceil(rate * (n_v - red_frames.sum(axis=1))).astype(np.int64))
         _, firsts, sizes = np.unique(seg, return_index=True, return_counts=True)
-        reps = [values[:0]] * (firsts.size + 1)
 
         def cluster(first, last):  # segments [first, last)
             for i in range(first, last):
                 lo, n = int(firsts[i]), int(sizes[i])
-                k = cfg.knn_k if cfg.knn_k is not None else auto_knn_k(n)
-                state = dpc_knn_cluster(values[lo : lo + n], min(k, n - 1), math.ceil(rate * n))
-                reps[i + 1] = merge_clusters(values[lo : lo + n], state)[0]
-                center[lo : lo + n] = lo + state.assignment
+                # the automatic k is max(2, floor(sqrt(n))); every k is capped at n - 1
+                k = cfg.knn_k if cfg.knn_k is not None else max(2, math.isqrt(n))
+                _, assignment = _cluster(values[lo : lo + n], min(k, n - 1), math.ceil(rate * n))
+                center[lo : lo + n] = lo + assignment
         _split(firsts.size, cluster, blas=True)
-        values = np.concatenate(reps)
+
+    is_center = center == rows
+    cluster_rows = np.bincount(center, minlength=seg.size)[is_center]
+    if not pass_through:
+        # each cluster's mean, its rows ascending; in merged-row order of the
+        # centers, which is the representatives' (frame, slot) order
+        values = _group_mean(values, np.argsort(center, kind="stable"), cluster_rows)
 
     # every member occurrence, cluster by cluster: the center's row, then the
     # other rows ascending, each in every frame of its segment, less the
     # center's first-frame occurrence, which is the representative
-    is_center = center == rows
     order = np.lexsort((rows, ~is_center, center))
     skip = is_center[order]
     span = length[seg[order]] - skip
@@ -340,11 +289,10 @@ def spatial_merge(
     frames, slots = np.nonzero(keep)
     is_rep = rep[keep]
     # one gather from the stream at every output coordinate; representative
-    # rows, in merged-row order as (frame, slot) order, take their values
+    # rows take their values
     tokens = stream.data.reshape(b * n_v, -1).take(frames * n_v + slots, axis=0)
     tokens[is_rep] = values
     counts = np.zeros(frames.size, dtype=np.int64)
-    cluster_rows = np.bincount(center, minlength=seg.size)[is_center]
     counts[is_rep] = cluster_rows * length[seg[is_center]] - 1
     kind = PROVENANCE_KINDS.index("temporal_rep" if pass_through else "cluster_rep")
     return CompressedVideo(tokens, ProvenanceArrays(

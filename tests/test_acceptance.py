@@ -23,17 +23,16 @@ from tokmerge import (
     apply_temporal_merge,
     compress,
     core,
-    dpc_knn_cluster,
     generate,
     get_profile,
     importance_from_qk,
     inner_merge,
-    merge_clusters,
     optimal_segmentation,
     pairwise_redundancy,
     pipeline_cost_report,
     prefill_flops,
     retained_for_ratio,
+    spatial,
     spatial_merge,
     validate_config,
 )
@@ -170,14 +169,13 @@ def test_criterion_4_clustering_oracle():
         tokens = rng.standard_normal((n, d))
         c = int(rng.integers(1, n + 1))
         if n == 1:
-            state = dpc_knn_cluster(tokens, 1, c)
-            assert list(state.centers) == [0]
+            assert list(spatial._cluster(tokens, 1, c)[0]) == [0]
             continue
         k = int(rng.integers(1, n))
-        state = dpc_knn_cluster(tokens, k, c)
-        centers, assignment = test_spatial.dpc_oracle(tokens, k, c)
-        assert list(state.centers) == centers
-        np.testing.assert_array_equal(state.assignment, assignment)
+        centers, assignment = spatial._cluster(tokens, k, c)
+        expect_centers, expect_assignment = test_spatial.dpc_oracle(tokens, k, c)
+        assert list(centers) == expect_centers
+        np.testing.assert_array_equal(assignment, expect_assignment)
 
 
 # ---------------------------------------------------------------------------
@@ -210,10 +208,10 @@ def test_criterion_5_merge_conservation():
         n = int(rng.integers(2, 40))
         tokens = rng.standard_normal((n, 16)).astype(np.float32)
         k = min(max(2, int(math.isqrt(n))), n - 1)
-        state = dpc_knn_cluster(tokens, k, int(rng.integers(1, n + 1)))
-        reps, centers = merge_clusters(tokens, state)
+        centers, assignment = spatial._cluster(tokens, k, int(rng.integers(1, n + 1)))
+        reps = test_spatial.cluster_means(tokens, centers, assignment)
         for rep, center in zip(reps, centers):
-            group = tokens[state.assignment == center].astype(np.float64)
+            group = tokens[assignment == center].astype(np.float64)
             np.testing.assert_allclose(rep, group.mean(axis=0), rtol=1e-6)
 
     # inner merge: group means and the mass-conservation identity

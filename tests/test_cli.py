@@ -843,10 +843,45 @@ class TestSynthAndReport:
         assert "abc" in err
         assert not (tmp_path / "agg").exists()
 
-    def test_non_object_report_entry_skipped(self, tmp_path):
-        (tmp_path / "odd.json").write_text(json.dumps({"report": 5}))
+    def test_non_object_report_entry_exit_2_names_file(self, tmp_path, capsys):
+        odd = tmp_path / "odd.json"
+        odd.write_text(json.dumps({"report": 5}))
         rc = main(["report", "--reports", str(tmp_path), "--out", str(tmp_path / "agg")])
-        assert rc == 2  # no report document: the entry is skipped, not a traceback
+        assert rc == 2  # a broken report document, not a traceback
+        assert capsys.readouterr().err.startswith(
+            f"tokmerge: error: {odd}: malformed report document: ")
+
+    @pytest.mark.parametrize("fault", ["field-missing", "not-object"])
+    def test_broken_compressed_json_among_reports_exit_2(self, tmp_path, capsys, fault):
+        """One broken compressed.json among good ones fails the aggregate,
+        naming it, rather than leaving it out of the count; spec, summary
+        and config documents beside them are still skipped."""
+        spec, stream, tokens = write_corpus(tmp_path)
+        reports = tmp_path / "r"
+        for name in ("v1", "v2"):
+            assert main(["compress", "--tokens", str(tokens), "--grid", "2x3",
+                         "--out", str(reports / name)]) == 0
+        (reports / "cfg.json").write_text(json.dumps({"tau": 0.8}))
+        (reports / "summary.json").write_text(json.dumps({"videos": 2}))
+        assert main(["synth", "--out", str(reports / "s"), "--frames", "2", "--grid", "2x2",
+                     "--dim", "4", "--segments", "2:0.5"]) == 0
+        agg = tmp_path / "agg"
+        assert main(["report", "--reports", str(reports), "--out", str(agg)]) == 0
+        assert json.loads((agg / "summary.json").read_text())["videos"] == 2
+
+        meta = reports / "v2" / "compressed.json"
+        doc = json.loads(meta.read_text(encoding="utf-8"))
+        if fault == "field-missing":
+            del doc["report"]["temporal_prune_ratio"]
+        else:
+            doc["report"] = ["not", "an", "object"]
+        meta.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        rc = main(["report", "--reports", str(reports), "--out", str(tmp_path / "agg2")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            f"tokmerge: error: {meta}: malformed report document: ")
+        assert not (tmp_path / "agg2").exists()
 
     def test_empty_directory_exit_2(self, tmp_path):
         empty = tmp_path / "none"

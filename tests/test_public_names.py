@@ -1,6 +1,6 @@
 """The package's public names: ``tokmerge.__all__`` lists exactly what the
-package binds, the README's code examples name only what exists, and its
-"Removed names" are gone."""
+package binds, the README documents each of them, its code examples name
+only what exists, and its "Removed names" are gone."""
 
 import re
 import types
@@ -15,6 +15,12 @@ def test_all_lists_the_bound_public_names():
     bound = [name for name, value in vars(tokmerge).items()
              if not name.startswith("_") and not isinstance(value, types.ModuleType)]
     assert sorted(tokmerge.__all__) == sorted(bound)
+
+
+def test_every_public_name_in_readme():
+    current = README.split("### Removed names", 1)[0] + README.split("\n## File formats", 1)[1]
+    assert sorted(name for name in tokmerge.__all__
+                  if not re.search(rf"\b{name}\b", current)) == []
 
 
 def test_readme_code_names_resolve():
@@ -36,5 +42,5 @@ def test_removed_names_are_gone():
     section = README.split("### Removed names", 1)[1].split("\n#", 1)[0]
     bullets = re.findall(r"^\* (.*?):", section, re.M | re.S)
     removed = {name for bullet in bullets for name in re.findall(r"`(\w+)`", bullet)}
-    assert "merge_assigned" in removed
+    assert {"merge_assigned", "dpc_knn_cluster", "ClusterState"} <= removed
     assert sorted(removed & set(vars(tokmerge))) == []

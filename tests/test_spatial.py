@@ -7,19 +7,16 @@ import numpy as np
 import pytest
 
 from tokmerge import (
-    ClusterState,
     CompressionConfig,
     ConfigError,
     DataError,
     ImportanceMap,
     VideoTokenStream,
     apply_temporal_merge,
-    attention_select,
     compress,
-    dpc_knn_cluster,
+    core,
     importance_from_attention,
     importance_from_qk,
-    merge_clusters,
     optimal_segmentation,
     pairwise_redundancy,
     spatial,
@@ -117,15 +114,36 @@ def spread_bins(pooled, grid):
     return pooled[..., rows, :][..., cols].reshape(*pooled.shape[:-2], h * w)
 
 
-def merge_clusters_loop(tokens, state):
-    """Each cluster's float64 mean, narrowed to the token dtype, one cluster
-    at a time."""
-    tokens = np.asarray(tokens)
-    reps = np.empty((state.centers.shape[0], tokens.shape[1]), dtype=tokens.dtype)
-    for r, center in enumerate(state.centers):
-        group = tokens[state.assignment == center]
-        reps[r] = group.mean(axis=0, dtype=np.float64).astype(tokens.dtype)
-    return reps, state.centers
+def merge_clusters_loop(tokens, centers, assignment):
+    """Each cluster's mean, one cluster at a time: a float64 sum from +0.0
+    of its rows, added one by one in ascending index order, divided by the
+    cluster size and narrowed to the token dtype."""
+    reps = np.empty((len(centers), tokens.shape[1]), dtype=tokens.dtype)
+    for r, center in enumerate(centers):
+        members = [i for i in range(len(tokens)) if assignment[i] == center]
+        acc = np.zeros(tokens.shape[1])
+        for i in members:
+            acc = acc + tokens[i].astype(np.float64)
+        reps[r] = (acc / len(members)).astype(tokens.dtype)
+    return reps
+
+
+def top_k_oracle(scores, keep):
+    """Ascending indices of the ``keep`` largest scores, ties to the smaller
+    index, by Python's sort."""
+    return sorted(sorted(range(len(scores)), key=lambda i: (-scores[i], i))[:keep])
+
+
+def select(scores, keep):
+    """spatial._select on any scores and counts, as spatial_merge calls it."""
+    return spatial._select(np.asarray(scores, dtype=np.float64), np.asarray(keep, dtype=np.int64))
+
+
+def cluster_means(tokens, centers, assignment):
+    """Cluster means through core._group_mean, as spatial_merge takes them:
+    each cluster's rows ascending, the clusters in center order."""
+    return core._group_mean(tokens, np.argsort(assignment, kind="stable"),
+                            np.bincount(assignment)[centers])
 
 
 def qk_raw(q, k):
@@ -355,69 +373,63 @@ class TestPoolImportance:
     def test_oversized_pooled_grid_rejected(self):
         with pytest.raises(DataError):
             pool_importance(np.ones((3, 3)), (4, 2))
-        with pytest.raises(DataError, match="pooled grid 4x2 invalid for raw grid 3x3"):
+        with pytest.raises(ConfigError, match="^pooled_grid 4x2 must fit within the token grid 3x3$"):
             pooled(np.ones((3, 3)), (4, 2))
 
 
 class TestAttentionSelect:
     def test_keep_all_identity(self):
         scores = np.array([0.3, 0.1, 0.2])
-        np.testing.assert_array_equal(attention_select(scores, 3), [True, True, True])
+        np.testing.assert_array_equal(select(scores, 3), [True, True, True])
 
     def test_top_two(self):
-        np.testing.assert_array_equal(
-            np.flatnonzero(attention_select(np.array([0.1, 0.9, 0.5]), 2)), [1, 2])
+        np.testing.assert_array_equal(np.flatnonzero(select([0.1, 0.9, 0.5], 2)), [1, 2])
 
     def test_tie_break_toward_smaller_index(self):
-        np.testing.assert_array_equal(
-            np.flatnonzero(attention_select(np.full(5, 0.7), 3)), [0, 1, 2])
+        np.testing.assert_array_equal(np.flatnonzero(select(np.full(5, 0.7), 3)), [0, 1, 2])
 
     def test_rows_select_like_single_frames(self):
         rng = np.random.default_rng(17)
         scores = np.round(rng.random((6, 9)), 1)
         for keep in (4, rng.integers(0, 10, 6)):
-            got = attention_select(scores, keep)
+            got = select(scores, keep)
             for row, k, expect in zip(scores, np.broadcast_to(keep, 6), got):
-                np.testing.assert_array_equal(attention_select(row, k), expect)
+                np.testing.assert_array_equal(select(row, k), expect)
+                np.testing.assert_array_equal(np.flatnonzero(expect), top_k_oracle(row, k))
                 assert expect.sum() == k
-
-    def test_keep_too_large(self):
-        with pytest.raises(DataError, match="cannot keep 4 of 3 tokens"):
-            attention_select(np.ones(3), 4)
-        with pytest.raises(DataError, match="cannot keep 4 of 3 tokens"):
-            attention_select(np.ones((2, 3)), [1, 4])
-        with pytest.raises(DataError, match="non-negative"):
-            attention_select(np.ones((2, 3)), [-1, 1])
 
 
 class TestDpcKnn:
     def test_single_token(self):
-        state = dpc_knn_cluster(np.ones((1, 4)), 1, 1)
-        np.testing.assert_array_equal(state.centers, [0])
-        np.testing.assert_array_equal(state.assignment, [0])
+        centers, assignment = spatial._cluster(np.ones((1, 4)), 1, 1)
+        np.testing.assert_array_equal(centers, [0])
+        np.testing.assert_array_equal(assignment, [0])
 
     def test_identical_tokens_first_index_center(self):
-        state = dpc_knn_cluster(np.ones((5, 3)), 2, 1)
-        np.testing.assert_array_equal(state.centers, [0])
-        assert (state.assignment == 0).all()
-        assert np.allclose(state.delta, 0.0)
+        centers, assignment = spatial._cluster(np.ones((5, 3)), 2, 1)
+        np.testing.assert_array_equal(centers, [0])
+        assert (assignment == 0).all()
 
     def test_two_separated_pairs(self):
         tokens = np.array([[0.0, 0.0], [0.1, 0.0], [10.0, 10.0], [10.0, 10.12]])
-        state = dpc_knn_cluster(tokens, 1, 2)
-        assert set(state.centers) & {0, 1}
-        assert set(state.centers) & {2, 3}
-        assert state.assignment[0] == state.assignment[1]
-        assert state.assignment[2] == state.assignment[3]
+        centers, assignment = spatial._cluster(tokens, 1, 2)
+        assert set(centers) & {0, 1}
+        assert set(centers) & {2, 3}
+        assert assignment[0] == assignment[1]
+        assert assignment[2] == assignment[3]
 
-    def test_densest_token_delta_is_max_distance(self):
-        rng = np.random.default_rng(3)
-        tokens = rng.standard_normal((7, 3))
-        state = dpc_knn_cluster(tokens, 2, 3)
-        densest = int(np.argmax(state.rho))
-        dists = np.linalg.norm(tokens - tokens[densest], axis=1)
-        dists[densest] = -np.inf
-        assert state.delta[densest] == pytest.approx(dists.max(), rel=1e-12)
+    def test_farthest_distance_decides_centers(self):
+        """Token 0 leads the density order (ties by index) but lies 0.001
+        from token 1: its delta, the farthest distance 10.5, makes it the
+        top center. Its nearest distance instead would make gamma 0.001 and
+        the centers [2] and [2, 3]."""
+        tokens = np.array([[0.0], [0.001], [10.0], [10.5]])
+        for c, expect in ((1, [0]), (2, [0, 2])):
+            centers, assignment = spatial._cluster(tokens, 1, c)
+            oracle_centers, oracle_assignment = dpc_oracle(tokens, 1, c)
+            assert list(centers) == oracle_centers == expect
+            np.testing.assert_array_equal(assignment, oracle_assignment)
+            assert list(assignment[:2]) == [0, 0]
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(4)
@@ -427,63 +439,31 @@ class TestDpcKnn:
             tokens = rng.standard_normal((n, d))
             k = int(rng.integers(1, n))
             c = int(rng.integers(1, n + 1))
-            state = dpc_knn_cluster(tokens, k, c)
-            centers, assignment = dpc_oracle(tokens, k, c)
-            assert list(state.centers) == centers
-            np.testing.assert_array_equal(state.assignment, assignment)
-
-    def test_bad_k_rejected(self):
-        with pytest.raises(DataError):
-            dpc_knn_cluster(np.ones((4, 2)), 4, 1)
-
-    @pytest.mark.parametrize("tokens, c, message", [
-        (np.ones((0, 2)), 1, r"token matrix must be non-empty 2-D, got \(0, 2\)"),
-        (np.ones(4), 1, r"token matrix must be non-empty 2-D, got \(4,\)"),
-        (np.ones((4, 2)), 0, "center count must be >= 1, got 0"),
-    ])
-    def test_bad_tokens_or_center_count_rejected(self, tokens, c, message):
-        with pytest.raises(DataError, match=f"^{message}$"):
-            dpc_knn_cluster(tokens, 1, c)
+            centers, assignment = spatial._cluster(tokens, k, c)
+            expect_centers, expect_assignment = dpc_oracle(tokens, k, c)
+            assert list(centers) == expect_centers
+            np.testing.assert_array_equal(assignment, expect_assignment)
 
 
 class TestMergeClusters:
     def test_singleton_clusters_identity(self):
         tokens = np.random.default_rng(5).standard_normal((4, 3))
-        state = dpc_knn_cluster(tokens, 1, 4)
-        reps, centers = merge_clusters(tokens, state)
+        centers, assignment = spatial._cluster(tokens, 1, 4)
         np.testing.assert_array_equal(centers, np.arange(4))
-        np.testing.assert_allclose(reps, tokens)
+        np.testing.assert_allclose(cluster_means(tokens, centers, assignment), tokens)
 
     def test_pair_cluster_mean(self):
         tokens = np.array([[0.0, 0.0], [1.0, 1.0]])
-        state = dpc_knn_cluster(tokens, 1, 1)
-        reps, _ = merge_clusters(tokens, state)
-        np.testing.assert_allclose(reps, [[0.5, 0.5]])
+        centers, assignment = spatial._cluster(tokens, 1, 1)
+        np.testing.assert_allclose(cluster_means(tokens, centers, assignment), [[0.5, 0.5]])
 
     def test_group_mean_oracle(self):
         rng = np.random.default_rng(6)
         tokens = rng.standard_normal((10, 4))
-        state = dpc_knn_cluster(tokens, 3, 3)
-        reps, centers = merge_clusters(tokens, state)
-        for rep, center in zip(reps, centers):
-            group = tokens[state.assignment == center]
+        centers, assignment = spatial._cluster(tokens, 3, 3)
+        for rep, center in zip(cluster_means(tokens, centers, assignment), centers):
+            group = tokens[assignment == center]
             np.testing.assert_allclose(rep, group.mean(axis=0), rtol=1e-6)
-
-    @staticmethod
-    def state(centers, assignment):
-        n = len(assignment)
-        return ClusterState(rho=np.ones(n), delta=np.ones(n), gamma=np.ones(n), k_used=1,
-                            centers=np.array(centers), assignment=np.array(assignment))
-
-    def test_assignment_to_non_center_rejected(self):
-        tokens = np.arange(8.0).reshape(4, 2)
-        with pytest.raises(DataError, match="each token to a center"):
-            merge_clusters(tokens, self.state([0, 2], [0, 1, 2, 1]))
-
-    def test_center_assigned_elsewhere_rejected(self):
-        tokens = np.arange(8.0).reshape(4, 2)
-        with pytest.raises(DataError, match="a center to itself"):
-            merge_clusters(tokens, self.state([0, 2], [0, 0, 0, 2]))
 
 
 # ---------------------------------------------------------------------------
@@ -563,8 +543,7 @@ def test_all_non_redundant_reduces_to_attention_select():
     assert cv.count == b * keep
     for frame in range(b):
         slots = [p.spatial_index for p in cv.provenance if p.frame == frame]
-        expect = np.flatnonzero(attention_select(imp.scores[frame], keep))
-        np.testing.assert_array_equal(slots, expect)
+        np.testing.assert_array_equal(slots, top_k_oracle(imp.scores[frame], keep))
 
 
 def test_budget_adherence_mixed_instance():
@@ -613,7 +592,7 @@ def test_spatial_merge_with_coarse_pooled_grid():
         scores = spread_bins(pool_importance(importance_scores(a).reshape(4, 4), (2, 2)), (4, 4))
         np.testing.assert_array_equal(imp.scores[frame], scores)
         slots = [p.spatial_index for p in cv.provenance if p.frame == frame]
-        np.testing.assert_array_equal(slots, np.flatnonzero(attention_select(scores, keep)))
+        np.testing.assert_array_equal(slots, top_k_oracle(scores, keep))
 
 
 def test_single_frame_stream_passes_through():
@@ -653,8 +632,7 @@ def reassembly_oracle(tmr, imp, cfg):
         for f0 in range(start - 1, end - 1):
             kept = np.setdiff1d(np.arange(n_v), red)
             if not pass_through and kept.size:
-                scores = imp.scores[f0, kept]
-                kept = kept[attention_select(scores, math.ceil(rate * kept.size))]
+                kept = kept[top_k_oracle(imp.scores[f0, kept], math.ceil(rate * kept.size))]
             for slot in kept:
                 entries.append((f0, int(slot), stream.data[f0, slot], "selected", []))
         f0 = start - 1
@@ -666,13 +644,14 @@ def reassembly_oracle(tmr, imp, cfg):
                                 "temporal_rep", absorbed(slot)))
             continue
         k = cfg.knn_k or min(max(2, math.isqrt(red.size)), red.size - 1)
-        state = dpc_knn_cluster(merged, min(max(k, 1), max(red.size - 1, 1)),
-                                math.ceil(rate * red.size))
-        reps, centers = merge_clusters(merged, state)
+        # only the center choice comes from the code under test
+        centers, assignment = spatial._cluster(
+            merged, min(max(k, 1), max(red.size - 1, 1)), math.ceil(rate * red.size))
+        reps = merge_clusters_loop(merged, centers, assignment)
         for rep, center in zip(reps, centers):
             members = absorbed(red[center])
             for m in range(red.size):
-                if m != center and state.assignment[m] == center:
+                if m != center and assignment[m] == center:
                     members += [(f0, int(red[m]))] + absorbed(red[m])
             entries.append((f0, int(red[center]), rep, "cluster_rep", members))
     entries.sort(key=lambda e: e[:2])
