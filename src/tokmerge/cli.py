@@ -183,8 +183,8 @@ def cmd_segment(args) -> int:
 def cmd_flops(args) -> int:
     profile = get_profile(args.profile)
     cfg = _config_from_args(args)
-    retained = retained_for_ratio(profile, args.ratio, args.frames)
-    report = pipeline_cost_report(profile, cfg, retained)
+    retained, full = (retained_for_ratio(profile, r, args.frames) for r in (args.ratio, 1.0))
+    report = pipeline_cost_report(profile, cfg, retained, full)
     json.dump({"profile": profile.name, "retained_tokens": retained, **asdict(report)},
               sys.stdout, indent=1)
     print()

@@ -76,6 +76,9 @@ def layer_token_counts(profile: ModelProfile, retained_tokens: int,
     t = profile.layers_T
     if not cfg.inner_enabled:
         return [retained_tokens] * t
+    if cfg.inner_layer_K >= t:
+        raise ConfigError(f"inner_layer_K {cfg.inner_layer_K} must be below the "
+                          f"{t} layers of profile {profile.name}")
     reduced = retained_count(retained_tokens, cfg.inner_ratio_R)
     return [retained_tokens if i <= cfg.inner_layer_K else reduced
             for i in range(1, t + 1)]
@@ -91,12 +94,14 @@ def retained_for_ratio(profile: ModelProfile, ratio: float, frames: int | None =
 
 @dataclass(frozen=True)
 class CostReport:
-    """FLOPs breakdown for one token schedule against the full-token baseline."""
+    """FLOPs of one token schedule against the full-token baseline's prefill.
+
+    ``ratio`` is ``prefill_flops / baseline_flops``, the paper's FLOPs
+    ratio; ``decode_flops`` is reported on its own and never folded in."""
 
     per_layer_tokens: tuple[int, ...]
     prefill_flops: float
     decode_flops: float
-    total_flops: float
     baseline_flops: float
     ratio: float
 
@@ -107,27 +112,20 @@ def pipeline_cost_report(
     retained_tokens: int,
     baseline_tokens: int | None = None,
 ) -> CostReport:
-    """Cost of processing ``retained_tokens`` under the config's inner-merge.
-
-    ``baseline_tokens`` defaults to the profile's full B * N_v. The ratio
-    compares prefill + decode totals; prefill alone is exposed separately
-    (the compression report's flops section uses prefill-only numbers).
-    """
+    """Cost of ``retained_tokens`` under the config's inner merge, the one
+    pricing path (``compress``, ``tokmerge flops``, the benchmark), against
+    ``baseline_tokens`` (default: the profile's B * N_v) at every layer."""
     if retained_tokens < 1:
         raise ConfigError(f"retained token count must be >= 1, got {retained_tokens}")
-    counts = layer_token_counts(profile, retained_tokens, cfg)
     if baseline_tokens is None:
         baseline_tokens = profile.default_frames_B * profile.tokens_per_frame_Nv
-    base_counts = [baseline_tokens] * profile.layers_T
+    counts = layer_token_counts(profile, retained_tokens, cfg)
     prefill = prefill_flops(profile, counts)
-    decode = decode_flops(profile, counts)
-    baseline = prefill_flops(profile, base_counts) + decode_flops(profile, base_counts)
-    total = prefill + decode
+    baseline = prefill_flops(profile, [baseline_tokens] * profile.layers_T)
     return CostReport(
         per_layer_tokens=tuple(counts),
         prefill_flops=prefill,
-        decode_flops=decode,
-        total_flops=total,
+        decode_flops=decode_flops(profile, counts),
         baseline_flops=baseline,
-        ratio=total / baseline,
+        ratio=prefill / baseline,
     )

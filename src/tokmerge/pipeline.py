@@ -8,7 +8,7 @@ import time
 from contextlib import contextmanager
 
 from .core import CompressedVideo, CompressionConfig, CompressionReport
-from .cost import get_profile, layer_token_counts, prefill_flops
+from .cost import get_profile, pipeline_cost_report
 from .spatial import ImportanceMap, spatial_merge
 from .temporal import apply_temporal_merge, optimal_segmentation, pairwise_redundancy
 
@@ -38,6 +38,7 @@ def compress(stream, cfg: CompressionConfig, imp: ImportanceMap | None = None,
         cv = spatial_merge(tmr, imp, cfg)
 
     original = tmr.original_count
+    cost = pipeline_cost_report(prof, cfg, cv.count, original)
     return cv, CompressionReport(
         original_count=original,
         after_temporal_count=tmr.survivor_count,
@@ -46,6 +47,6 @@ def compress(stream, cfg: CompressionConfig, imp: ImportanceMap | None = None,
         overall_retained_ratio=cv.count / original,
         segment_boundaries=tuple(
             (s, e, g) for (s, e), g in zip(plan.segments(), plan.gains)),
-        prefill_flops=prefill_flops(prof, layer_token_counts(prof, cv.count, cfg)),
-        baseline_flops=prefill_flops(prof, [original] * prof.layers_T),
+        prefill_flops=cost.prefill_flops,
+        baseline_flops=cost.baseline_flops,
     )

@@ -6,6 +6,7 @@ is excluded by design; criteria 1-6 and 8 below stand in for it.
 """
 
 import functools
+import json
 import math
 import time
 import tracemalloc
@@ -36,6 +37,7 @@ from tokmerge import (
     spatial_merge,
     validate_config,
 )
+from tokmerge.cli import main
 from tokmerge.cost import layer_token_counts
 
 
@@ -99,6 +101,17 @@ def test_criterion_1_flops_tables():
             f"{value:.4e} vs {expected} T ({rel_err:.2%})")
         assert round(value / 1e12, 1) == expected  # matches at printed precision
     assert time.perf_counter() - start < 1.0  # criterion allows milliseconds
+
+
+@criterion("criterion 1 (headline: 6.9% of prefill FLOPs at 10% retained, K=18, R=50)")
+def test_criterion_1_headline_prefill_ratio(capsys):
+    """The paper's 6.9%: 2.815 T over the 40.77 T full-token prefill, the
+    ratio that the library and `tokmerge flops` both report."""
+    profile = get_profile("llava-ov-7b")
+    report = pipeline_cost_report(profile, CompressionConfig(), retained_for_ratio(profile, 0.10))
+    assert round(report.ratio, 3) == 0.069
+    assert main(["flops", "--profile", "llava-ov-7b", "--ratio", "0.10"]) == 0
+    assert json.loads(capsys.readouterr().out)["ratio"] == report.ratio
 
 
 @pytest.mark.xfail(

@@ -22,10 +22,12 @@ from tokmerge import (
     apply_temporal_merge,
     compress,
     generate,
+    get_profile,
     importance_from_attention,
     load_compressed,
     optimal_segmentation,
     pairwise_redundancy,
+    pipeline_cost_report,
     spatial_merge,
     validate_config,
 )
@@ -190,6 +192,34 @@ class TestCompress:
         assert (f"tokmerge: error: pooled_grid must be two positive integers "
                 f"[rows, cols], got {pooled!r}\n") == err
         assert not (tmp_path / "o").exists()
+
+    def test_config_inner_layer_beyond_profile_exit_1(self, tmp_path, capsys):
+        spec, stream, tokens = write_corpus(tmp_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"inner_layer_K": 40}))
+        rc = main(["compress", "--tokens", str(tokens), "--grid", "2x3",
+                   "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err == ("tokmerge: error: inner_layer_K 40 must be below "
+                                           "the 28 layers of profile llava-ov-7b\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("inner", [True, False])
+    def test_flops_ratio_is_the_cost_report_ratio(self, tmp_path, inner):
+        spec, stream, tokens = write_corpus(tmp_path)
+        _, attn = write_attention(tmp_path, stream)
+        raw = {"target_ratio": 0.3, "inner_enabled": inner}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        rc = main(["compress", "--tokens", str(tokens), "--grid", "2x3", "--attn", str(attn),
+                   "--config", str(cfg_path), "--out", str(out)])
+        assert rc == 0
+        doc = json.loads((out / "compressed.json").read_text())["report"]
+        cost = pipeline_cost_report(get_profile("llava-ov-7b"), validate_config(raw),
+                                    doc["final_count"], doc["original_count"])
+        assert doc["flops"] == {"baseline": cost.baseline_flops,
+                                "prefill": cost.prefill_flops, "ratio": cost.ratio}
 
     @pytest.mark.parametrize("content, message", [
         (None, "config file not found: {path}"),
@@ -665,6 +695,22 @@ class TestFlops:
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
         assert round(doc["prefill_flops"] / 1e12, 1) == 40.8
+
+    @pytest.mark.parametrize("frames", ["1", "8", "64"])
+    def test_full_ratio_prices_against_the_same_frames(self, capsys, frames):
+        rc = main(["flops", "--profile", "llava-ov-7b", "--ratio", "1.0", "--no-inner",
+                   "--frames", frames])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["ratio"] == 1.0
+        assert doc["baseline_flops"] == doc["prefill_flops"]
+
+    def test_inner_layer_beyond_profile_exit_1(self, capsys):
+        rc = main(["flops", "--profile", "llava-ov-7b", "--ratio", "0.1",
+                   "--inner-layer", "40"])
+        assert rc == 1
+        assert capsys.readouterr() == ("", "tokmerge: error: inner_layer_K 40 must be below "
+                                           "the 28 layers of profile llava-ov-7b\n")
 
     def test_unknown_profile_lists_known(self, capsys):
         rc = main(["flops", "--profile", "bogus", "--ratio", "0.5"])

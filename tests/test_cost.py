@@ -105,11 +105,11 @@ class TestPipelineReport:
         report = pipeline_cost_report(p72, cfg, 6272)
         assert tflops(report.prefill_flops) == 429.3
 
-    def test_ratio_is_total_over_baseline(self):
+    def test_ratio_is_prefill_over_baseline_prefill(self):
         cfg = validate_config({})
         report = pipeline_cost_report(OV7B, cfg, 1568)
-        assert report.ratio == pytest.approx(
-            report.total_flops / report.baseline_flops, rel=1e-12)
+        assert report.baseline_flops == prefill_flops(OV7B, [6272] * 28)
+        assert report.ratio == report.prefill_flops / report.baseline_flops
         assert 0 < report.ratio <= 1
 
     def test_layer_schedule_follows_config(self):
@@ -117,6 +117,18 @@ class TestPipelineReport:
         # the inner merge's count: 101 - floor(25 * 101 / 100) = 76
         assert layer_token_counts(OV7B, 101, cfg) == [101, 101] + [76] * 26
         off = validate_config({"inner_enabled": False, "inner_layer_K": 2})
+        assert layer_token_counts(OV7B, 101, off) == [101] * 28
+
+    def test_inner_layer_beyond_profile_rejected(self):
+        message = "^inner_layer_K 28 must be below the 28 layers of profile llava-ov-7b$"
+        with pytest.raises(ConfigError, match=message):
+            layer_token_counts(OV7B, 101, validate_config({"inner_layer_K": 28}))
+        with pytest.raises(ConfigError, match="inner_layer_K 40 must be below"):
+            pipeline_cost_report(OV7B, validate_config({"inner_layer_K": 40}), 101)
+        # the last layer is the deepest K that still merges; K is unchecked when off
+        assert layer_token_counts(OV7B, 101, validate_config({"inner_layer_K": 27})) == (
+            [101] * 27 + [51])
+        off = validate_config({"inner_enabled": False, "inner_layer_K": 40})
         assert layer_token_counts(OV7B, 101, off) == [101] * 28
 
     def test_retained_must_be_positive(self):

@@ -2,6 +2,7 @@
 package binds, the README documents each of them, its code examples name
 only what exists, and its "Removed names" are gone."""
 
+import dataclasses
 import re
 import types
 from pathlib import Path
@@ -44,3 +45,12 @@ def test_removed_names_are_gone():
     removed = {name for bullet in bullets for name in re.findall(r"`(\w+)`", bullet)}
     assert {"merge_assigned", "dpc_knn_cluster", "ClusterState"} <= removed
     assert sorted(removed & set(vars(tokmerge))) == []
+
+    # a dataclass field with no default is not bound on its class
+    def present(cls_name, attr):
+        cls = getattr(tokmerge, cls_name, None)
+        return hasattr(cls, attr) or (dataclasses.is_dataclass(cls) and attr in {
+            f.name for f in dataclasses.fields(cls)})
+    members = {m for bullet in bullets for m in re.findall(r"`(\w+)\.(\w+)(?:\(\))?`", bullet)}
+    assert {("CostReport", "total_flops"), ("TemporalMergeResult", "segments")} <= members
+    assert sorted(f"{c}.{a}" for c, a in members if present(c, a)) == []
