@@ -29,7 +29,7 @@ from .core import (
     save_compressed,
     validate_config,
 )
-from .cost import get_profile, pipeline_cost_report, retained_for_ratio
+from .cost import check_inner_layer, get_profile, pipeline_cost_report, retained_for_ratio
 from .innerllm import InnerMergeInput, check_hidden, check_last_attn, inner_merge
 from .pipeline import DEFAULT_PROFILE, compress
 from .spatial import ImportanceMap, _pooled_grid, importance_from_attention, importance_from_qk
@@ -116,6 +116,7 @@ def _outer_phase(args) -> tuple[CompressionConfig, CompressedVideo, CompressionR
     dumps are released when this returns."""
     stream = load_token_stream(args.tokens, _parse_grid(args.grid))
     cfg = _config_from_args(args)
+    check_inner_layer(get_profile(args.profile), cfg)
     try:
         _pooled_grid(stream.grid, cfg.pooled_grid)
     except ConfigError as exc:
@@ -183,6 +184,8 @@ def cmd_segment(args) -> int:
 def cmd_flops(args) -> int:
     profile = get_profile(args.profile)
     cfg = _config_from_args(args)
+    if args.frames is not None and args.frames < 1:
+        raise ConfigError(f"--frames must be >= 1, got {args.frames}")
     retained, full = (retained_for_ratio(profile, r, args.frames) for r in (args.ratio, 1.0))
     report = pipeline_cost_report(profile, cfg, retained, full)
     json.dump({"profile": profile.name, "retained_tokens": retained, **asdict(report)},

@@ -68,17 +68,23 @@ def decode_flops(profile: ModelProfile, n: list[int], r_dec: int = DECODE_TOKENS
                      for v in n))
 
 
+def check_inner_layer(profile: ModelProfile, cfg: CompressionConfig) -> None:
+    """Raise ConfigError unless the config's inner merge (when enabled)
+    runs after a layer the profile has, below its last one."""
+    if cfg.inner_enabled and cfg.inner_layer_K >= profile.layers_T:
+        raise ConfigError(f"inner_layer_K {cfg.inner_layer_K} must be below the "
+                          f"{profile.layers_T} layers of profile {profile.name}")
+
+
 def layer_token_counts(profile: ModelProfile, retained_tokens: int,
                        cfg: CompressionConfig) -> list[int]:
     """Per-layer schedule: full count through layer K, then the count the
     config's inner merge keeps, innerllm.retained_count (the full count
     everywhere when the inner merge is disabled)."""
+    check_inner_layer(profile, cfg)
     t = profile.layers_T
     if not cfg.inner_enabled:
         return [retained_tokens] * t
-    if cfg.inner_layer_K >= t:
-        raise ConfigError(f"inner_layer_K {cfg.inner_layer_K} must be below the "
-                          f"{t} layers of profile {profile.name}")
     reduced = retained_count(retained_tokens, cfg.inner_ratio_R)
     return [retained_tokens if i <= cfg.inner_layer_K else reduced
             for i in range(1, t + 1)]
@@ -88,6 +94,8 @@ def retained_for_ratio(profile: ModelProfile, ratio: float, frames: int | None =
     """Retained token count at a target ratio: frames * ceil(N_v * ratio)."""
     if not 0 < ratio <= 1:
         raise ConfigError(f"retained ratio must be in (0, 1], got {ratio}")
+    if frames is not None and frames < 1:
+        raise ConfigError(f"frame count must be >= 1, got {frames}")
     b = frames if frames is not None else profile.default_frames_B
     return b * math.ceil(profile.tokens_per_frame_Nv * ratio)
 

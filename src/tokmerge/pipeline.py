@@ -8,7 +8,7 @@ import time
 from contextlib import contextmanager
 
 from .core import CompressedVideo, CompressionConfig, CompressionReport
-from .cost import get_profile, pipeline_cost_report
+from .cost import check_inner_layer, get_profile, pipeline_cost_report
 from .spatial import ImportanceMap, spatial_merge
 from .temporal import apply_temporal_merge, optimal_segmentation, pairwise_redundancy
 
@@ -30,6 +30,7 @@ def compress(stream, cfg: CompressionConfig, imp: ImportanceMap | None = None,
     with the report; FLOPs are priced on the named model profile. Under
     TOKMERGE_VERBOSE=1 the temporal and spatial times go to stderr."""
     prof = get_profile(profile)
+    check_inner_layer(prof, cfg)
     with _stage("temporal"):
         mask = pairwise_redundancy(stream, cfg.tau)
         plan = optimal_segmentation(mask)

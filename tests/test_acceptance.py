@@ -14,8 +14,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import test_spatial
-import test_temporal
 from tokmerge import (
     CompressionConfig,
     ImportanceMap,
@@ -39,6 +37,8 @@ from tokmerge import (
 )
 from tokmerge.cli import main
 from tokmerge.cost import layer_token_counts
+from oracles import brute_force_best_total, dpc_oracle
+from support import cluster_means, merged_segments
 
 
 def criterion(label):
@@ -145,7 +145,7 @@ def test_criterion_2_dp_exhaustive():
         n_v = int(rng.integers(1, 33))
         rows = rng.random((b - 1, n_v)) < rng.uniform(0.1, 0.95)
         plan = optimal_segmentation(rows)
-        assert plan.total_gain == test_temporal.brute_force_best_total(rows)
+        assert plan.total_gain == brute_force_best_total(rows)
     assert time.perf_counter() - start < 10.0
 
 
@@ -181,12 +181,9 @@ def test_criterion_4_clustering_oracle():
         d = int(rng.integers(1, 6))
         tokens = rng.standard_normal((n, d))
         c = int(rng.integers(1, n + 1))
-        if n == 1:
-            assert list(spatial._cluster(tokens, 1, c)[0]) == [0]
-            continue
-        k = int(rng.integers(1, n))
+        k = int(rng.integers(1, n)) if n > 1 else 1
         centers, assignment = spatial._cluster(tokens, k, c)
-        expect_centers, expect_assignment = test_spatial.dpc_oracle(tokens, k, c)
+        expect_centers, expect_assignment = dpc_oracle(tokens, k, c)
         assert list(centers) == expect_centers
         np.testing.assert_array_equal(assignment, expect_assignment)
 
@@ -207,7 +204,7 @@ def test_criterion_5_merge_conservation():
     plan = optimal_segmentation(mask)
     tmr = apply_temporal_merge(stream, plan, mask, "mean")
     checked = 0
-    for s, e, red, merged in test_temporal.merged_segments(tmr):
+    for s, e, red, merged in merged_segments(tmr):
         if red.size == 0:
             continue
         occ = stream.data[s - 1 : e - 1, red, :]
@@ -222,7 +219,7 @@ def test_criterion_5_merge_conservation():
         tokens = rng.standard_normal((n, 16)).astype(np.float32)
         k = min(max(2, int(math.isqrt(n))), n - 1)
         centers, assignment = spatial._cluster(tokens, k, int(rng.integers(1, n + 1)))
-        reps = test_spatial.cluster_means(tokens, centers, assignment)
+        reps = cluster_means(tokens, centers, assignment)
         for rep, center in zip(reps, centers):
             group = tokens[assignment == center].astype(np.float64)
             np.testing.assert_allclose(rep, group.mean(axis=0), rtol=1e-6)

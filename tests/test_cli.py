@@ -193,16 +193,20 @@ class TestCompress:
                 f"[rows, cols], got {pooled!r}\n") == err
         assert not (tmp_path / "o").exists()
 
-    def test_config_inner_layer_beyond_profile_exit_1(self, tmp_path, capsys):
+    def test_config_inner_layer_beyond_profile_exit_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(tokmerge.pipeline, "pairwise_redundancy",
+                            lambda *args: pytest.fail("the redundancy mask was computed"))
         spec, stream, tokens = write_corpus(tmp_path)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"inner_layer_K": 40}))
         rc = main(["compress", "--tokens", str(tokens), "--grid", "2x3",
                    "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert rc == 1
-        assert capsys.readouterr().err == ("tokmerge: error: inner_layer_K 40 must be below "
-                                           "the 28 layers of profile llava-ov-7b\n")
+        fault = "inner_layer_K 40 must be below the 28 layers of profile llava-ov-7b"
+        assert capsys.readouterr().err == f"tokmerge: error: {fault}\n"
         assert not (tmp_path / "o").exists()
+        with pytest.raises(tokmerge.ConfigError, match=f"^{fault}$"):
+            compress(stream, validate_config({"inner_layer_K": 40}))
 
     @pytest.mark.parametrize("inner", [True, False])
     def test_flops_ratio_is_the_cost_report_ratio(self, tmp_path, inner):
@@ -711,6 +715,13 @@ class TestFlops:
         assert rc == 1
         assert capsys.readouterr() == ("", "tokmerge: error: inner_layer_K 40 must be below "
                                            "the 28 layers of profile llava-ov-7b\n")
+
+    @pytest.mark.parametrize("frames", ["0", "-3"])
+    def test_frames_below_one_exit_1(self, capsys, frames):
+        rc = main(["flops", "--profile", "llava-ov-7b", "--ratio", "0.5", "--frames", frames])
+        assert rc == 1
+        assert capsys.readouterr() == (
+            "", f"tokmerge: error: --frames must be >= 1, got {frames}\n")
 
     def test_unknown_profile_lists_known(self, capsys):
         rc = main(["flops", "--profile", "bogus", "--ratio", "0.5"])

@@ -29,8 +29,9 @@ from tokmerge import (
     save_compressed,
     validate_config,
 )
-from tokmerge.core import _provenance_arrays, report_from_dict, report_to_dict
-from test_temporal import reference_mask
+from tokmerge.core import report_from_dict, report_to_dict
+from oracles import reference_mask
+from support import arrays, small_report
 
 
 class TestTokenStreamIO:
@@ -306,12 +307,6 @@ class TestConfig:
         assert {p.kind for p in cv.provenance} == {"selected", "cluster_rep"}
 
 
-def arrays(records):
-    """ProvenanceArrays from TokenProvenance records, through the column
-    parser load_compressed uses."""
-    return _provenance_arrays(*([r[i] for r in records] for i in range(4)))
-
-
 def small_cv():
     tokens = np.arange(6, dtype=np.float32).reshape(3, 2)
     prov = (
@@ -320,19 +315,6 @@ def small_cv():
         TokenProvenance(1, 2, "cluster_rep", ((0, 3), (1, 3))),
     )
     return CompressedVideo(tokens, arrays(prov))
-
-
-def small_report():
-    return CompressionReport(
-        original_count=12,
-        after_temporal_count=8,
-        final_count=3,
-        temporal_prune_ratio=1 - 8 / 12,
-        overall_retained_ratio=3 / 12,
-        segment_boundaries=((1, 3, 4), (3, 4, 0)),
-        prefill_flops=1.5e11,
-        baseline_flops=1e12,
-    )
 
 
 class TestCompressedIO:

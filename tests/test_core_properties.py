@@ -30,7 +30,7 @@ from tokmerge import (  # noqa: E402
     spatial_merge,
 )
 from tokmerge.core import PROVENANCE_KINDS, TEMPORAL_MERGE_MODES, report_to_dict  # noqa: E402
-from test_core import arrays  # noqa: E402
+from support import arrays, small_report  # noqa: E402
 
 
 # small values make repeats likely; the full int64 range exercises the
@@ -55,11 +55,6 @@ def provenances(draw, coord=coordinates, unique=True):
     return tuple(
         TokenProvenance(f, s, draw(st.sampled_from(PROVENANCE_KINDS)), tuple(ms))
         for (f, s), ms in zip(survivors, members))
-
-
-def small_report():
-    return CompressionReport(12, 8, 3, 1 - 8 / 12, 3 / 12, ((1, 3, 4), (3, 4, 0)),
-                             1.5e11, 1e12)
 
 
 @st.composite

@@ -147,6 +147,9 @@ class TestRetainedForRatio:
 
     def test_frames_override(self):
         assert retained_for_ratio(OV7B, 0.25, frames=8) == 8 * 49
+        for frames in (0, -3):
+            with pytest.raises(ConfigError, match=f"^frame count must be >= 1, got {frames}$"):
+                retained_for_ratio(OV7B, 0.25, frames=frames)
 
     def test_unknown_profile(self):
         with pytest.raises(ConfigError, match="llava-ov-7b"):

@@ -17,18 +17,9 @@ from tokmerge import (
     validate_config,
 )
 from tokmerge.cost import layer_token_counts
-from tokmerge.innerllm import _assign, _merge, _rank, retained_count
-
-
-def reference_rank(scores, ratio_r):
-    """Python ``sorted`` by (score, -index): the first
-    N - retained_count(N, R) become the candidates, so on ties the larger
-    index does; (retained, candidates) as ascending int64 arrays."""
-    n = len(scores)
-    order = sorted(range(n), key=lambda i: (scores[i], -i))
-    n_cand = n - retained_count(n, ratio_r)
-    return (np.array(sorted(order[n_cand:]), dtype=np.int64),
-            np.array(sorted(order[:n_cand]), dtype=np.int64))
+from tokmerge.innerllm import _assign, _merge, _rank
+from oracles import cosine_argmax_oracle, reference_assign, reference_merge, reference_rank
+from support import assert_matches_reference, same_bits
 
 
 def assign(candidates, retained, hidden):
@@ -37,110 +28,8 @@ def assign(candidates, retained, hidden):
     return retained[_assign(candidates, retained, hidden)]
 
 
-def reference_similarities(candidates, retained, hidden):
-    """The former dense similarity matrix: one float64 N_c x N_r BLAS
-    product, ``dots / (cn * rn)`` with a zero denominator as 0."""
-    candidates = np.asarray(candidates, dtype=np.int64)
-    retained = np.asarray(retained, dtype=np.int64)
-    hidden = np.asarray(hidden, dtype=np.float64)
-    cand_vecs = hidden[candidates]
-    ret_vecs = hidden[retained]
-    dots = cand_vecs @ ret_vecs.T
-    cn = np.linalg.norm(cand_vecs, axis=1)
-    rn = np.linalg.norm(ret_vecs, axis=1)
-    denom = cn[:, None] * rn[None, :]
-    return np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0)
-
-
-def reference_assign(candidates, retained, hidden):
-    """The former dense assignment: first maximum of each row."""
-    sims = reference_similarities(candidates, retained, hidden)
-    return np.asarray(retained, dtype=np.int64)[np.argmax(sims, axis=1)]
-
-
-def exact_cosine_argmax(cand, retained, hidden):
-    """First maximum of the correctly rounded cosine of float32 rows.
-
-    Products of float32 values are exact in float64 and ``math.fsum``
-    rounds each sum once, so equal and power-of-two scaled vectors score
-    equal bits and the smaller retained index wins.
-    """
-    u = np.asarray(hidden[cand], dtype=np.float64)
-    nu = math.sqrt(math.fsum(u * u))
-    best, best_sim = None, -math.inf
-    for r in retained:
-        v = np.asarray(hidden[r], dtype=np.float64)
-        denom = nu * math.sqrt(math.fsum(v * v))
-        sim = math.fsum(u * v) / denom if denom > 0 else 0.0
-        if sim > best_sim:
-            best, best_sim = int(r), sim
-    return best
-
-
-# Float64 cosines of d <= 896 computed in different summation orders
-# differ by less than this.
-ORDER_NOISE = 1e-12
-
-
-def assert_matches_reference(got, candidates, retained, hidden):
-    """``got`` equals the former dense assignment on every row where that
-    one is decided by more than ORDER_NOISE, and the exactly rounded first
-    maximum on the other rows.
-
-    The former single BLAS product rounds each column in its own summation
-    order, so on an exact tie (equal or power-of-two scaled retained
-    vectors) it can pick a later index; there its choice is not a property
-    of the data.
-    """
-    sims = reference_similarities(candidates, retained, hidden)
-    ref = np.asarray(retained)[np.argmax(sims, axis=1)]
-    top2 = np.sort(sims, axis=1)[:, -2:]
-    clear = (top2[:, -1] - top2[:, 0] > ORDER_NOISE) | (sims.shape[1] == 1)
-    np.testing.assert_array_equal(got[clear], ref[clear])
-    for i in np.flatnonzero(~clear):
-        assert got[i] == exact_cosine_argmax(candidates[i], retained, hidden)
-
-
-def reference_merge(hidden, retained, candidates, targets):
-    """The former dict-and-loop merge: each group gathered as
-    [retained, candidates ascending] and averaged with a float64 ``mean``."""
-    hidden = np.asarray(hidden)
-    retained = np.asarray(retained, dtype=np.int64)
-    ret_pos = {int(r): i for i, r in enumerate(retained)}
-    groups: dict[int, list[int]] = {int(r): [int(r)] for r in retained}
-    for cand, ret in sorted(zip(np.asarray(candidates).tolist(),
-                                np.asarray(targets).tolist())):
-        groups[ret].append(cand)
-    updated = np.empty((retained.shape[0], hidden.shape[1]), dtype=hidden.dtype)
-    for ret, members in groups.items():
-        updated[ret_pos[ret]] = hidden[members].mean(
-            axis=0, dtype=np.float64).astype(hidden.dtype)
-    return updated
-
-
-def cosine_argmax_oracle(candidates, retained, hidden):
-    """Exhaustive pairwise cosine with smaller-retained-index tie-break."""
-    out = {}
-    for c in candidates:
-        best, best_sim = None, -np.inf
-        for r in retained:
-            u, v = hidden[c].astype(np.float64), hidden[r].astype(np.float64)
-            nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-            sim = 0.0 if nu == 0 or nv == 0 else float(u @ v) / (nu * nv)
-            if sim > best_sim:
-                best, best_sim = r, sim
-        out[int(c)] = int(best)
-    return out
-
-
 def band(d):
     return (2 * d + 3) * 2.0**-24 + 1e-12
-
-
-def same_bits(a, b):
-    return a.dtype == b.dtype and np.array_equal(
-        a.view(np.uint32 if a.dtype == np.float32 else np.uint64),
-        b.view(np.uint32 if b.dtype == np.float32 else np.uint64))
 
 
 def count_rechecks(monkeypatch):

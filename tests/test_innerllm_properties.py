@@ -22,12 +22,8 @@ from tokmerge import (  # noqa: E402
     inner_merge,
     innerllm,
 )
-from test_innerllm import (  # noqa: E402
-    assert_matches_reference,
-    reference_merge,
-    reference_rank,
-    same_bits,
-)
+from oracles import reference_merge, reference_rank  # noqa: E402
+from support import assert_matches_reference, same_bits  # noqa: E402
 
 DIMS = (1, 2, 3, 8, 33, 64)
 # per-row scales: ordinary, zero, float32 subnormal and near float32's limit

@@ -30,7 +30,7 @@ from tokmerge import (
 )
 from tokmerge.cli import main
 from tokmerge.core import replace_file
-from test_core import arrays
+from support import arrays
 
 GRID = (2, 3)
 

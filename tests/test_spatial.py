@@ -14,7 +14,6 @@ from tokmerge import (
     VideoTokenStream,
     apply_temporal_merge,
     compress,
-    core,
     importance_from_attention,
     importance_from_qk,
     optimal_segmentation,
@@ -22,128 +21,14 @@ from tokmerge import (
     spatial,
     spatial_merge,
 )
-from test_temporal import merged_segments
-
-
-# ---------------------------------------------------------------------------
-# Brute-force density-peak oracle
-# ---------------------------------------------------------------------------
-
-def dpc_oracle(tokens, k, c):
-    """Direct evaluation of the density-peak rules with the stated tie-breaks."""
-    tokens = np.asarray(tokens, dtype=np.float64)
-    n = len(tokens)
-    d2 = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                diff = tokens[i] - tokens[j]
-                # same d^2 expression as the implementation (dot identity)
-                d2[i, j] = max(tokens[i] @ tokens[i] + tokens[j] @ tokens[j]
-                               - 2.0 * (tokens[i] @ tokens[j]), 0.0)
-    rho = np.empty(n)
-    for i in range(n):
-        nearest = np.sort(np.array([d2[i, j] for j in range(n) if j != i]))[:k]
-        rho[i] = math.exp(-float(np.mean(nearest)))
-    dist = np.sqrt(d2)
-    delta = np.empty(n)
-    for i in range(n):
-        preceding = [dist[i, j] for j in range(n)
-                     if rho[j] > rho[i] or (rho[j] == rho[i] and j < i)]
-        if preceding:
-            delta[i] = min(preceding)
-        else:
-            delta[i] = max(dist[i, j] for j in range(n) if j != i)
-    gamma = rho * delta
-    centers = sorted(sorted(range(n), key=lambda i: (-gamma[i], i))[: min(c, n)])
-    assignment = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        if i in centers:
-            assignment[i] = i
-        else:
-            assignment[i] = min(centers, key=lambda ctr: (dist[i, ctr], ctr))
-    return centers, assignment
-
-
-# ---------------------------------------------------------------------------
-# Per-frame oracles: the definitions the array code must match bit for bit
-# ---------------------------------------------------------------------------
-
-def frame_attention(q, k):
-    """Row-softmax of q @ k.T / sqrt(d) for one frame; rows sum to 1."""
-    q = np.asarray(q, dtype=np.float64)
-    k = np.asarray(k, dtype=np.float64)
-    if q.ndim != 2 or q.shape != k.shape:
-        raise DataError(f"q/k shape mismatch: {q.shape} vs {k.shape}")
-    logits = q @ k.T / math.sqrt(q.shape[1])
-    logits -= logits.max(axis=1, keepdims=True)
-    e = np.exp(logits)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def importance_scores(attention):
-    """Mean attention each token receives (column means of a square matrix)."""
-    a = np.asarray(attention, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DataError(f"attention matrix must be square, got {a.shape}")
-    return a.mean(axis=0)
-
-
-def pool_importance(raw, pooled_grid):
-    """Adaptive average pooling of one H x W score grid, bin by bin."""
-    raw = np.asarray(raw, dtype=np.float64)
-    h, w = raw.shape
-    hp, wp = pooled_grid
-    if hp > h or wp > w or hp < 1 or wp < 1:
-        raise DataError(f"pooled grid {hp}x{wp} invalid for raw grid {h}x{w}")
-    re = [(i * h) // hp for i in range(hp + 1)]
-    ce = [(j * w) // wp for j in range(wp + 1)]
-    out = np.empty((hp, wp), dtype=np.float64)
-    for i in range(hp):
-        for j in range(wp):
-            out[i, j] = raw[re[i] : re[i + 1], ce[j] : ce[j + 1]].mean()
-    return out
-
-
-def spread_bins(pooled, grid):
-    """(..., H*W) slot scores from (..., Hp, Wp) pooled grids: each cell of
-    the H x W grid takes the value of the bin whose floor edges hold it."""
-    (h, w), (hp, wp) = grid, pooled.shape[-2:]
-    rows = [max(i for i in range(hp) if (i * h) // hp <= r) for r in range(h)]
-    cols = [max(j for j in range(wp) if (j * w) // wp <= c) for c in range(w)]
-    return pooled[..., rows, :][..., cols].reshape(*pooled.shape[:-2], h * w)
-
-
-def merge_clusters_loop(tokens, centers, assignment):
-    """Each cluster's mean, one cluster at a time: a float64 sum from +0.0
-    of its rows, added one by one in ascending index order, divided by the
-    cluster size and narrowed to the token dtype."""
-    reps = np.empty((len(centers), tokens.shape[1]), dtype=tokens.dtype)
-    for r, center in enumerate(centers):
-        members = [i for i in range(len(tokens)) if assignment[i] == center]
-        acc = np.zeros(tokens.shape[1])
-        for i in members:
-            acc = acc + tokens[i].astype(np.float64)
-        reps[r] = (acc / len(members)).astype(tokens.dtype)
-    return reps
-
-
-def top_k_oracle(scores, keep):
-    """Ascending indices of the ``keep`` largest scores, ties to the smaller
-    index, by Python's sort."""
-    return sorted(sorted(range(len(scores)), key=lambda i: (-scores[i], i))[:keep])
+from oracles import (dpc_oracle, frame_attention, importance_scores, pool_importance,
+                     reassembly_oracle, spread_bins, top_k_oracle)
+from support import cluster_means, pooled_scores
 
 
 def select(scores, keep):
     """spatial._select on any scores and counts, as spatial_merge calls it."""
     return spatial._select(np.asarray(scores, dtype=np.float64), np.asarray(keep, dtype=np.int64))
-
-
-def cluster_means(tokens, centers, assignment):
-    """Cluster means through core._group_mean, as spatial_merge takes them:
-    each cluster's rows ascending, the clusters in center order."""
-    return core._group_mean(tokens, np.argsort(assignment, kind="stable"),
-                            np.bincount(assignment)[centers])
 
 
 def qk_raw(q, k):
@@ -156,13 +41,6 @@ def attention_raw(a):
     """Scores of one frame's attention through importance_from_attention,
     pooled to the grid itself: its raw importance."""
     return importance_from_attention(a[None], (a.shape[0], 1)).scores[0]
-
-
-def pooled_scores(raw, grid, pooled_grid=None):
-    """(B, H*W) slot scores of raw (B, H*W) importance, through the
-    package's pooling."""
-    return spatial._importance(np.asarray(raw, dtype=np.float64), grid, pooled_grid,
-                               ("raw",)).scores
 
 
 def pooled(raw, pooled_grid):
@@ -616,47 +494,6 @@ def test_cluster_representatives_at_center_slots():
         assert p.frame == start - 1
         assert tmr.redundant[0, p.spatial_index]
         assert p.members  # absorbed occurrences recorded
-
-
-def reassembly_oracle(tmr, imp, cfg):
-    """Per-token reassembly: one entry per output token, then a sort."""
-    stream = tmr.stream
-    b, n_v = stream.frames, stream.tokens_per_frame
-    target = math.ceil(cfg.target_ratio * b * n_v)
-    pass_through = tmr.survivor_count <= target
-    rate = target / tmr.survivor_count
-    entries = []
-    for start, end, red, merged in merged_segments(tmr):
-        def absorbed(slot, start=start, end=end):
-            return [(f, int(slot)) for f in range(start, end - 1)]
-        for f0 in range(start - 1, end - 1):
-            kept = np.setdiff1d(np.arange(n_v), red)
-            if not pass_through and kept.size:
-                kept = kept[top_k_oracle(imp.scores[f0, kept], math.ceil(rate * kept.size))]
-            for slot in kept:
-                entries.append((f0, int(slot), stream.data[f0, slot], "selected", []))
-        f0 = start - 1
-        if red.size == 0:
-            continue
-        if pass_through:
-            for pos, slot in enumerate(red):
-                entries.append((f0, int(slot), merged[pos],
-                                "temporal_rep", absorbed(slot)))
-            continue
-        k = cfg.knn_k or min(max(2, math.isqrt(red.size)), red.size - 1)
-        # only the center choice comes from the code under test
-        centers, assignment = spatial._cluster(
-            merged, min(max(k, 1), max(red.size - 1, 1)), math.ceil(rate * red.size))
-        reps = merge_clusters_loop(merged, centers, assignment)
-        for rep, center in zip(reps, centers):
-            members = absorbed(red[center])
-            for m in range(red.size):
-                if m != center and assignment[m] == center:
-                    members += [(f0, int(red[m]))] + absorbed(red[m])
-            entries.append((f0, int(red[center]), rep, "cluster_rep", members))
-    entries.sort(key=lambda e: e[:2])
-    tokens = np.array([e[2] for e in entries], dtype=np.float32)
-    return tokens, [(f, s, kind, tuple(m)) for f, s, _, kind, m in entries]
 
 
 @pytest.mark.parametrize("seed,ratio", [(20, 1.0), (21, 0.5), (22, 0.25),

@@ -1,6 +1,6 @@
 """Property tests: the array forms of importance, pooling, cluster means and
 the spatial merge give the same bits as the per-frame, per-cluster and
-per-token oracles in test_spatial.
+per-token oracles in oracles.py.
 
 Ties decide which tokens attention selection keeps (pooling gives every
 slot of a bin one score, and the selection breaks ties by index), so
@@ -26,17 +26,9 @@ from tokmerge import (  # noqa: E402
     spatial_merge,
 )
 from tokmerge.core import TEMPORAL_MERGE_MODES  # noqa: E402
-from test_innerllm import same_bits  # noqa: E402
-from test_spatial import (  # noqa: E402
-    cluster_means,
-    frame_attention,
-    importance_scores,
-    merge_clusters_loop,
-    pool_importance,
-    pooled_scores,
-    reassembly_oracle,
-    spread_bins,
-)
+from oracles import (frame_attention, importance_scores, merge_clusters_loop,  # noqa: E402
+                     pool_importance, reassembly_oracle, spread_bins)
+from support import cluster_means, pooled_scores, same_bits  # noqa: E402
 
 DTYPES = (np.float32, np.float64)
 # score magnitudes: the selection compares scores of any size

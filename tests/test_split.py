@@ -16,8 +16,6 @@ import time
 import numpy as np
 import pytest
 
-import test_golden
-from test_temporal import merged_segments, reference_merged_values
 from tokmerge import (
     CompressionConfig,
     ImportanceMap,
@@ -34,6 +32,8 @@ from tokmerge import (
     spatial_merge,
 )
 from tokmerge.cli import main
+from oracles import reference_merged_values
+from support import CASES, SYNTH, compress_case, merged_segments, same_bits
 
 WORKER_COUNTS = (1, 2, 3)
 
@@ -156,10 +156,6 @@ class TestSplit:
             assert out.stdout.strip() == n
 
 
-def bits(arr):
-    return arr.view(np.uint32 if arr.dtype == np.float32 else np.uint64)
-
-
 def run_passes(data, tau, rows=None):
     """sq_norms, redundancy mask and mean-mode temporal merge of one stream."""
     stream = VideoTokenStream(data, (1, data.shape[1]))
@@ -170,8 +166,7 @@ def run_passes(data, tau, rows=None):
 
 def assert_merged_like_reference(data, tmr):
     for s, e, red, merged in merged_segments(tmr):
-        np.testing.assert_array_equal(
-            bits(merged), bits(reference_merged_values(data, s, e, red, "mean")))
+        assert same_bits(merged, reference_merged_values(data, s, e, red, "mean"))
 
 
 # (frames, slots, dim): B in {1, 2, 3}, N_v = 1 and d = 1 among them
@@ -191,10 +186,9 @@ class TestBitIdentity:
             force_workers(workers)
             results.append(run_passes(data, 0.6))
         force_workers(1)
-        np.testing.assert_array_equal(
-            bits(results[0][0]), bits(np.einsum("bkd,bkd->bk", data, data)))
+        assert same_bits(results[0][0], np.einsum("bkd,bkd->bk", data, data))
         for norms, mask, tmr in results:
-            np.testing.assert_array_equal(bits(norms), bits(results[0][0]))
+            assert same_bits(norms, results[0][0])
             np.testing.assert_array_equal(mask, results[0][1])
             np.testing.assert_array_equal(tmr.redundant, results[0][2].redundant)
             assert_merged_like_reference(data, tmr)
@@ -216,8 +210,7 @@ class TestBitIdentity:
             s, e, red, merged = merged_segments(run_passes(data, 0.5, rows)[2])[-1]
             assert (s, e) == (2, 21)
             np.testing.assert_array_equal(red, [slot])
-            np.testing.assert_array_equal(bits(merged), bits(
-                reference_merged_values(data, s, e, [slot], "mean")))
+            assert same_bits(merged, reference_merged_values(data, s, e, [slot], "mean"))
 
     @pytest.mark.parametrize("workers", [2, 3, 4])
     def test_piece_cut_inside_a_segment(self, force_workers, workers):
@@ -271,19 +264,19 @@ class TestBitIdentity:
             force_workers(8)
             for _ in range(5):
                 got = run_passes(data, 0.0)
-                np.testing.assert_array_equal(bits(got[0]), bits(norms))
+                assert same_bits(got[0], norms)
                 np.testing.assert_array_equal(got[1], mask)
                 np.testing.assert_array_equal(got[2].redundant, tmr.redundant)
-                np.testing.assert_array_equal(bits(got[2].merged_values), bits(tmr.merged_values))
+                assert same_bits(got[2].merged_values, tmr.merged_values)
         finally:
             sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    @pytest.mark.parametrize("case", sorted(test_golden.CASES))
+    @pytest.mark.parametrize("case", sorted(CASES))
     def test_golden_digests(self, force_workers, force_blas, tmp_path, case, workers):
         force_workers(workers)
         force_blas(1)  # the matrix-product stages split too
-        assert test_golden.compress_case(case, tmp_path) == test_golden.CASES[case]
+        assert compress_case(case, tmp_path) == CASES[case]
 
 
 BLAS_WORKER_COUNTS = (1, 2, 3, 8)
@@ -330,15 +323,15 @@ def assign_inputs(uncertified):
 
 
 def blas_stage_outputs():
-    """Bits of the three matrix-product stages: Q/K importance scores,
+    """Outputs of the three matrix-product stages: Q/K importance scores,
     clustered spatial-merge tokens and provenance, and inner-merge
     assignments on float32 and on uncertified float64 states."""
     tmr, imp, cfg = clustering_inputs()
     cv = spatial_merge(tmr, imp, cfg)
     with np.errstate(over="ignore", invalid="ignore"):  # the uncertified rows
         slots = [innerllm._assign(*assign_inputs(u)) for u in (False, True)]
-    return [bits(importance_from_qk(*qk_dumps(), (2, 3), (1, 3)).scores),
-            bits(cv.tokens), *cv.provenance_arrays, *slots]
+    return [importance_from_qk(*qk_dumps(), (2, 3), (1, 3)).scores,
+            cv.tokens, *cv.provenance_arrays, *slots]
 
 
 class TestBlasStages:
@@ -388,8 +381,7 @@ class TestBlasStages:
         assert {ident for r in rechecked for _, ident in r} == {threading.get_ident()}
         assert all(r == rechecked[0] for r in rechecked)
         for got in results[1:]:
-            for a, b in zip(got, results[0]):
-                np.testing.assert_array_equal(a, b)
+            assert all(same_bits(a, b) for a, b in zip(got, results[0]))
 
     def test_more_workers_than_cores_with_frequent_switches(self, force_workers, force_blas):
         force_blas(1)
@@ -400,8 +392,7 @@ class TestBlasStages:
         try:
             force_workers(8)
             for _ in range(3):
-                for a, b in zip(blas_stage_outputs(), expect):
-                    np.testing.assert_array_equal(a, b)
+                assert all(same_bits(a, b) for a, b in zip(blas_stage_outputs(), expect))
         finally:
             sys.setswitchinterval(interval)
 
@@ -433,7 +424,7 @@ def test_compress_in_forked_child(force_workers, tmp_path):
     split: no idle pool thread is inherited that never runs."""
     force_workers(2)
     corpus = tmp_path / "corpus"
-    assert main(["synth", "--out", str(corpus), *test_golden.SYNTH]) == 0
+    assert main(["synth", "--out", str(corpus), *SYNTH]) == 0
     argv = ["compress", "--tokens", str(corpus / "tokens.npy"), "--grid", "4x4"]
     for run in range(2):
         assert main([*argv, "--out", str(tmp_path / f"parent{run}")]) == 0

@@ -14,111 +14,9 @@ from tokmerge import (
     pairwise_redundancy,
     temporal,
 )
-
-
-def direct_cosine_mask(data, tau):
-    """Oracle: per-slot cosine between consecutive frames via explicit loops."""
-    b, n_v, _ = data.shape
-    rows = np.zeros((b - 1, n_v), dtype=bool)
-    for m in range(b - 1):
-        for k in range(n_v):
-            u = data[m, k].astype(np.float64)
-            v = data[m + 1, k].astype(np.float64)
-            nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-            sim = 0.0 if nu == 0 or nv == 0 else float(u @ v) / (nu * nv)
-            rows[m, k] = sim > tau
-    return rows
-
-
-def reference_similarity(data):
-    """Oracle: the float64 cosine definition over the whole batch at once.
-
-    Consecutive-frame similarity of every slot from float64 ``einsum`` dot
-    products and norms of the float32 tokens; zero norm gives 0, and values
-    are clipped to [-1, 1].
-    """
-    x = np.asarray(data, dtype=np.float32)
-    norms = np.sqrt(np.einsum("bkd,bkd->bk", x, x, dtype=np.float64))
-    dots = np.einsum("bkd,bkd->bk", x[:-1], x[1:], dtype=np.float64)
-    denom = norms[:-1] * norms[1:]
-    sim = np.zeros_like(dots)
-    nz = denom > 0
-    sim[nz] = np.clip(dots[nz] / denom[nz], -1.0, 1.0)
-    return sim
-
-
-def reference_mask(data, tau):
-    """Oracle: the redundancy mask of the float64 definition."""
-    return reference_similarity(data) > tau
-
-
-def segment_gain(mask, t_s, t_e):
-    """Oracle: prunable-token count of span [t_s, t_e) of a (B-1, N_v) mask,
-    N(t_s, t_e) * (t_e - t_s - 1), for the DP's tables to be checked against."""
-    rows = temporal._mask_rows(mask)
-    if not 1 <= t_s < t_e <= rows.shape[0] + 2:
-        raise DataError(f"span [{t_s}, {t_e}) out of range for {rows.shape[0] + 1} frames")
-    return int(rows[t_s - 1 : t_e - 2].all(axis=0).sum()) * (t_e - t_s - 1)
-
-
-def brute_force_gains(rows):
-    """All segment gains of a bool mask, computed from the defining product."""
-    b = rows.shape[0] + 1
-    g = {}
-    for s in range(1, b + 1):
-        for e in range(s + 1, b + 2):
-            if e - s == 1:
-                g[s, e] = 0
-            else:
-                persistent = rows[s - 1 : e - 2].all(axis=0)
-                g[s, e] = int(persistent.sum()) * (e - s - 1)
-    return g
-
-
-def brute_force_best_total(rows):
-    """Exhaustive maximum over all 2^(B-1) boundary subsets."""
-    b = rows.shape[0] + 1
-    g = brute_force_gains(rows)
-    best = -1
-    for bits in range(2 ** (b - 1)):
-        bounds = [1] + [t + 2 for t in range(b - 1) if bits >> t & 1] + [b + 1]
-        best = max(best, sum(g[s, e] for s, e in zip(bounds, bounds[1:])))
-    return best
-
-
-def reference_dp(rows):
-    """The DP recurrence in plain Python over ``brute_force_gains``.
-
-    Returns ``(dp, prev)`` for frames 1..B+1: ``dp[i] = max_j dp[j] + g[j, i]``
-    over 1 <= j < i, and ``prev[i]`` the smallest maximising ``j``.
-    """
-    b = rows.shape[0] + 1
-    g = brute_force_gains(rows)
-    dp, prev = [0] * (b + 2), [0] * (b + 2)
-    for i in range(2, b + 2):
-        prev[i] = max(range(1, i), key=lambda j: (dp[j] + g[j, i], -j))
-        dp[i] = dp[prev[i]] + g[prev[i], i]
-    return dp[1:], prev[1:]
-
-
-def reference_merged_values(data, s, e, red, mode):
-    """Oracle: a segment's merged values from the occurrences of its
-    redundant slots ``red`` in frames [s, e) (1-based), gathered frame by
-    frame and summed in float64 from +0.0 in frame order."""
-    if mode == "first":
-        return data[s - 1, red, :]
-    acc = np.zeros((len(red), data.shape[2]))
-    for f in range(s - 1, e - 1):
-        acc += data[f, red]
-    return (acc / (e - s)).astype(np.float32)
-
-
-def merged_segments(tmr):
-    """(start, end, redundant slots, merged values) of each segment of a
-    TemporalMergeResult, cut from its arrays."""
-    cuts = np.cumsum(tmr.redundant.sum(axis=1))[:-1]
-    return [(s, e, np.flatnonzero(row), values) for (s, e), row, values
-            in zip(tmr.plan.segments(), tmr.redundant, np.split(tmr.merged_values, cuts))]
+from oracles import (brute_force_best_total, brute_force_gains, direct_cosine_mask, reference_dp,
+                     reference_mask, reference_merged_values, reference_similarity, segment_gain)
+from support import merged_segments, same_bits
 
 
 def random_rows(rng, b, n_v):
@@ -489,8 +387,6 @@ def test_mask_not_two_dimensional_rejected(shape):
     mask = np.ones(shape, dtype=bool)
     with pytest.raises(DataError, match=r"mask must be a 2-D \(B-1, N_v\) array"):
         optimal_segmentation(mask)
-    with pytest.raises(DataError, match=r"mask must be a 2-D \(B-1, N_v\) array"):
-        segment_gain(mask, 1, 3)
 
 
 class TestMergedValuesBitExact:
@@ -513,11 +409,6 @@ class TestMergedValuesBitExact:
         assert (start, end) == ((2 if len(red) else 1), b + 1)
         np.testing.assert_array_equal(slots, red)
         return start, end, merged
-
-    @staticmethod
-    def assert_bits_equal(a, b):
-        assert a.dtype == b.dtype == np.float32 and a.shape == b.shape
-        assert np.array_equal(a.view(np.uint32), b.view(np.uint32))
 
     @staticmethod
     def scaled_tokens(rng, b, n_v, d):
@@ -544,7 +435,7 @@ class TestMergedValuesBitExact:
         big = np.float32(1e30) * rng.standard_normal(d).astype(np.float32)
         data[1, [4, 11]], data[2, [4, 11]] = big, -big
         start, end, merged = self.merge_segment(data, red, "mean")
-        self.assert_bits_equal(merged, reference_merged_values(data, start, end, red, "mean"))
+        assert same_bits(merged, reference_merged_values(data, start, end, red, "mean"))
 
     @pytest.mark.parametrize("length", [2, 3, 9, 33, 129, 300])
     def test_signed_zero_slots(self, length):
@@ -558,7 +449,7 @@ class TestMergedValuesBitExact:
         data[:, 4, 0] = np.float32(-0.0)  # one all -0.0 component in the mixed slot
         red = np.array([1, 2, 4])
         start, end, merged = self.merge_segment(data, red, "mean")
-        self.assert_bits_equal(merged, reference_merged_values(data, start, end, red, "mean"))
+        assert same_bits(merged, reference_merged_values(data, start, end, red, "mean"))
         assert not np.signbit(merged[0]).any() and not np.signbit(merged[2]).any()
 
     @pytest.mark.parametrize("length", [2, 9, 300])
@@ -567,4 +458,4 @@ class TestMergedValuesBitExact:
         data = self.scaled_tokens(rng, length + 1, 10, 4)
         red = np.array([0, 2, 3, 9])
         start, end, merged = self.merge_segment(data, red, "first")
-        self.assert_bits_equal(merged, reference_merged_values(data, start, end, red, "first"))
+        assert same_bits(merged, reference_merged_values(data, start, end, red, "first"))

@@ -23,7 +23,7 @@ from tokmerge import (  # noqa: E402
     pairwise_redundancy,
     temporal,
 )
-from test_temporal import reference_dp, reference_mask, reference_similarity  # noqa: E402
+from oracles import reference_dp, reference_mask, reference_similarity  # noqa: E402
 
 DIMS = (1, 3, 64, 896, 1000, 8193, 10000)
 # per-token scales: ordinary, zero, squares that are subnormal or flush to
