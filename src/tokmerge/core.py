@@ -211,6 +211,16 @@ def _group_mean(rows: np.ndarray, members: np.ndarray, sizes: np.ndarray) -> np.
     return out
 
 
+def _score_rank(scores: np.ndarray) -> np.ndarray:
+    """Each entry's int64 position along the last axis in the one score
+    order: larger score first, ties to the smaller index (-0.0 ties +0.0).
+    Every top-k of the package, and the DPC-KNN density order, reads it."""
+    order = np.argsort(-scores, axis=-1, kind="stable")
+    rank = np.empty_like(order)
+    np.put_along_axis(rank, order, np.arange(scores.shape[-1]), axis=-1)
+    return rank
+
+
 def _load_npy(path, rank: int, what: str, check=np.asarray):
     """Map a ``.npy`` array of the given rank read-only and return
     ``check(arr)``. Every failure (a missing, empty, truncated or zipped file,
@@ -435,16 +445,17 @@ class ProvenanceArrays(NamedTuple):
 _RECORD_FIELDS = TokenProvenance._fields
 
 
-def _int64(values: list, field: str) -> np.ndarray:
-    """int64 array of integers (Python, numpy or JSON ones; not booleans)."""
+def _int64(values: list, field: str, what: str = "provenance coordinates") -> np.ndarray:
+    """int64 array of integers (Python, numpy or JSON ones; not booleans);
+    DataError naming ``what``, the ``field`` and the first other value."""
     for v in [] if set(map(type, values)) <= {int} else values:
         if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-            raise DataError(f"provenance coordinates must be int64 integers: {field} {v!r}")
+            raise DataError(f"{what} must be int64 integers: {field} {v!r}")
     try:
         return np.array(values, dtype=np.int64)
     except OverflowError:
         bad = next(v for v in values if not -2**63 <= v < 2**63)
-        raise DataError(f"provenance coordinates must be int64 integers: {field} {bad}") from None
+        raise DataError(f"{what} must be int64 integers: {field} {bad}") from None
 
 
 def _provenance_arrays(frames: list, slots: list, kinds: list, members: list) -> ProvenanceArrays:
@@ -528,6 +539,10 @@ class CompressionReport:
     per_video_histogram_bin: float = field(default=-1.0)
 
     def __post_init__(self):
+        if self.original_count < 1 or self.final_count < 0:
+            raise DataError(
+                f"counts must have original_count >= 1 and final_count >= 0, "
+                f"got {self.original_count} and {self.final_count}")
         if not (self.final_count <= self.after_temporal_count <= self.original_count):
             raise DataError(
                 f"inconsistent counts: {self.final_count} <= "
@@ -568,22 +583,26 @@ def report_to_dict(report: CompressionReport) -> dict:
 
 
 def report_from_dict(doc: dict) -> CompressionReport:
+    """The report of a report_to_dict document. Counts and segment fields
+    must be JSON integers (not booleans, strings or floats), read by the
+    rule provenance coordinates follow; a missing, mistyped or unparsable
+    field raises DataError ``malformed report document: ...``, and
+    inconsistent values raise CompressionReport's own DataError."""
     try:
-        return CompressionReport(
-            original_count=int(doc["original_count"]),
-            after_temporal_count=int(doc["after_temporal_count"]),
-            final_count=int(doc["final_count"]),
+        counts = {key: int(_int64([doc[key]], key, "report counts")[0])
+                  for key in ("original_count", "after_temporal_count", "final_count")}
+        segments = _int64([seg[key] for seg in doc["segments"]
+                           for key in ("start", "end", "gain")],
+                          "segments", "report segments").reshape(-1, 3)
+        ratios = dict(
             temporal_prune_ratio=float(doc["temporal_prune_ratio"]),
             overall_retained_ratio=float(doc["overall_retained_ratio"]),
-            segment_boundaries=tuple(
-                (seg["start"], seg["end"], seg["gain"]) for seg in doc["segments"]),
             prefill_flops=float(doc["flops"]["prefill"]),
             baseline_flops=float(doc["flops"]["baseline"]),
         )
-    except DataError:
-        raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"malformed report document: {exc}") from exc
+    return CompressionReport(**counts, **ratios, segment_boundaries=segments.tolist())
 
 
 TOKENS_FILE = "tokens.npy"
@@ -646,8 +665,12 @@ def load_compressed(out_dir) -> tuple[CompressedVideo, CompressionReport]:
     doc = _load_json(meta_path, "metadata")
     try:
         columns = [[p[key] for p in doc["provenance"]] for key in _RECORD_FIELDS]
-        return (CompressedVideo(tokens, _provenance_arrays(*columns)),
-                report_from_dict(doc["report"]))
+        cv = CompressedVideo(tokens, _provenance_arrays(*columns))
+        report = report_from_dict(doc["report"])
+        if report.final_count != cv.count:
+            raise DataError(f"final_count {report.final_count} does not match the "
+                            f"{cv.count} rows of {TOKENS_FILE}")
+        return cv, report
     except DataError as exc:
         raise DataError(f"{meta_path}: {exc}") from None
     except KeyError as exc:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataError, _checked, _group_mean, _split
+from .core import DataError, _checked, _group_mean, _score_rank, _split
 
 # Candidate rows scored per block, and retained rows gathered per block by
 # the exact recheck. A block's float32 similarities take
@@ -104,17 +104,13 @@ def _rank(scores: np.ndarray, ratio_r: float) -> tuple[np.ndarray, np.ndarray]:
     """Split indices into (retained, candidates) by the bottom-R% of scores
     that check_last_attn returned.
 
-    retained_count(N, R) tokens are kept and the rest taken from the lowest
-    scores; on ties the larger index becomes the candidate (smaller indices
-    are preferentially retained). Both lists come back ascending.
+    The first retained_count(N, R) tokens of the score order (larger score
+    first, ties to the smaller index) are kept, and the rest are the
+    candidates: on ties the larger index becomes the candidate. Both lists
+    come back ascending.
     """
-    n = scores.shape[0]
-    n_cand = n - retained_count(n, ratio_r)
-    # primary key: score ascending; secondary: index descending
-    order = np.lexsort((-np.arange(n), scores))
-    candidates = np.sort(order[:n_cand])
-    retained = np.sort(order[n_cand:])
-    return retained, candidates
+    kept = _score_rank(scores) < retained_count(scores.shape[0], ratio_r)
+    return np.flatnonzero(kept), np.flatnonzero(~kept)
 
 
 def _certified(norms: np.ndarray, bounds: tuple[float, float]) -> np.ndarray:

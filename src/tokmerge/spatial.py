@@ -22,6 +22,7 @@ from .core import (
     ProvenanceArrays,
     _checked,
     _group_mean,
+    _score_rank,
     _split,
 )
 from .temporal import TemporalMergeResult
@@ -136,15 +137,6 @@ def importance_from_qk(q: np.ndarray, k: np.ndarray, grid, pooled_grid=None, *,
 # Selection and clustering
 # ---------------------------------------------------------------------------
 
-def _select(scores: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Bool mask of the ``keep`` (int64, one per row) largest float64
-    ``scores`` along the last axis; ties go to the smaller index."""
-    order = np.argsort(-scores, axis=-1, kind="stable")
-    rank = np.empty_like(order)
-    np.put_along_axis(rank, order, np.arange(scores.shape[-1]), axis=-1)
-    return rank < keep[..., None]
-
-
 def _dist2(points: np.ndarray, refs: np.ndarray) -> np.ndarray:
     """(N, M) squared Euclidean distances from each point to each reference."""
     sp = np.einsum("nd,nd->n", points, points)
@@ -178,14 +170,12 @@ def _cluster(tokens: np.ndarray, k: int, c: int) -> tuple[np.ndarray, np.ndarray
     dist = np.sqrt(d2)  # diagonal stays +inf and never wins a min
     # density ties are ordered by index, mirroring the jitter conventional
     # DPC-KNN implementations add to keep the density ranking strict
-    idx = np.arange(n)
-    precedes = (rho[None, :] > rho[:, None]) | (
-        (rho[None, :] == rho[:, None]) & (idx[None, :] < idx[:, None]))
-    delta = np.where(precedes, dist, np.inf).min(axis=1)
-    top = int(np.argmax(rho))  # the order-first token, the one with no predecessor
+    rank = _score_rank(rho)
+    delta = np.where(rank[None, :] < rank[:, None], dist, np.inf).min(axis=1)
+    top = int(np.argmin(rank))  # the order-first token, the one with no predecessor
     delta[top] = np.delete(dist[top], top).max()
 
-    centers = np.sort(np.argsort(-(rho * delta), kind="stable")[:c])
+    centers = np.flatnonzero(_score_rank(rho * delta) < c)
     assignment = centers[np.argmin(_dist2(tokens, tokens[centers]), axis=1)]
     assignment[centers] = centers
     return centers, assignment
@@ -216,15 +206,22 @@ def spatial_merge(
     that slot in every frame of the segment.
 
     ``cfg.pooled_grid`` (the stream grid when None) must fit within the
-    stream grid, else ConfigError, and an importance map must be pooled on
-    it, else DataError.
+    stream grid, else ConfigError, and an importance map, whenever one is
+    given, must be pooled on it and hold finite (B, N_v) scores, else
+    DataError.
     """
     stream = tmr.stream
     pooled = _pooled_grid(stream.grid, cfg.pooled_grid)
-    if imp is not None and imp.pooled_grid != pooled:
-        raise DataError(
-            f"importance pooled to {imp.pooled_grid} but config asks for {pooled}")
     b, n_v = stream.frames, stream.tokens_per_frame
+    if imp is not None:
+        if imp.pooled_grid != pooled:
+            raise DataError(
+                f"importance pooled to {imp.pooled_grid} but config asks for {pooled}")
+        # finite, so that no survivor ranks below the merged slots' -inf
+        if imp.scores.shape != (b, n_v) or not np.isfinite(imp.scores).all():
+            raise DataError(
+                f"importance scores must be finite and match stream {b}x{n_v}, "
+                f"got shape {imp.scores.shape}")
     target = math.ceil(cfg.target_ratio * b * n_v)
     survivors = tmr.survivor_count
     pass_through = survivors <= target
@@ -246,14 +243,9 @@ def spatial_merge(
             raise DataError(
                 "spatial compression requires attention importance "
                 f"(survivors {survivors} > target {target})")
-        # finite, so that no survivor ranks below the merged slots' -inf
-        if imp.scores.shape != (b, n_v) or not np.isfinite(imp.scores).all():
-            raise DataError(
-                f"importance scores must be finite and match stream {b}x{n_v}, "
-                f"got shape {imp.scores.shape}")
         rate = target / survivors
-        keep = _select(np.where(red_frames, -np.inf, imp.scores),
-                       np.ceil(rate * (n_v - red_frames.sum(axis=1))).astype(np.int64))
+        keep = (_score_rank(np.where(red_frames, -np.inf, imp.scores))
+                < np.ceil(rate * (n_v - red_frames.sum(axis=1)))[:, None])
         _, firsts, sizes = np.unique(seg, return_index=True, return_counts=True)
 
         def cluster(first, last):  # segments [first, last)

@@ -250,6 +250,7 @@ def apply_temporal_merge(
     else:
         merged = np.empty((seg.size, stream.dim), dtype=np.float32)
         first_row = np.searchsorted(seg, np.arange(bounds.size))
+        # core._group_mean gives the same bits, but 1.3-1.8x slower (ROADMAP)
 
         def mean_rows(lo, hi):
             # for each segment with merged rows in [lo, hi), the slot span of

@@ -31,6 +31,36 @@ def small_report():
                              1.5e11, 1e12)
 
 
+# Report documents whose counts are not real counts: (the fields that
+# replace small_report's, the DataError report_from_dict raises). Each was
+# once read as a count: 0 ended in a ZeroDivisionError, the negative counts
+# were aggregated, and "12", 12.9 and true were read as 12, 12 and 1.
+MALFORMED = "malformed report document: "
+BAD_REPORT_COUNTS = {
+    "zero": ({"original_count": 0, "after_temporal_count": 0, "final_count": 0,
+              "temporal_prune_ratio": 0.0, "overall_retained_ratio": 0.0},
+             "counts must have original_count >= 1 and final_count >= 0, got 0 and 0"),
+    "negative": ({"original_count": -5, "after_temporal_count": -6, "final_count": -7,
+                  "temporal_prune_ratio": 1 - -6 / -5, "overall_retained_ratio": -7 / -5},
+                 "counts must have original_count >= 1 and final_count >= 0, got -5 and -7"),
+    "string": ({"original_count": "12"},
+               MALFORMED + "report counts must be int64 integers: original_count '12'"),
+    "float": ({"after_temporal_count": 12.9},
+              MALFORMED + "report counts must be int64 integers: after_temporal_count 12.9"),
+    "bool": ({"final_count": True},
+             MALFORMED + "report counts must be int64 integers: final_count True"),
+    "segment": ({"segments": [{"start": 1, "end": 3.0, "gain": 4}]},
+                MALFORMED + "report segments must be int64 integers: segments 3.0"),
+}
+
+
+def bad_report_doc(case):
+    """small_report's document with BAD_REPORT_COUNTS[case]'s fields, and
+    the message it must raise."""
+    edits, message = BAD_REPORT_COUNTS[case]
+    return {**core.report_to_dict(small_report()), **edits}, message
+
+
 def merged_segments(tmr):
     """(start, end, redundant slots, merged values) of each segment of a
     TemporalMergeResult, cut from its arrays."""

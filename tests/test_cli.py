@@ -33,6 +33,7 @@ from tokmerge import (
 )
 from tokmerge import cli, innerllm
 from tokmerge.cli import main
+from support import BAD_REPORT_COUNTS, bad_report_doc
 
 
 def write_corpus(tmp_path, name="corpus", frames=8, grid=(2, 3), dim=32,
@@ -898,6 +899,16 @@ class TestSynthAndReport:
         err = capsys.readouterr().err
         assert err.startswith(f"tokmerge: error: {meta}: malformed report document: ")
         assert "abc" in err
+        assert not (tmp_path / "agg").exists()
+
+    @pytest.mark.parametrize("case", sorted(BAD_REPORT_COUNTS))
+    def test_report_counts_must_be_real_counts_exit_2(self, tmp_path, capsys, case):
+        doc, message = bad_report_doc(case)
+        path = tmp_path / "v.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        rc = main(["report", "--reports", str(tmp_path), "--out", str(tmp_path / "agg")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"tokmerge: error: {path}: {message}\n"
         assert not (tmp_path / "agg").exists()
 
     def test_non_object_report_entry_exit_2_names_file(self, tmp_path, capsys):

@@ -31,7 +31,7 @@ from tokmerge import (
 )
 from tokmerge.core import report_from_dict, report_to_dict
 from oracles import reference_mask
-from support import arrays, small_report
+from support import BAD_REPORT_COUNTS, arrays, bad_report_doc, small_report
 
 
 class TestTokenStreamIO:
@@ -489,6 +489,22 @@ class TestCompressedIO:
             doc["report"][field] = value
         meta.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(DataError, match=f"^{re.escape(str(meta))}: malformed report document: "):
+            load_compressed(tmp_path)
+
+    @pytest.mark.parametrize("case", sorted(BAD_REPORT_COUNTS))
+    def test_report_counts_must_be_real_counts(self, case):
+        doc, message = bad_report_doc(case)
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            report_from_dict(doc)
+
+    def test_load_report_count_beside_other_token_count_names_both(self, tmp_path):
+        report = CompressionReport(12, 8, 2, 1 - 8 / 12, 2 / 12, ((1, 3, 4), (3, 4, 0)),
+                                   1.5e11, 1e12)
+        save_compressed(small_cv(), report, tmp_path)  # three token rows
+        meta = tmp_path / "compressed.json"
+        with pytest.raises(DataError, match=(
+                f"^{re.escape(str(meta))}: final_count 2 does not match the 3 rows of "
+                "tokens.npy$")):
             load_compressed(tmp_path)
 
     def test_report_from_dict_keeps_inconsistent_counts_text(self):

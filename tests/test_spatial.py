@@ -14,6 +14,7 @@ from tokmerge import (
     VideoTokenStream,
     apply_temporal_merge,
     compress,
+    core,
     importance_from_attention,
     importance_from_qk,
     optimal_segmentation,
@@ -27,8 +28,9 @@ from support import cluster_means, pooled_scores
 
 
 def select(scores, keep):
-    """spatial._select on any scores and counts, as spatial_merge calls it."""
-    return spatial._select(np.asarray(scores, dtype=np.float64), np.asarray(keep, dtype=np.int64))
+    """The ``keep`` (one per row) first slots of each row in the shared score
+    order, as spatial_merge selects them."""
+    return core._score_rank(np.asarray(scores, dtype=np.float64)) < np.asarray(keep)[..., None]
 
 
 def qk_raw(q, k):
@@ -406,6 +408,22 @@ def test_importance_checked_against_stream_and_config():
         compress(stream, CompressionConfig(pooled_grid=(9, 9)))
     with pytest.raises(ConfigError, match=fault):
         spatial_merge(tmr, None, CompressionConfig(target_ratio=0.25, pooled_grid=(9, 9)))
+
+
+@pytest.mark.parametrize("ratio", [1.0, 0.3])
+def test_importance_checked_whenever_given(ratio):
+    """A map for another stream, or with a NaN, is refused in a pass-through
+    run as in a compressing one."""
+    rng = np.random.default_rng(9)
+    stream, _, _ = make_pipeline_inputs(rng, b=6, grid=(2, 3))
+    cfg = CompressionConfig(target_ratio=ratio)
+    with pytest.raises(DataError, match=(
+            r"^importance scores must be finite and match stream 6x6, got shape \(9, 6\)$")):
+        compress(stream, cfg, ImportanceMap(rng.random((9, 6)), (2, 3)))
+    scores = rng.random((6, 6))
+    scores[4, 1] = np.nan
+    with pytest.raises(DataError, match=r"must be finite and match stream 6x6, got shape \(6, 6\)"):
+        compress(stream, cfg, ImportanceMap(scores, (2, 3)))
 
 
 def test_all_non_redundant_reduces_to_attention_select():
