@@ -25,6 +25,7 @@ from .core import (
     _load_npy,
     load_token_stream,
     replace_file,
+    report_document,
     report_from_dict,
     save_compressed,
     validate_config,
@@ -224,12 +225,8 @@ def cmd_report(args) -> int:
         raise DataError(f"report directory not found: {root}")
     ratios = []
     for path in sorted(root.rglob("*.json")):
-        doc = _load_json(path, "report")
-        # a compressed.json nests its report; other JSON (spec.json,
-        # summary.json, configs) is not a report and is skipped
-        if "report" in doc:
-            doc = doc["report"]
-        elif "temporal_prune_ratio" not in doc:
+        doc = report_document(_load_json(path, "report"))
+        if doc is None:
             continue
         try:
             ratios.append(report_from_dict(doc).temporal_prune_ratio)

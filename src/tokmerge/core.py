@@ -38,6 +38,8 @@ class DataError(ValueError):
 
 TEMPORAL_MERGE_MODES = ("mean", "first")
 PROVENANCE_KINDS = ("selected", "temporal_rep", "cluster_rep")
+_REPORT_COUNTS = ("original_count", "after_temporal_count", "final_count")
+_REPORT_RATIOS = ("temporal_prune_ratio", "overall_retained_ratio")
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +302,16 @@ def load_token_stream(path, grid: tuple[int, int]) -> VideoTokenStream:
 # Configuration
 # ---------------------------------------------------------------------------
 
+def _is_integer(x) -> bool:  # the one integer rule: Python or numpy, never a bool
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:  # the one number rule: any Python or numpy real, never a bool
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 def _require_real(raw, name: str) -> float:
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+    if not _is_number(raw):
         raise ConfigError(f"{name} must be a number, got {raw!r}")
     return float(raw)
 
@@ -309,9 +319,9 @@ def _require_real(raw, name: str) -> float:
 @dataclass(frozen=True)
 class CompressionConfig:
     """Pipeline settings, checked on construction: an out-of-range or
-    mistyped field raises ``ConfigError``. ``tau``, ``target_ratio`` and
-    ``inner_ratio_R`` are stored as float, ``pooled_grid`` as a tuple, and
-    ``knn_k`` ``"auto"`` as None."""
+    mistyped field raises ``ConfigError``. Numbers are stored as plain
+    float, integers as plain int (``_is_number``, ``_is_integer``),
+    ``pooled_grid`` as a tuple, and ``knn_k`` ``"auto"`` as None."""
 
     tau: float = 0.8
     target_ratio: float = 1.0
@@ -340,26 +350,25 @@ class CompressionConfig:
         pooled = self.pooled_grid
         if pooled is not None:
             if (not isinstance(pooled, (list, tuple)) or len(pooled) != 2
-                    or any(isinstance(x, bool) or not isinstance(x, int) or x < 1 for x in pooled)):
+                    or not all(_is_integer(x) and x >= 1 for x in pooled)):
                 raise ConfigError(
                     f"pooled_grid must be two positive integers [rows, cols], got {pooled!r}")
-            object.__setattr__(self, "pooled_grid", tuple(pooled))
+            object.__setattr__(self, "pooled_grid", tuple(map(int, pooled)))
 
-        knn_k = self.knn_k
-        if knn_k in (None, "auto"):
-            object.__setattr__(self, "knn_k", None)
-        elif isinstance(knn_k, int) and not isinstance(knn_k, bool):
-            if knn_k < 1:
-                raise ConfigError(f"knn_k must be >= 1 or \"auto\", got {knn_k}")
-        else:
+        knn_k = None if self.knn_k in (None, "auto") else self.knn_k
+        if not (knn_k is None or _is_integer(knn_k)):
             raise ConfigError(f"knn_k must be an integer or \"auto\", got {knn_k!r}")
+        if knn_k is not None and knn_k < 1:
+            raise ConfigError(f"knn_k must be >= 1 or \"auto\", got {knn_k}")
+        object.__setattr__(self, "knn_k", None if knn_k is None else int(knn_k))
 
         if not isinstance(self.inner_enabled, bool):
             raise ConfigError(f"inner_enabled must be a boolean, got {self.inner_enabled!r}")
 
         k = self.inner_layer_K
-        if isinstance(k, bool) or not isinstance(k, int) or k < 0:
+        if not _is_integer(k) or k < 0:
             raise ConfigError(f"inner_layer_K must be a non-negative integer, got {k!r}")
+        object.__setattr__(self, "inner_layer_K", int(k))
 
         ratio_R = _require_real(self.inner_ratio_R, "inner_ratio_R")
         if not 0.0 <= ratio_R < 100.0:
@@ -446,10 +455,10 @@ _RECORD_FIELDS = TokenProvenance._fields
 
 
 def _int64(values: list, field: str, what: str = "provenance coordinates") -> np.ndarray:
-    """int64 array of integers (Python, numpy or JSON ones; not booleans);
+    """int64 array of ``values``, each an integer by ``_is_integer``;
     DataError naming ``what``, the ``field`` and the first other value."""
     for v in [] if set(map(type, values)) <= {int} else values:
-        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+        if not _is_integer(v):
             raise DataError(f"{what} must be int64 integers: {field} {v!r}")
     try:
         return np.array(values, dtype=np.int64)
@@ -490,6 +499,9 @@ class CompressedVideo:
             raise DataError(f"tokens must be 2-D, got rank {tok.ndim}")
         if not isinstance(provenance, ProvenanceArrays):
             raise TypeError(f"expected ProvenanceArrays, got {type(provenance).__name__}")
+        for name, a in zip(provenance._fields, map(np.asarray, provenance)):
+            if a.size and a.dtype.kind not in "iu":
+                raise DataError(f"provenance {name} must have an integer dtype, got {a.dtype}")
         pa = ProvenanceArrays(*(np.array(a, dtype=np.int64) for a in provenance))
         f, s, kinds, offsets, members = pa
         if f.shape != (tok.shape[0],):
@@ -526,7 +538,8 @@ class CompressedVideo:
 
 @dataclass(frozen=True)
 class CompressionReport:
-    """Per-video counts, ratios, segment boundaries, and FLOPs."""
+    """Per-video counts, ratios, segment boundaries, and FLOPs: int64 integers
+    stored as int and finite numbers stored as float, or DataError."""
 
     original_count: int
     after_temporal_count: int
@@ -539,28 +552,33 @@ class CompressionReport:
     per_video_histogram_bin: float = field(default=-1.0)
 
     def __post_init__(self):
+        for key in _REPORT_COUNTS:
+            object.__setattr__(self, key, _int64([getattr(self, key)], key, "report counts").item())
+        segments = _int64([v for s, e, g in self.segment_boundaries for v in (s, e, g)],
+                          "segments", "report segments").reshape(-1, 3).tolist()
+        object.__setattr__(self, "segment_boundaries", tuple(map(tuple, segments)))
+        for key in (*_REPORT_RATIOS, "prefill_flops", "baseline_flops"):
+            value = getattr(self, key)
+            try:
+                finite = _is_number(value) and math.isfinite(value)
+            except OverflowError:  # an integer too large for a float
+                finite = False
+            if not finite:
+                raise DataError(f"report ratios and FLOPs must be finite numbers: {key} {value!r}")
+            object.__setattr__(self, key, float(value))
         if self.original_count < 1 or self.final_count < 0:
-            raise DataError(
-                f"counts must have original_count >= 1 and final_count >= 0, "
-                f"got {self.original_count} and {self.final_count}")
+            raise DataError(f"counts must have original_count >= 1 and final_count >= 0, "
+                            f"got {self.original_count} and {self.final_count}")
         if not (self.final_count <= self.after_temporal_count <= self.original_count):
-            raise DataError(
-                f"inconsistent counts: {self.final_count} <= "
-                f"{self.after_temporal_count} <= {self.original_count} fails")
-        expect_prune = 1.0 - self.after_temporal_count / self.original_count
-        expect_overall = self.final_count / self.original_count
-        if not math.isclose(self.temporal_prune_ratio, expect_prune,
-                            rel_tol=0, abs_tol=1e-9):
-            raise DataError("temporal_prune_ratio inconsistent with counts")
-        if not math.isclose(self.overall_retained_ratio, expect_overall,
-                            rel_tol=0, abs_tol=1e-9):
-            raise DataError("overall_retained_ratio inconsistent with counts")
+            raise DataError(f"inconsistent counts: {self.final_count} <= "
+                            f"{self.after_temporal_count} <= {self.original_count} fails")
+        expect = (1.0 - self.after_temporal_count / self.original_count,
+                  self.final_count / self.original_count)
+        for key, ratio in zip(_REPORT_RATIOS, expect):
+            if not math.isclose(getattr(self, key), ratio, rel_tol=0, abs_tol=1e-9):
+                raise DataError(f"{key} inconsistent with counts")
         if self.per_video_histogram_bin < 0:
-            object.__setattr__(self, "per_video_histogram_bin",
-                               self.temporal_prune_ratio)
-        object.__setattr__(self, "segment_boundaries",
-                           tuple((int(s), int(e), int(g))
-                                 for s, e, g in self.segment_boundaries))
+            object.__setattr__(self, "per_video_histogram_bin", self.temporal_prune_ratio)
 
 
 def report_to_dict(report: CompressionReport) -> dict:
@@ -583,26 +601,24 @@ def report_to_dict(report: CompressionReport) -> dict:
 
 
 def report_from_dict(doc: dict) -> CompressionReport:
-    """The report of a report_to_dict document. Counts and segment fields
-    must be JSON integers (not booleans, strings or floats), read by the
-    rule provenance coordinates follow; a missing, mistyped or unparsable
-    field raises DataError ``malformed report document: ...``, and
-    inconsistent values raise CompressionReport's own DataError."""
+    """The report of a report_to_dict document, whose values CompressionReport checks; a
+    missing key or a non-object raises DataError ``malformed report document: ...``."""
     try:
-        counts = {key: int(_int64([doc[key]], key, "report counts")[0])
-                  for key in ("original_count", "after_temporal_count", "final_count")}
-        segments = _int64([seg[key] for seg in doc["segments"]
-                           for key in ("start", "end", "gain")],
-                          "segments", "report segments").reshape(-1, 3)
-        ratios = dict(
-            temporal_prune_ratio=float(doc["temporal_prune_ratio"]),
-            overall_retained_ratio=float(doc["overall_retained_ratio"]),
-            prefill_flops=float(doc["flops"]["prefill"]),
-            baseline_flops=float(doc["flops"]["baseline"]),
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        values = dict(
+            {key: doc[key] for key in (*_REPORT_COUNTS, *_REPORT_RATIOS)},
+            segment_boundaries=[(seg["start"], seg["end"], seg["gain"]) for seg in doc["segments"]],
+            prefill_flops=doc["flops"]["prefill"], baseline_flops=doc["flops"]["baseline"])
+    except (KeyError, TypeError) as exc:
         raise DataError(f"malformed report document: {exc}") from exc
-    return CompressionReport(**counts, **ratios, segment_boundaries=segments.tolist())
+    return CompressionReport(**values)
+
+
+def report_document(doc: dict):
+    """The report in a JSON object: its ``report`` value, else itself if it has
+    a report's own top-level key (not ``segments``: spec.json has one), else None."""
+    if "report" in doc:
+        return doc["report"]
+    return doc if any(key in doc for key in (*_REPORT_COUNTS, *_REPORT_RATIOS, "flops")) else None
 
 
 TOKENS_FILE = "tokens.npy"
@@ -633,6 +649,12 @@ def _provenance_json(pa: ProvenanceArrays) -> str:
     return ("[\n" + ",\n".join(templates[which].tolist()) + "\n ]") % tuple(values.tolist())
 
 
+def _check_final_count(cv: CompressedVideo, report: CompressionReport) -> None:
+    if report.final_count != cv.count:
+        raise DataError(f"final_count {report.final_count} does not match the "
+                        f"{cv.count} rows of {TOKENS_FILE}")
+
+
 def save_compressed(cv: CompressedVideo, report: CompressionReport, out_dir) -> None:
     """Write tokens.npy plus a compressed.json carrying provenance + report.
 
@@ -643,6 +665,7 @@ def save_compressed(cv: CompressedVideo, report: CompressionReport, out_dir) -> 
     pure-Python indenting encoder. Loading the directory back reproduces
     the inputs bit-exactly (float32 tokens; JSON floats round-trip via repr).
     """
+    _check_final_count(cv, report)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     replace_file(out / TOKENS_FILE, cv.tokens)
@@ -667,9 +690,7 @@ def load_compressed(out_dir) -> tuple[CompressedVideo, CompressionReport]:
         columns = [[p[key] for p in doc["provenance"]] for key in _RECORD_FIELDS]
         cv = CompressedVideo(tokens, _provenance_arrays(*columns))
         report = report_from_dict(doc["report"])
-        if report.final_count != cv.count:
-            raise DataError(f"final_count {report.final_count} does not match the "
-                            f"{cv.count} rows of {TOKENS_FILE}")
+        _check_final_count(cv, report)
         return cv, report
     except DataError as exc:
         raise DataError(f"{meta_path}: {exc}") from None

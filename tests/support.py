@@ -8,7 +8,7 @@ import json
 import numpy as np
 
 from oracles import exact_cosine_argmax, reference_similarities
-from tokmerge import CompressionReport, core, spatial
+from tokmerge import CompressedVideo, CompressionReport, TokenProvenance, core, spatial
 from tokmerge.cli import main
 
 
@@ -26,16 +26,29 @@ def arrays(records):
     return core._provenance_arrays(*([r[i] for r in records] for i in range(4)))
 
 
-def small_report():
-    return CompressionReport(12, 8, 3, 1 - 8 / 12, 3 / 12, ((1, 3, 4), (3, 4, 0)),
+def small_cv():
+    """Three tokens, one record of each provenance kind."""
+    tokens = np.arange(6, dtype=np.float32).reshape(3, 2)
+    prov = (
+        TokenProvenance(0, 0, "temporal_rep", ((1, 0), (2, 0))),
+        TokenProvenance(0, 1, "selected", ()),
+        TokenProvenance(1, 2, "cluster_rep", ((0, 3), (1, 3))),
+    )
+    return CompressedVideo(tokens, arrays(prov))
+
+
+def small_report(final=3):
+    """A consistent report of 12 tokens, 8 after the temporal stage and
+    ``final`` (at most 8) at the end."""
+    return CompressionReport(12, 8, final, 1 - 8 / 12, final / 12, ((1, 3, 4), (3, 4, 0)),
                              1.5e11, 1e12)
 
 
 # Report documents whose counts are not real counts: (the fields that
 # replace small_report's, the DataError report_from_dict raises). Each was
 # once read as a count: 0 ended in a ZeroDivisionError, the negative counts
-# were aggregated, and "12", 12.9 and true were read as 12, 12 and 1.
-MALFORMED = "malformed report document: "
+# were aggregated, and "12", 12.9 and true were read as 12, 12 and 1. The
+# last four are value faults, raised by CompressionReport itself.
 BAD_REPORT_COUNTS = {
     "zero": ({"original_count": 0, "after_temporal_count": 0, "final_count": 0,
               "temporal_prune_ratio": 0.0, "overall_retained_ratio": 0.0},
@@ -44,13 +57,13 @@ BAD_REPORT_COUNTS = {
                   "temporal_prune_ratio": 1 - -6 / -5, "overall_retained_ratio": -7 / -5},
                  "counts must have original_count >= 1 and final_count >= 0, got -5 and -7"),
     "string": ({"original_count": "12"},
-               MALFORMED + "report counts must be int64 integers: original_count '12'"),
+               "report counts must be int64 integers: original_count '12'"),
     "float": ({"after_temporal_count": 12.9},
-              MALFORMED + "report counts must be int64 integers: after_temporal_count 12.9"),
+              "report counts must be int64 integers: after_temporal_count 12.9"),
     "bool": ({"final_count": True},
-             MALFORMED + "report counts must be int64 integers: final_count True"),
+             "report counts must be int64 integers: final_count True"),
     "segment": ({"segments": [{"start": 1, "end": 3.0, "gain": 4}]},
-                MALFORMED + "report segments must be int64 integers: segments 3.0"),
+                "report segments must be int64 integers: segments 3.0"),
 }
 
 

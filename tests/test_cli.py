@@ -896,9 +896,9 @@ class TestSynthAndReport:
         capsys.readouterr()
         rc = main(["report", "--reports", str(tmp_path), "--out", str(tmp_path / "agg")])
         assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"tokmerge: error: {meta}: malformed report document: ")
-        assert "abc" in err
+        assert capsys.readouterr().err == (
+            f"tokmerge: error: {meta}: report counts must be int64 integers: "
+            "original_count 'abc'\n")
         assert not (tmp_path / "agg").exists()
 
     @pytest.mark.parametrize("case", sorted(BAD_REPORT_COUNTS))
@@ -949,6 +949,43 @@ class TestSynthAndReport:
         assert rc == 2
         assert capsys.readouterr().err.startswith(
             f"tokmerge: error: {meta}: malformed report document: ")
+        assert not (tmp_path / "agg2").exists()
+
+    @pytest.mark.parametrize("missing", ["temporal_prune_ratio", "original_count", "flops"])
+    def test_bare_report_missing_a_field_exit_2_names_file(self, tmp_path, capsys, missing):
+        """A bare document with any of a report's own top-level keys is a
+        report, checked like one; the synth, compress and aggregate
+        documents beside it (spec.json, inner.json, summary.json, a config)
+        are not reports and are skipped."""
+        reports = tmp_path / "r"
+        assert main(["synth", "--out", str(reports / "s"), "--frames", "6", "--grid", "2x2",
+                     "--dim", "16", "--segments", "3:1.0,3:0.5", "--seed", "11"]) == 0
+        compress_flags = ["compress", "--tokens", str(reports / "s" / "tokens.npy"),
+                          "--grid", "2x2"]
+        assert main([*compress_flags, "--out", str(reports / "v1")]) == 0
+        n = load_compressed(reports / "v1")[1].final_count
+        rng = np.random.default_rng(3)
+        np.save(tmp_path / "hidden.npy", rng.standard_normal((n, 8)).astype(np.float32))
+        np.save(tmp_path / "last.npy", rng.random(n))
+        assert main([*compress_flags, "--out", str(reports / "v2"),
+                     "--hidden", str(tmp_path / "hidden.npy"),
+                     "--last-attn", str(tmp_path / "last.npy")]) == 0
+        (reports / "cfg.json").write_text(json.dumps({"tau": 0.8}))
+        assert main(["report", "--reports", str(reports), "--out", str(reports / "agg")]) == 0
+        assert sorted(p.name for p in reports.rglob("*.json")) == [
+            "cfg.json", "compressed.json", "compressed.json", "inner.json", "spec.json",
+            "summary.json"]
+        assert json.loads((reports / "agg" / "summary.json").read_text())["videos"] == 2
+
+        doc = json.loads((reports / "v1" / "compressed.json").read_text())["report"]
+        del doc[missing]
+        bare = reports / "bare.json"
+        bare.write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = main(["report", "--reports", str(reports), "--out", str(tmp_path / "agg2")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"tokmerge: error: {bare}: malformed report document: '{missing}'\n")
         assert not (tmp_path / "agg2").exists()
 
     def test_empty_directory_exit_2(self, tmp_path):

@@ -31,7 +31,7 @@ from tokmerge import (
 )
 from tokmerge.core import report_from_dict, report_to_dict
 from oracles import reference_mask
-from support import BAD_REPORT_COUNTS, arrays, bad_report_doc, small_report
+from support import BAD_REPORT_COUNTS, arrays, bad_report_doc, small_cv, small_report
 
 
 class TestTokenStreamIO:
@@ -307,16 +307,6 @@ class TestConfig:
         assert {p.kind for p in cv.provenance} == {"selected", "cluster_rep"}
 
 
-def small_cv():
-    tokens = np.arange(6, dtype=np.float32).reshape(3, 2)
-    prov = (
-        TokenProvenance(0, 0, "temporal_rep", ((1, 0), (2, 0))),
-        TokenProvenance(0, 1, "selected", ()),
-        TokenProvenance(1, 2, "cluster_rep", ((0, 3), (1, 3))),
-    )
-    return CompressedVideo(tokens, arrays(prov))
-
-
 class TestCompressedIO:
     def test_round_trip_bit_exact(self, tmp_path):
         cv, report = small_cv(), small_report()
@@ -396,11 +386,11 @@ class TestCompressedIO:
         (np.zeros(2), ([], [], [], [0], np.zeros((0, 2))), "tokens must be 2-D, got rank 1"),
         (np.zeros((2, 2)), ([0], [0], [0], [0, 0], np.zeros((0, 2))),
          "2 tokens but 1 provenance records"),
-        (np.zeros((1, 2)), ([0], [0], [1], [0, 1], np.zeros((1, 3))),
+        (np.zeros((1, 2)), ([0], [0], [1], [0, 1], np.zeros((1, 3), dtype=np.int64)),
          re.escape("provenance members must be (frame, slot) pairs")),
         (np.zeros((1, 2)), ([0], [0], [3], [0, 0], np.zeros((0, 2))),
          "provenance arrays are inconsistent"),
-        (np.zeros((1, 2)), ([0], [0], [1], [0, 2], np.zeros((1, 2))),
+        (np.zeros((1, 2)), ([0], [0], [1], [0, 2], np.zeros((1, 2), dtype=np.int64)),
          "provenance arrays are inconsistent"),
     ], ids=["tokens-rank-1", "record-count", "member-triples", "unknown-kind",
             "offsets-past-members"])
@@ -476,10 +466,14 @@ class TestCompressedIO:
         assert cv.provenance is cv.provenance
         assert [p.kind for p in cv.provenance] == ["temporal_rep", "selected", "cluster_rep"]
 
-    @pytest.mark.parametrize("field, value", [
-        ("original_count", "abc"), ("final_count", 1.5e400), ("final_count", "nan"),
-        ("prefill_flops", "lots")])
-    def test_load_unparsable_report_number_names_file(self, tmp_path, field, value):
+    @pytest.mark.parametrize("field, value, message", [
+        ("original_count", "abc", "report counts must be int64 integers: original_count 'abc'"),
+        ("final_count", 1.5e400, "report counts must be int64 integers: final_count inf"),
+        ("final_count", "nan", "report counts must be int64 integers: final_count 'nan'"),
+        ("prefill_flops", "lots",
+         "report ratios and FLOPs must be finite numbers: prefill_flops 'lots'"),
+    ], ids=["original_count-abc", "final_count-inf", "final_count-nan", "prefill_flops-lots"])
+    def test_load_unparsable_report_number_names_file(self, tmp_path, field, value, message):
         save_compressed(small_cv(), small_report(), tmp_path)
         meta = tmp_path / "compressed.json"
         doc = json.loads(meta.read_text(encoding="utf-8"))
@@ -488,7 +482,7 @@ class TestCompressedIO:
         else:
             doc["report"][field] = value
         meta.write_text(json.dumps(doc), encoding="utf-8")
-        with pytest.raises(DataError, match=f"^{re.escape(str(meta))}: malformed report document: "):
+        with pytest.raises(DataError, match=f"^{re.escape(f'{meta}: {message}')}$"):
             load_compressed(tmp_path)
 
     @pytest.mark.parametrize("case", sorted(BAD_REPORT_COUNTS))
@@ -498,10 +492,11 @@ class TestCompressedIO:
             report_from_dict(doc)
 
     def test_load_report_count_beside_other_token_count_names_both(self, tmp_path):
-        report = CompressionReport(12, 8, 2, 1 - 8 / 12, 2 / 12, ((1, 3, 4), (3, 4, 0)),
-                                   1.5e11, 1e12)
-        save_compressed(small_cv(), report, tmp_path)  # three token rows
+        save_compressed(small_cv(), small_report(), tmp_path)  # three token rows
         meta = tmp_path / "compressed.json"
+        doc = json.loads(meta.read_text(encoding="utf-8"))
+        doc["report"] = report_to_dict(small_report(final=2))
+        meta.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(DataError, match=(
                 f"^{re.escape(str(meta))}: final_count 2 does not match the 3 rows of "
                 "tokens.npy$")):

@@ -58,10 +58,10 @@ def provenances(draw, coord=coordinates, unique=True):
 
 
 @st.composite
-def reports(draw):
-    original = draw(st.integers(1, 10**9))
-    after = draw(st.integers(0, original))
-    final = draw(st.integers(0, after))
+def reports(draw, final):
+    """Consistent reports whose final_count is ``final``."""
+    original = draw(st.integers(max(final, 1), 10**9))
+    after = draw(st.integers(final, original))
     segments = draw(st.lists(st.tuples(st.integers(1, 10**6), st.integers(1, 10**6),
                                        st.integers(0, 10**9)), max_size=4))
     flops = st.floats(0, 1e18, allow_nan=False)
@@ -70,15 +70,16 @@ def reports(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(provenances(), reports())
-@example((), small_report())
-@example((TokenProvenance(0, 5, "selected", ()), TokenProvenance(2**40, 0, "selected", ())),
-         small_report())
-@example((TokenProvenance(-2**63, 2**63 - 1, "cluster_rep", ((2**63 - 1, -2**63), (0, 0))),
-          TokenProvenance(-2**63 + 1, 0, "temporal_rep", ()),
-          TokenProvenance(2**63 - 1, -1, "selected", ((-1, 2**63 - 1),))),
-         small_report())
-def test_compressed_json_matches_json_module(prov, report):
+@given(provenances().flatmap(lambda prov: st.tuples(st.just(prov), reports(len(prov)))))
+@example(((), small_report(final=0)))
+@example(((TokenProvenance(0, 5, "selected", ()), TokenProvenance(2**40, 0, "selected", ())),
+          small_report(final=2)))
+@example(((TokenProvenance(-2**63, 2**63 - 1, "cluster_rep", ((2**63 - 1, -2**63), (0, 0))),
+           TokenProvenance(-2**63 + 1, 0, "temporal_rep", ()),
+           TokenProvenance(2**63 - 1, -1, "selected", ((-1, 2**63 - 1),))),
+          small_report()))
+def test_compressed_json_matches_json_module(case):
+    prov, report = case  # final_count is the number of records, as save_compressed requires
     cv = CompressedVideo(np.zeros((len(prov), 3), dtype=np.float32), arrays(prov))
     doc = {
         "provenance": [{"frame": p.frame, "spatial_index": p.spatial_index,
