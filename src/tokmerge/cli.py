@@ -16,9 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
-    CompressedVideo,
     CompressionConfig,
-    CompressionReport,
     ConfigError,
     DataError,
     _load_json,
@@ -28,14 +26,14 @@ from .core import (
     report_document,
     report_from_dict,
     save_compressed,
+    save_inner,
     validate_config,
 )
 from .cost import check_inner_layer, get_profile, pipeline_cost_report, retained_for_ratio
 from .innerllm import InnerMergeInput, check_hidden, check_last_attn, inner_merge
-from .pipeline import DEFAULT_PROFILE, compress
+from .pipeline import DEFAULT_PROFILE, compress, segment
 from .spatial import ImportanceMap, _pooled_grid, importance_from_attention, importance_from_qk
 from .synth import SynthSpec, generate
-from .temporal import optimal_segmentation, pairwise_redundancy
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -111,10 +109,7 @@ def _importance(args, stream, pooled_grid) -> ImportanceMap | None:
     return None
 
 
-def _outer_phase(args) -> tuple[CompressionConfig, CompressedVideo, CompressionReport]:
-    """Load the stream and the config, check the inner-merge flags and run
-    the outer pipeline. The token stream, its mapped file and the importance
-    dumps are released when this returns."""
+def cmd_compress(args) -> int:
     stream = load_token_stream(args.tokens, _parse_grid(args.grid))
     cfg = _config_from_args(args)
     check_inner_layer(get_profile(args.profile), cfg)
@@ -128,38 +123,22 @@ def _outer_phase(args) -> tuple[CompressionConfig, CompressedVideo, CompressionR
     if inner and not cfg.inner_enabled:
         raise ConfigError("--hidden/--last-attn ask for the inner merge, "
                           "but the config sets inner_enabled to false")
-    imp = _importance(args, stream, cfg.pooled_grid)
-    return cfg, *compress(stream, cfg, imp, args.profile)
-
-
-def cmd_compress(args) -> int:
-    cfg, cv, report = _outer_phase(args)
-    inner = bool(args.hidden)  # the outer phase checked: both dumps or neither
+    cv, report = compress(stream, cfg, _importance(args, stream, cfg.pooled_grid), args.profile)
+    del stream  # the outer phase ends here: the stream and its mapped file are released
     if inner:
-        # the inner merge runs on the compressed tokens: one row per token;
-        # its dumps are validated before any output is written
-        final = report.final_count
+        # one row per compressed token, each dump checked before any output is written
         hidden = _load_npy(args.hidden, 2, "hidden-state", check_hidden)
         last = _load_npy(args.last_attn, 1, "last-attention", check_last_attn)
         for path, rows in ((args.hidden, hidden.shape[0]), (args.last_attn, last.shape[0])):
-            if rows != final:
+            if rows != report.final_count:
                 raise DataError(f"{path}: {rows} rows, but the compressed video has "
-                                f"final_count {final} tokens")
+                                f"final_count {report.final_count} tokens")
         inner_input = InnerMergeInput._of_checked(hidden, last)  # checked on load
     out = Path(args.out)
     save_compressed(cv, report, out)
     del cv  # the inner merge runs with only its own dumps resident
-
     if inner:
-        result = inner_merge(inner_input, cfg.inner_ratio_R)
-        replace_file(out / "inner_tokens.npy", result.updated)
-        replace_file(out / "inner.json", json.dumps({
-            "retained_indices": [int(i) for i in result.retained_indices],
-            "assignment": {str(k): v for k, v in sorted(result.assignment.items())},
-            "layer_K": cfg.inner_layer_K,
-            "ratio_R": cfg.inner_ratio_R,
-        }, indent=1) + "\n")
-
+        save_inner(inner_merge(inner_input, cfg.inner_ratio_R), cfg, out)
     print(f"{report.final_count}/{report.original_count} tokens retained "
           f"({report.overall_retained_ratio:.4f}); wrote {out}")
     return 0
@@ -168,8 +147,7 @@ def cmd_compress(args) -> int:
 def cmd_segment(args) -> int:
     stream = load_token_stream(args.tokens, _parse_grid(args.grid))
     tau = _config_from_args(args).tau
-    mask = pairwise_redundancy(stream, tau)
-    plan = optimal_segmentation(mask)
+    _, plan = segment(stream, tau)
     doc = {
         "tau": tau,
         "boundaries": list(plan.boundaries),

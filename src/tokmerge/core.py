@@ -452,6 +452,8 @@ class ProvenanceArrays(NamedTuple):
 
 
 _RECORD_FIELDS = TokenProvenance._fields
+# ProvenanceArrays' coordinate columns, by the field names of a record
+_COORDINATES = {"frames": "frame", "slots": "spatial_index", "members": "members"}
 
 
 def _int64(values: list, field: str, what: str = "provenance coordinates") -> np.ndarray:
@@ -502,6 +504,10 @@ class CompressedVideo:
         for name, a in zip(provenance._fields, map(np.asarray, provenance)):
             if a.size and a.dtype.kind not in "iu":
                 raise DataError(f"provenance {name} must have an integer dtype, got {a.dtype}")
+            # a coordinate past int64 would wrap in the cast below (kinds and
+            # offsets that wrap turn negative and fail the consistency check)
+            if a.size and a.dtype.kind == "u" and name in _COORDINATES and int(a.max()) >= 2**63:
+                _int64(a.ravel().tolist(), _COORDINATES[name])
         pa = ProvenanceArrays(*(np.array(a, dtype=np.int64) for a in provenance))
         f, s, kinds, offsets, members = pa
         if f.shape != (tok.shape[0],):
@@ -557,7 +563,7 @@ class CompressionReport:
         segments = _int64([v for s, e, g in self.segment_boundaries for v in (s, e, g)],
                           "segments", "report segments").reshape(-1, 3).tolist()
         object.__setattr__(self, "segment_boundaries", tuple(map(tuple, segments)))
-        for key in (*_REPORT_RATIOS, "prefill_flops", "baseline_flops"):
+        for key in (*_REPORT_RATIOS, "prefill_flops", "baseline_flops", "per_video_histogram_bin"):
             value = getattr(self, key)
             try:
                 finite = _is_number(value) and math.isfinite(value)
@@ -623,6 +629,8 @@ def report_document(doc: dict):
 
 TOKENS_FILE = "tokens.npy"
 META_FILE = "compressed.json"
+INNER_TOKENS_FILE = "inner_tokens.npy"
+INNER_META_FILE = "inner.json"
 
 
 def _record_template(kind: str, n_members: int) -> str:
@@ -673,6 +681,19 @@ def save_compressed(cv: CompressedVideo, report: CompressionReport, out_dir) -> 
     report_json = json.dumps(report_to_dict(report), indent=1).replace("\n", "\n ")
     replace_file(out / META_FILE,
                  f'{{\n "provenance": {provenance},\n "report": {report_json}\n}}\n')
+
+
+def save_inner(result, cfg: CompressionConfig, out_dir) -> None:
+    """Write an ``innerllm.InnerMergeResult`` into save_compressed's ``out_dir``:
+    inner_tokens.npy holds ``result.updated``, and inner.json the retained indices,
+    the assignment in its key order, and the config's layer K and ratio R."""
+    replace_file(Path(out_dir, INNER_TOKENS_FILE), result.updated)
+    replace_file(Path(out_dir, INNER_META_FILE), json.dumps({
+        "retained_indices": [int(i) for i in result.retained_indices],
+        "assignment": {str(k): v for k, v in result.assignment.items()},
+        "layer_K": cfg.inner_layer_K,
+        "ratio_R": cfg.inner_ratio_R,
+    }, indent=1) + "\n")
 
 
 def load_compressed(out_dir) -> tuple[CompressedVideo, CompressionReport]:

@@ -7,10 +7,12 @@ import sys
 import time
 from contextlib import contextmanager
 
+import numpy as np
+
 from .core import CompressedVideo, CompressionConfig, CompressionReport
 from .cost import check_inner_layer, get_profile, pipeline_cost_report
 from .spatial import ImportanceMap, spatial_merge
-from .temporal import apply_temporal_merge, optimal_segmentation, pairwise_redundancy
+from .temporal import SegmentPlan, apply_temporal_merge, optimal_segmentation, pairwise_redundancy
 
 DEFAULT_PROFILE = "llava-ov-7b"
 
@@ -24,6 +26,12 @@ def _stage(name: str):
         print(f"{name}: {(time.perf_counter() - t0) * 1e3:.2f} ms", file=sys.stderr)
 
 
+def segment(stream, tau: float) -> tuple[np.ndarray, SegmentPlan]:
+    """The redundancy mask at ``tau`` and its DP segmentation, shared with `tokmerge segment`."""
+    mask = pairwise_redundancy(stream, tau)
+    return mask, optimal_segmentation(mask)
+
+
 def compress(stream, cfg: CompressionConfig, imp: ImportanceMap | None = None,
              profile: str = DEFAULT_PROFILE) -> tuple[CompressedVideo, CompressionReport]:
     """Redundancy mask -> DP segmentation -> temporal merge -> spatial merge,
@@ -32,8 +40,7 @@ def compress(stream, cfg: CompressionConfig, imp: ImportanceMap | None = None,
     prof = get_profile(profile)
     check_inner_layer(prof, cfg)
     with _stage("temporal"):
-        mask = pairwise_redundancy(stream, cfg.tau)
-        plan = optimal_segmentation(mask)
+        mask, plan = segment(stream, cfg.tau)
         tmr = apply_temporal_merge(stream, plan, mask, cfg.temporal_merge_mode)
     with _stage("spatial"):
         cv = spatial_merge(tmr, imp, cfg)

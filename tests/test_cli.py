@@ -18,20 +18,24 @@ import tokmerge
 from tokmerge import (
     CompressionConfig,
     ImportanceMap,
+    InnerMergeInput,
     SynthSpec,
     apply_temporal_merge,
     compress,
     generate,
     get_profile,
     importance_from_attention,
+    inner_merge,
     load_compressed,
     optimal_segmentation,
     pairwise_redundancy,
     pipeline_cost_report,
+    save_compressed,
     spatial_merge,
     validate_config,
 )
 from tokmerge import cli, innerllm
+from tokmerge.core import save_inner
 from tokmerge.cli import main
 from support import BAD_REPORT_COUNTS, bad_report_doc
 
@@ -638,6 +642,20 @@ class TestLibraryPipeline:
         for mine, written in zip(cv.provenance_arrays, cv_cli.provenance_arrays):
             np.testing.assert_array_equal(mine, written)
         assert report == report_cli
+
+    def test_library_writes_what_the_cli_writes(self, tmp_path):
+        args, cv, report = self.compress_args(tmp_path)
+        assert main(args) == 0
+        cfg, lib = validate_config({"target_ratio": 0.3}), tmp_path / "lib"
+        save_compressed(cv, report, lib)
+        inp = InnerMergeInput(np.load(tmp_path / "hidden.npy"), np.load(tmp_path / "last.npy"))
+        save_inner(inner_merge(inp, cfg.inner_ratio_R), cfg, lib)
+
+        def files(out):
+            return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+        assert sorted(files(lib)) == ["compressed.json", "inner.json", "inner_tokens.npy",
+                                      "tokens.npy"]
+        assert files(lib) == files(tmp_path / "out")
 
     def test_verbose_adds_stage_times_to_stderr_only(self, tmp_path, capsys, monkeypatch):
         args, _, _ = self.compress_args(tmp_path)

@@ -1,12 +1,15 @@
 """The test suite's layout: shared code lives in ``oracles.py`` and
 ``support.py``, so no test module imports another, and the oracles import
-none of the stage code they are compared with."""
+none of the stage code they are compared with. The package's layout: the
+CLI runs the pipeline through ``pipeline``, never stage by stage, and one
+module writes the inner merge's outputs."""
 
 import ast
 import sys
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "tokmerge"
 
 
 def imports(path):
@@ -34,3 +37,16 @@ def test_oracles_import_no_stage_code():
     found = sorted(f"{module} {names}" for module, names in imports(TESTS / "oracles.py")
                    if not allowed(module, names))
     assert found == []
+
+
+def test_cli_imports_no_stage_function():
+    stages = {"pairwise_redundancy", "optimal_segmentation", "apply_temporal_merge",
+              "spatial_merge"}
+    found = sorted(f"{module} {name}" for module, names in imports(SRC / "cli.py")
+                   for name in names if name in stages)
+    assert found == []
+
+
+def test_one_source_file_names_inner_json():
+    assert [path.name for path in sorted(SRC.glob("*.py"))
+            if '"inner.json"' in path.read_text(encoding="utf-8")] == ["core.py"]

@@ -199,3 +199,31 @@ def test_empty_provenance_columns_take_any_dtype():
     cv = CompressedVideo(np.zeros((0, 3)), ProvenanceArrays([], [], [], [0], np.zeros((0, 2))))
     assert cv.count == 0
     assert all(a.dtype == np.int64 for a in cv.provenance_arrays)
+
+
+@pytest.mark.parametrize("column, values, shown", [
+    ("frames", np.array([0, 2**63], dtype=np.uint64), "frame 9223372036854775808"),
+    ("slots", np.array([0, 2**64 - 1], dtype=np.uint64), "spatial_index 18446744073709551615"),
+    ("members", np.array([[2**63, 0]], dtype=np.uint64), "members 9223372036854775808"),
+], ids=["frames", "slots", "members"])
+def test_unsigned_provenance_past_int64_refused(column, values, shown):
+    """An unsigned coordinate past int64 is refused with load_compressed's
+    text, not wrapped to a negative one; the int64 maximum is kept."""
+    tokens = np.zeros((2, 3), dtype=np.float32)
+    message = f"provenance coordinates must be int64 integers: {shown}"
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        CompressedVideo(tokens, PROVENANCE._replace(**{column: values}))
+    largest = np.minimum(values, np.uint64(2**63 - 1))
+    kept = CompressedVideo(tokens, PROVENANCE._replace(**{column: largest}))
+    assert getattr(kept.provenance_arrays, column).max() == 2**63 - 1
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), True, "0.5"])
+def test_histogram_bin_follows_the_number_rule(value):
+    with pytest.raises(DataError, match=re.escape(
+            f"{NUMBERS}per_video_histogram_bin {value!r}")):
+        dataclasses.replace(small_report(), per_video_histogram_bin=value)
+    assert small_report().per_video_histogram_bin == small_report().temporal_prune_ratio
+    report = dataclasses.replace(small_report(), per_video_histogram_bin=np.float32(0.5))
+    assert type(report.per_video_histogram_bin) is float
+    assert report.per_video_histogram_bin == 0.5
