@@ -81,8 +81,7 @@ class VideoTokenStream:
         # finite entries (a single one beyond ~1.8e19 suffices); those are
         # accepted. Other dtypes were checked as they were narrowed.
         sq_norms = np.empty((b, n_v), dtype=np.float32)
-        _split(b, lambda lo, hi: np.einsum("bkd,bkd->bk", arr[lo:hi], arr[lo:hi],
-                                           out=sq_norms[lo:hi]))
+        _split(b, lambda lo, hi: _row_dots(arr[lo:hi], arr[lo:hi], out=sq_norms[lo:hi]))
         if not np.isfinite(sq_norms).all():
             _checked(arr)
         arr.setflags(write=False)
@@ -211,6 +210,33 @@ def _group_mean(rows: np.ndarray, members: np.ndarray, sizes: np.ndarray) -> np.
     acc /= sizes[merged][:, None]
     out[merged] = acc
     return out
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray, dtype=None, out=None) -> np.ndarray:
+    """The one row-wise dot kernel: ``einsum`` over the last axis of each row
+    pair of ``a`` and ``b`` (broadcast), in ``dtype`` (the inputs' own when
+    None). Each pair is summed on its own, so equal pairs give equal bits."""
+    return np.einsum("...d,...d->...", a, b, dtype=dtype, out=out)
+
+
+def _gram(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    """The one matrix-product kernel: ``a @ b.T`` by BLAS, every row of
+    ``a`` with every row of ``b``, in a summation order BLAS chooses."""
+    return np.matmul(a, b.T, out=out)
+
+
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """Float64 norm of each row: the square root of its float64 row dot."""
+    return np.sqrt(_row_dots(a, a, np.float64))
+
+
+def _cosine(a: np.ndarray, b: np.ndarray, a_norms=None, b_norms=None) -> np.ndarray:
+    """The one float64 cosine of row pairs: their float64 row dot over the
+    product of their ``_row_norms`` (given, or computed); zero norm gives 0."""
+    dots = _row_dots(a, b, np.float64)
+    denom = ((_row_norms(a) if a_norms is None else a_norms)
+             * (_row_norms(b) if b_norms is None else b_norms))
+    return np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0)
 
 
 def _score_rank(scores: np.ndarray) -> np.ndarray:

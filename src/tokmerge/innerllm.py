@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataError, _checked, _group_mean, _score_rank, _split
+from .core import DataError, _checked, _cosine, _gram, _group_mean, _row_norms, _score_rank, _split
 
 # Candidate rows scored per block, and retained rows gathered per block by
 # the exact recheck. A block's float32 similarities take
@@ -117,10 +117,6 @@ def _certified(norms: np.ndarray, bounds: tuple[float, float]) -> np.ndarray:
     return (norms == 0) | ((norms >= bounds[0]) & (norms <= bounds[1]))
 
 
-def _norms(rows: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.einsum("nd,nd->n", rows, rows, dtype=np.float64))
-
-
 def _unit_rows(hidden: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Float64 norms of ``hidden[idx]`` and its rows as float32 unit rows.
 
@@ -128,7 +124,7 @@ def _unit_rows(hidden: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndar
     uncertified norm gives a zero row.
     """
     rows = hidden[idx]
-    norms = _norms(rows)
+    norms = _row_norms(rows)
     scale = np.divide(1.0, norms, out=np.zeros_like(norms),
                       where=_certified(norms, _RETAINED_NORMS) & (norms > 0))
     with np.errstate(over="ignore", invalid="ignore"):  # uncertified rows
@@ -138,24 +134,15 @@ def _unit_rows(hidden: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndar
     return norms, units
 
 
-def _exact_argmax(hidden: np.ndarray, cand: int, cols: np.ndarray) -> int:
-    """Position in ``cols`` of the first maximum of the float64 cosine.
-
-    The cosine is ``dots / (cn * rn)`` with float64 norms and a zero
-    denominator giving 0. Each dot product is summed over its own pair of
-    rows, so equal retained vectors score equal bits and the smaller
-    position wins.
-    """
-    c = hidden[[cand]].astype(np.float64)
-    cn = np.linalg.norm(c, axis=1)
-    sims = np.empty(cols.size)
-    for lo in range(0, cols.size, _ASSIGN_CHUNK):
-        r = hidden[cols[lo : lo + _ASSIGN_CHUNK]].astype(np.float64)
-        dots = np.einsum("nd,d->n", r, c[0])
-        denom = cn * np.linalg.norm(r, axis=1)
-        sims[lo : lo + r.shape[0]] = np.divide(
-            dots, denom, out=np.zeros_like(dots), where=denom > 0)
-    return int(np.argmax(sims))
+def _exact_argmax(hidden: np.ndarray, cand: int, cols: np.ndarray, cand_norm: float,
+                  col_norms: np.ndarray) -> int:
+    """Position in ``cols`` of the first maximum of ``core._cosine`` of
+    ``hidden[cand]`` with each ``hidden[cols]`` row, over the certification's
+    norms. Equal retained vectors score equal bits; the smaller position wins."""
+    return int(np.argmax(np.concatenate([
+        _cosine(hidden[cols[lo : lo + _ASSIGN_CHUNK]], hidden[cand],
+                col_norms[lo : lo + _ASSIGN_CHUNK], cand_norm)
+        for lo in range(0, cols.size, _ASSIGN_CHUNK)])))
 
 
 def _assign(candidates: np.ndarray, retained: np.ndarray, hidden: np.ndarray) -> np.ndarray:
@@ -209,10 +196,9 @@ def _assign(candidates: np.ndarray, retained: np.ndarray, hidden: np.ndarray) ->
 
         def score(a, b):  # rows [a, b) of the block
             rows = hidden[cand[a:b]]
-            c_norms[a:b] = _norms(rows)
+            c_norms[a:b] = _row_norms(rows)
             with np.errstate(over="ignore", invalid="ignore"):  # uncertified rows
-                part = np.matmul(rows.astype(np.float32, copy=False), r_units.T,
-                                 out=sims[a:b])
+                part = _gram(rows.astype(np.float32, copy=False), r_units, out=sims[a:b])
                 at = np.arange(b - a), part.argmax(axis=1)
                 best[a:b], top[a:b] = at[1], part[at]
                 part[at] = -np.inf
@@ -226,7 +212,8 @@ def _assign(candidates: np.ndarray, retained: np.ndarray, hidden: np.ndarray) ->
         for i in np.flatnonzero(~sure):
             near = (np.flatnonzero(sims[i] >= top[i] - 2 * band * c_norms[i])
                     if certified[i] else np.arange(retained.size))
-            slots[lo + i] = near[_exact_argmax(hidden, cand[i], retained[near])]
+            slots[lo + i] = near[_exact_argmax(hidden, cand[i], retained[near],
+                                               c_norms[i], r_norms[near])]
     return slots
 
 

@@ -21,7 +21,9 @@ from .core import (
     DataError,
     ProvenanceArrays,
     _checked,
+    _gram,
     _group_mean,
+    _row_dots,
     _score_rank,
     _split,
 )
@@ -122,7 +124,7 @@ def importance_from_qk(q: np.ndarray, k: np.ndarray, grid, pooled_grid=None, *,
 
     def frames(lo, hi):
         for f in range(lo, hi):
-            logits = np.asarray(q[f], dtype=np.float64) @ np.asarray(k[f], dtype=np.float64).T
+            logits = _gram(np.asarray(q[f], dtype=np.float64), np.asarray(k[f], dtype=np.float64))
             logits /= scale
             logits -= logits.max(axis=1, keepdims=True)
             e = np.exp(logits)
@@ -137,13 +139,6 @@ def importance_from_qk(q: np.ndarray, k: np.ndarray, grid, pooled_grid=None, *,
 # Selection and clustering
 # ---------------------------------------------------------------------------
 
-def _dist2(points: np.ndarray, refs: np.ndarray) -> np.ndarray:
-    """(N, M) squared Euclidean distances from each point to each reference."""
-    sp = np.einsum("nd,nd->n", points, points)
-    sr = np.einsum("md,md->m", refs, refs)
-    return np.clip(sp[:, None] + sr[None, :] - 2.0 * (points @ refs.T), 0.0, None)
-
-
 def _cluster(tokens: np.ndarray, k: int, c: int) -> tuple[np.ndarray, np.ndarray]:
     """DPC-KNN over N >= 1 token rows, with 1 <= k < N unless N == 1 and
     c >= 1: the ascending int64 ``centers`` and each row's ``assignment``,
@@ -154,14 +149,33 @@ def _cluster(tokens: np.ndarray, k: int, c: int) -> tuple[np.ndarray, np.ndarray
     density order (density descending, ties by ascending index), and the
     order-first token gets its farthest distance instead; the ``c``
     (clamped to N) largest gamma = rho * delta are the centers, ties
-    toward smaller index.
+    toward smaller index. Every decision reads one N x N distance matrix,
+    in which equal tokens are at distance 0.
     """
     n = tokens.shape[0]
     if n == 1:
         return np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
     tokens = np.asarray(tokens, dtype=np.float64)
-    d2 = _dist2(tokens, tokens)
+    sq = _row_dots(tokens, tokens)
+    d2 = np.clip(sq[:, None] + sq - 2.0 * _gram(tokens, tokens), 0.0, None)
     np.fill_diagonal(d2, np.inf)
+    # Equal tokens are at distance 0, however the Gram matrix rounds: a token
+    # equal (bitwise after + 0.0) to an earlier one takes the first such
+    # token's row and column. The norms and Gram entries err by about
+    # d * 2**-53 relative at most, in any order, so two equal rows x lie within
+    # (4d + 2) * 2**-53 * |x|**2 of 0 in d2; pairs within twice that are compared.
+    first = np.arange(n)
+    near = d2 <= (8 * tokens.shape[1] + 8) * 2.0**-53 * sq[:, None]
+    for j in np.flatnonzero(near.any(axis=1)):
+        same = np.flatnonzero(near[j, :j])
+        same = same[(tokens[same] == tokens[j]).all(axis=1)]
+        first[j] = same[0] if same.size else j
+    dup = np.flatnonzero(first != np.arange(n))
+    if dup.size:
+        d2[dup] = d2[first[dup]]
+        d2[:, dup] = d2[:, first[dup]]
+        d2[first[:, None] == first] = 0.0
+        np.fill_diagonal(d2, np.inf)
 
     # ascending partial sort keeps the k-NN mean bit-reproducible
     knn = np.sort(np.partition(d2, k - 1, axis=1)[:, :k], axis=1)
@@ -176,7 +190,7 @@ def _cluster(tokens: np.ndarray, k: int, c: int) -> tuple[np.ndarray, np.ndarray
     delta[top] = np.delete(dist[top], top).max()
 
     centers = np.flatnonzero(_score_rank(rho * delta) < c)
-    assignment = centers[np.argmin(_dist2(tokens, tokens[centers]), axis=1)]
+    assignment = centers[np.argmin(dist[:, centers], axis=1)]
     assignment[centers] = centers
     return centers, assignment
 

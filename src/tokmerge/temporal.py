@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import TEMPORAL_MERGE_MODES, DataError, VideoTokenStream, _split
+from .core import TEMPORAL_MERGE_MODES, DataError, VideoTokenStream, _cosine, _row_dots, _split
 
 
 # Squared norms below this floor are left to the exact recheck, so that
@@ -25,15 +25,6 @@ from .core import TEMPORAL_MERGE_MODES, DataError, VideoTokenStream, _split
 _NORM_FLOOR = 2.0**-60
 # Pairs rechecked in float64 per chunk, bounding the gathered rows.
 _RECHECK_CHUNK = 4096
-
-
-def _exact_similarity(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Float64 cosine of row pairs: zero norm gives 0, clipped to [-1, 1]."""
-    dots = np.einsum("nd,nd->n", a, b, dtype=np.float64)
-    denom = (np.sqrt(np.einsum("nd,nd->n", a, a, dtype=np.float64))
-             * np.sqrt(np.einsum("nd,nd->n", b, b, dtype=np.float64)))
-    sim = np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0)
-    return np.clip(sim, -1.0, 1.0)
 
 
 def pairwise_redundancy(stream: VideoTokenStream, tau: float) -> np.ndarray:
@@ -56,8 +47,7 @@ def pairwise_redundancy(stream: VideoTokenStream, tau: float) -> np.ndarray:
     x = stream.data
     b, n_v, d = x.shape
     dots = np.empty((b - 1, n_v), dtype=np.float32)
-    _split(b - 1, lambda lo, hi: np.einsum("bkd,bkd->bk", x[lo:hi], x[lo + 1 : hi + 1],
-                                           out=dots[lo:hi]))
+    _split(b - 1, lambda lo, hi: _row_dots(x[lo:hi], x[lo + 1 : hi + 1], out=dots[lo:hi]))
     na, nb = stream.sq_norms[:-1], stream.sq_norms[1:]
     with np.errstate(invalid="ignore", divide="ignore"):
         prod = na.astype(np.float64) * nb
@@ -79,7 +69,7 @@ def pairwise_redundancy(stream: VideoTokenStream, tau: float) -> np.ndarray:
     frame, slot = np.nonzero(~sure)
     for lo in range(0, frame.size, _RECHECK_CHUNK):
         f, k = frame[lo : lo + _RECHECK_CHUNK], slot[lo : lo + _RECHECK_CHUNK]
-        mask[f, k] = _exact_similarity(x[f, k], x[f + 1, k]) > tau
+        mask[f, k] = np.clip(_cosine(x[f, k], x[f + 1, k]), -1.0, 1.0) > tau
     mask.setflags(write=False)
     return mask
 
@@ -237,7 +227,7 @@ def apply_temporal_merge(
     for k, (s, e) in enumerate(plan.segments()):
         if e - s > 1:
             redundant[k] = rows[s - 1 : e - 2].all(axis=0)
-    pruned = int((np.diff(bounds) - 1) @ redundant.sum(axis=1))
+    pruned = int(((np.diff(bounds) - 1) * redundant.sum(axis=1)).sum())
     if pruned != plan.total_gain:
         raise DataError(
             f"pruned {pruned} occurrences but plan promised {plan.total_gain}; "

@@ -36,9 +36,9 @@ def count_rechecks(monkeypatch):
     calls = []
     exact = innerllm._exact_argmax
 
-    def counting(hidden, cand, cols):
+    def counting(hidden, cand, *cols_and_norms):
         calls.append(int(cand))
-        return exact(hidden, cand, cols)
+        return exact(hidden, cand, *cols_and_norms)
 
     monkeypatch.setattr(innerllm, "_exact_argmax", counting)
     return calls

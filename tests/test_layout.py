@@ -1,8 +1,9 @@
 """The test suite's layout: shared code lives in ``oracles.py`` and
 ``support.py``, so no test module imports another, and the oracles import
 none of the stage code they are compared with. The package's layout: the
-CLI runs the pipeline through ``pipeline``, never stage by stage, and one
-module writes the inner merge's outputs."""
+CLI runs the pipeline through ``pipeline``, never stage by stage, one
+module writes the inner merge's outputs, and every vector product goes
+through core's two kernels."""
 
 import ast
 import sys
@@ -50,3 +51,30 @@ def test_cli_imports_no_stage_function():
 def test_one_source_file_names_inner_json():
     assert [path.name for path in sorted(SRC.glob("*.py"))
             if '"inner.json"' in path.read_text(encoding="utf-8")] == ["core.py"]
+
+
+PRODUCTS = {"einsum", "matmul", "dot", "vdot", "inner", "tensordot", "vecdot", "linalg"}
+KERNELS = {"_row_dots", "_gram"}  # core's row-wise dot and matrix-product kernels
+
+
+def products(path):
+    """``file:line name`` of each ``@`` and each attribute or import named in
+    PRODUCTS in ``path``, outside the bodies of core's KERNELS."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    kernels = {id(node) for fn in ast.walk(tree) if path.name == "core.py"
+               and isinstance(fn, ast.FunctionDef) and fn.name in KERNELS for node in ast.walk(fn)}
+    for node in ast.walk(tree):
+        if id(node) in kernels:
+            continue
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            yield f"{path.name}:{node.lineno} @"
+        elif isinstance(node, ast.Attribute) and node.attr in PRODUCTS:
+            yield f"{path.name}:{node.lineno} {node.attr}"
+        elif isinstance(node, ast.alias) and PRODUCTS & set(node.name.split(".")):
+            yield f"{path.name}:{node.lineno} {node.name}"
+
+
+def test_products_only_in_core_kernels():
+    """Every dot product, Gram matrix and norm the error bands and ties read
+    is taken by core._row_dots or core._gram, the seams a test can replace."""
+    assert sorted(found for path in SRC.glob("*.py") for found in products(path)) == []

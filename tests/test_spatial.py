@@ -1,11 +1,16 @@
 """Spatial stage tests: attention, pooling, selection, DPC-KNN, budget."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tokmerge
 from tokmerge import (
     CompressionConfig,
     ConfigError,
@@ -24,7 +29,7 @@ from tokmerge import (
 )
 from oracles import (dpc_oracle, frame_attention, importance_scores, pool_importance,
                      reassembly_oracle, spread_bins, top_k_oracle)
-from support import cluster_means, pooled_scores
+from support import cluster_means, duplicate_corpus_digest, pooled_scores
 
 
 def select(scores, keep):
@@ -323,6 +328,19 @@ class TestDpcKnn:
             expect_centers, expect_assignment = dpc_oracle(tokens, k, c)
             assert list(centers) == expect_centers
             np.testing.assert_array_equal(assignment, expect_assignment)
+
+
+    def test_duplicates_cluster_alike_under_every_blas_kernel(self):
+        """Equal tokens are at distance 0 whichever kernel OpenBLAS runs the
+        Gram matrix with, so a corpus of duplicates clusters as the oracle
+        does, here and in interpreters pinned to two other kernels."""
+        code = "import support; print(support.duplicate_corpus_digest())"
+        paths = [str(Path(tokmerge.__file__).parents[1]), str(Path(__file__).parent)]
+        digests = {subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, check=True,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(paths), OPENBLAS_CORETYPE=kernel),
+        ).stdout.strip() for kernel in ("Prescott", "Haswell")}
+        assert digests == {duplicate_corpus_digest()} == {duplicate_corpus_digest(dpc_oracle)}
 
 
 class TestMergeClusters:

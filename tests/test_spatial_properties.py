@@ -99,37 +99,52 @@ def test_merge_clusters_matches_loop_oracle(n, d, dtype, data):
     assert same_bits(cluster_means(tokens, centers, assignment), expect)
 
 
+def merge_case(seed, b, h, w, d, duplicates, cuts, shares, mode, tied, pg, ratio, knn_k):
+    """(tmr, imp, cfg) of merge_cases' draws, in the order it draws them:
+    ``shares`` holds each segment's planted share and ``tied`` picks
+    integer-tied attention."""
+    rng = np.random.default_rng(seed)
+    n_v = h * w
+    data = rng.standard_normal((b, n_v, d)).astype(np.float32)
+    if duplicates:  # some slots copy others: duplicate tokens
+        copy = rng.random(n_v) < 0.3
+        data[:, copy] = data[:, rng.integers(0, n_v, copy.sum())]
+    for s, e, share in zip([0, *cuts], [*cuts, b], shares):
+        planted = rng.random(n_v) < share
+        data[s:e, planted] = data[s, planted]
+    stream = VideoTokenStream(data, (h, w))
+    mask = pairwise_redundancy(stream, 0.8)
+    tmr = apply_temporal_merge(stream, optimal_segmentation(mask), mask, mode)
+    attn = (rng.integers(0, 3, (b, n_v, n_v)).astype(np.float64) if tied
+            else rng.random((b, n_v, n_v)))
+    cfg = CompressionConfig(target_ratio=ratio, temporal_merge_mode=mode, pooled_grid=pg,
+                            knn_k=knn_k)
+    return tmr, importance_from_attention(attn, (h, w), pg), cfg
+
+
 @st.composite
 def merge_cases(draw):
     """(tmr, imp, cfg): up to 13 frames on grids up to 4x4, with several
     planted segments (some all-redundant), duplicate tokens, integer-tied
     attention, uneven pooled grids and an explicit or automatic knn_k."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    seed = draw(st.integers(0, 2**32 - 1))
     b, h, w = draw(st.integers(1, 13)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    n_v = h * w
-    data = rng.standard_normal((b, n_v, draw(st.sampled_from((1, 2, 5))))).astype(np.float32)
-    if draw(st.booleans()):  # some slots copy others: duplicate tokens
-        copy = rng.random(n_v) < 0.3
-        data[:, copy] = data[:, rng.integers(0, n_v, copy.sum())]
+    d, duplicates = draw(st.sampled_from((1, 2, 5))), draw(st.booleans())
     cuts = sorted(draw(st.sets(st.integers(1, b - 1), max_size=4))) if b > 1 else []
-    for s, e in zip([0, *cuts], [*cuts, b]):
-        planted = rng.random(n_v) < draw(st.sampled_from((0.0, 0.5, 1.0)))
-        data[s:e, planted] = data[s, planted]
-    stream = VideoTokenStream(data, (h, w))
-    mask = pairwise_redundancy(stream, 0.8)
-    mode = draw(st.sampled_from(TEMPORAL_MERGE_MODES))
-    tmr = apply_temporal_merge(stream, optimal_segmentation(mask), mask, mode)
-    attn = (rng.integers(0, 3, (b, n_v, n_v)).astype(np.float64) if draw(st.booleans())
-            else rng.random((b, n_v, n_v)))
+    shares = [draw(st.sampled_from((0.0, 0.5, 1.0))) for _ in range(len(cuts) + 1)]
+    mode, tied = draw(st.sampled_from(TEMPORAL_MERGE_MODES)), draw(st.booleans())
     pg = (draw(st.integers(1, h)), draw(st.integers(1, w)))
-    cfg = CompressionConfig(target_ratio=draw(st.sampled_from((1.0, 0.7, 0.4, 0.2, 0.05))),
-                            temporal_merge_mode=mode, pooled_grid=pg,
-                            knn_k=draw(st.sampled_from((None, 1, 2, 3, 5))))
-    return tmr, importance_from_attention(attn, (h, w), pg), cfg
+    return merge_case(seed, b, h, w, d, duplicates, cuts, shares, mode, tied, pg,
+                      draw(st.sampled_from((1.0, 0.7, 0.4, 0.2, 0.05))),
+                      draw(st.sampled_from((None, 1, 2, 3, 5))))
 
 
 @settings(max_examples=200, deadline=None)
 @given(merge_cases())
+# duplicate tokens whose Gram-rounded distances once broke the index tie
+# (found by --hypothesis-seed=25)
+@example(merge_case(893, 11, 3, 4, 5, True, [1, 3], (0.0, 1.0, 0.0), "mean", False, (1, 1),
+                    0.05, 1))
 def test_spatial_merge_matches_reassembly_oracle(case):
     tmr, imp, cfg = case
     cv = spatial_merge(tmr, imp, cfg)

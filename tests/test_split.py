@@ -344,9 +344,9 @@ class TestBlasStages:
         calls = []
         exact = innerllm._exact_argmax
 
-        def recheck(hidden, cand, cols):
+        def recheck(hidden, cand, *cols_and_norms):
             calls.append(int(cand))
-            return exact(hidden, cand, cols)
+            return exact(hidden, cand, *cols_and_norms)
         monkeypatch.setattr(innerllm, "_exact_argmax", recheck)
         innerllm._assign(*assign_inputs(False))
         assert 0 < len(calls) < 23  # near ties rechecked, the rest decided in float32
@@ -365,9 +365,9 @@ class TestBlasStages:
         rechecks = []
         exact = innerllm._exact_argmax
 
-        def recheck(hidden, cand, cols):
+        def recheck(hidden, cand, *cols_and_norms):
             rechecks.append((int(cand), threading.get_ident()))
-            return exact(hidden, cand, cols)
+            return exact(hidden, cand, *cols_and_norms)
         monkeypatch.setattr(innerllm, "_exact_argmax", recheck)
         force_blas(1)
         results, rechecked = [], []

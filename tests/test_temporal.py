@@ -87,13 +87,13 @@ class TestPairwiseRedundancy:
         second = tau * first + np.sqrt(1 - tau**2) * other
         stream = VideoTokenStream(np.stack([first, second]).astype(np.float32), (5, 8))
         rechecked = []
-        exact = temporal._exact_similarity
+        exact = temporal._cosine
 
         def spy(a, b):
             rechecked.append(len(a))
             return exact(a, b)
 
-        monkeypatch.setattr(temporal, "_exact_similarity", spy)
+        monkeypatch.setattr(temporal, "_cosine", spy)
         got = pairwise_redundancy(stream, tau)
         expected = reference_mask(stream.data, tau)
         np.testing.assert_array_equal(got, expected)
@@ -105,7 +105,7 @@ class TestPairwiseRedundancy:
         x = rng.standard_normal((4, 9, 1000)).astype(np.float32)
         x[2, 3] = 0.0
         f, k = np.nonzero(rng.random((3, 9)) < 0.5)
-        got = temporal._exact_similarity(x[f, k], x[f + 1, k])
+        got = np.clip(temporal._cosine(x[f, k], x[f + 1, k]), -1.0, 1.0)
         np.testing.assert_array_equal(got, reference_similarity(x)[f, k])
 
 
