@@ -545,6 +545,10 @@ class CompressedVideo:
                 and (offsets[1:] >= offsets[:-1]).all()
                 and ((kinds >= 0) & (kinds < len(PROVENANCE_KINDS))).all()):
             raise DataError("provenance arrays are inconsistent")
+        for name, field in _COORDINATES.items():
+            low = int(getattr(pa, name).min(initial=0))
+            if low < 0:
+                raise DataError(f"provenance coordinates must be non-negative: {field} {low}")
         if ((f[1:] < f[:-1]) | ((f[1:] == f[:-1]) & (s[1:] <= s[:-1]))).any():
             raise DataError("provenance not strictly ascending by (frame, slot)")
         f, s = np.concatenate((f, members[:, 0])), np.concatenate((s, members[:, 1]))
@@ -726,8 +730,9 @@ def load_compressed(out_dir) -> tuple[CompressedVideo, CompressionReport]:
     """Read a directory written by save_compressed.
 
     Tokens must be real and finite, and within float32 range; provenance
-    coordinates must be JSON integers and members [frame, slot] pairs. A
-    violation raises DataError naming the file (and the field or offset).
+    coordinates must be non-negative JSON integers and members [frame,
+    slot] pairs. A violation raises DataError naming the file (and the
+    field or offset).
     """
     meta_path = Path(out_dir) / META_FILE
     tokens = _load_npy(Path(out_dir) / TOKENS_FILE, 2, "token",

@@ -20,14 +20,6 @@ from .core import DataError, _checked, _cosine, _gram, _group_mean, _row_norms, 
 # the assignment holds O(chunk * N) memory rather than the dense N_c x N_r
 # matrix; blocks this tall keep the float32 product near its BLAS speed.
 _ASSIGN_CHUNK = 2048
-# Float64 row norms that certify a row for the float32 decision (0 also
-# does). Retained rows are scaled to unit length, so only float64 overflow
-# and underflow bound theirs; candidate rows enter the float32 product
-# unscaled, so theirs keep float32 overflow and underflow negligible. Other
-# rows are decided by the exact recheck.
-_RETAINED_NORMS = (2.0**-400, 2.0**400)
-_CANDIDATE_NORMS = (2.0**-60, 2.0**60)
-
 
 def check_hidden(hidden) -> np.ndarray:
     """Hidden states as a C-contiguous float32 (N, d) array of finite values.
@@ -113,32 +105,21 @@ def _rank(scores: np.ndarray, ratio_r: float) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(kept), np.flatnonzero(~kept)
 
 
-def _certified(norms: np.ndarray, bounds: tuple[float, float]) -> np.ndarray:
-    return (norms == 0) | ((norms >= bounds[0]) & (norms <= bounds[1]))
-
-
-def _unit_rows(hidden: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Float64 norms of ``hidden[idx]`` and its rows as float32 unit rows.
-
-    Each row is scaled in float64 and narrowed to float32; a zero or
-    uncertified norm gives a zero row.
-    """
-    rows = hidden[idx]
+def _unit_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Float64 norms of gathered float32 ``rows`` and the rows scaled in
+    place to float32 unit rows: each row times its float64 reciprocal norm,
+    rounded to float32. A zero row stays zero."""
     norms = _row_norms(rows)
-    scale = np.divide(1.0, norms, out=np.zeros_like(norms),
-                      where=_certified(norms, _RETAINED_NORMS) & (norms > 0))
-    with np.errstate(over="ignore", invalid="ignore"):  # uncertified rows
-        units = rows.astype(np.float32, copy=False)
-        np.multiply(units, scale[:, None], out=units, casting="same_kind")
-    units[scale == 0] = 0.0
-    return norms, units
+    scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
+    return norms, np.multiply(rows, scale[:, None], out=rows, casting="same_kind")
 
 
 def _exact_argmax(hidden: np.ndarray, cand: int, cols: np.ndarray, cand_norm: float,
                   col_norms: np.ndarray) -> int:
     """Position in ``cols`` of the first maximum of ``core._cosine`` of
-    ``hidden[cand]`` with each ``hidden[cols]`` row, over the certification's
-    norms. Equal retained vectors score equal bits; the smaller position wins."""
+    ``hidden[cand]`` with each ``hidden[cols]`` row, over the float64 norms
+    ``_unit_rows`` returned. Equal retained vectors score equal bits; the
+    smaller position wins."""
     return int(np.argmax(np.concatenate([
         _cosine(hidden[cols[lo : lo + _ASSIGN_CHUNK]], hidden[cand],
                 col_norms[lo : lo + _ASSIGN_CHUNK], cand_norm)
@@ -149,42 +130,40 @@ def _assign(candidates: np.ndarray, retained: np.ndarray, hidden: np.ndarray) ->
     """Position in ``retained`` of each candidate's most cosine-similar
     retained token, as an int64 array aligned with ``candidates``.
 
-    Both are int64 indices into finite hidden states, and ``retained`` may
-    be empty only when ``candidates`` is. The similarity is the float64
-    cosine of the hidden rows; zero-norm vectors have similarity 0 against
-    everything, and ties go to the earlier position.
+    Both are int64 indices into ``hidden``, check_hidden's finite float32
+    rows, and ``retained`` may be empty only when ``candidates`` is. The
+    similarity is the float64 cosine of the hidden rows; zero-norm vectors
+    have similarity 0 against everything, and ties go to the earlier
+    position.
 
-    Candidates are scored in blocks of ``_ASSIGN_CHUNK`` rows against
-    float32 unit rows of the retained tokens, each block in ``_split``
-    pieces: gather, norms, float32 product, argmax and gap. A row whose best
-    score leads the runner-up by more than twice a proven error band is
-    decided there; every other row is recomputed in float64 against the
-    retained tokens within that band, on the calling thread once the block
-    is scored. So the positions do not depend on how the product sums.
+    Candidates are scored in blocks of ``_ASSIGN_CHUNK`` rows, each block in
+    ``_split`` pieces: gather, unit rows, float32 product with the retained
+    unit rows (so every float32 score is a cosine), argmax and gap. A zero
+    candidate, or one whose best score leads the runner-up by more than
+    twice a proven error band, is decided there; every other one is
+    recomputed in float64 against the retained tokens within twice the band
+    of its best, on the calling thread once the block is scored. So the
+    positions do not depend on how the product sums.
     """
     d = hidden.shape[1]
-    # Error band. Let u = 2**-24. A retained unit row entry is the float32
-    # entry times a float64 reciprocal norm (relative error below
-    # (d + 4) * 2**-53), rounded to float32 (relative error u, or 2**-150
-    # absolute when subnormal); float64 input is narrowed to float32 first
-    # (another u). So it lies within 2.01*u of the exact unit vector's entry
-    # for d <= 2**21. A candidate row c enters the float32 product as it is
-    # (float64 input narrowed, relative error u), and its scores are compared
-    # in units of its float64 norm |c|. Whatever its summation order, the
-    # float32 product errs by at most g * sum|c_i*r_i| <= 1.01 * g * |c|
-    # with g = d*u / (1 - d*u) <= 8/7 * d*u for d*u <= 1/8, and by at most
-    # d * 2**-150 from underflow, negligible for a certified |c| >= 2**-60;
-    # by Cauchy-Schwarz the rounded inputs add at most 3.05 * u * |c|. So a
-    # score is within 3.05*u + 1.16*d*u of the exact cosine, and the float64
-    # cosine, in any summation order, within about (2*d + 6) * 2**-53 of it.
-    # All together stay below (2*d + 3) * u, and 1e-12 is a further margin.
-    # So when the best float32 score leads every other by more than twice
-    # the band, the float64 cosine has its unique maximum there too; and a
-    # retained token scoring more than twice the band below the best can
-    # never be the float64 maximum.
+    # Error band. Let u = 2**-24. Both operands of the float32 product are
+    # unit rows: a float32 entry times a float64 reciprocal norm (relative
+    # error below (d + 4) * 2**-53), rounded to float32 (relative error u).
+    # So each entry lies within about 1.01*u of the exact unit vector's
+    # entry for d <= 2**21, and by Cauchy-Schwarz the rounded inputs move a
+    # score by at most about 2.03*u. Whatever its summation order, the
+    # float32 product of the rounded rows errs by at most
+    # g * sum|c_i*r_i| <= 1.01 * g with g = d*u / (1 - d*u) <= 8/7 * d*u for
+    # d*u <= 1/8. Subnormal entries and products add at most 3*d * 2**-150,
+    # far below u. So a score is within 2.03*u + 1.16*d*u of the exact
+    # cosine, and the float64 cosine, in any summation order, within about
+    # (2*d + 6) * 2**-53 of it. All together stay below (2*d + 3) * u, and
+    # 1e-12 is a further margin. So when the best float32 score leads every
+    # other by more than twice the band, the float64 cosine has its unique
+    # maximum there too; and a retained token scoring more than twice the
+    # band below the best can never be the float64 maximum.
     band = (2 * d + 3) * 2.0**-24 + 1e-12 if d <= 2**21 else np.inf
-    r_norms, r_units = _unit_rows(hidden, retained)
-    all_certified = bool(_certified(r_norms, _RETAINED_NORMS).all())
+    r_norms, r_units = _unit_rows(hidden[retained])
     slots = np.empty(candidates.size, dtype=np.int64)
     block = np.empty((min(candidates.size, _ASSIGN_CHUNK), retained.size), dtype=np.float32)
     c_norms, top, gap = np.empty((3, block.shape[0]))
@@ -195,23 +174,19 @@ def _assign(candidates: np.ndarray, retained: np.ndarray, hidden: np.ndarray) ->
         sims = block[:n]
 
         def score(a, b):  # rows [a, b) of the block
-            rows = hidden[cand[a:b]]
-            c_norms[a:b] = _row_norms(rows)
-            with np.errstate(over="ignore", invalid="ignore"):  # uncertified rows
-                part = _gram(rows.astype(np.float32, copy=False), r_units, out=sims[a:b])
-                at = np.arange(b - a), part.argmax(axis=1)
-                best[a:b], top[a:b] = at[1], part[at]
-                part[at] = -np.inf
-                gap[a:b] = top[a:b] - part.max(axis=1)
-                part[at] = top[a:b]
+            c_norms[a:b], units = _unit_rows(hidden[cand[a:b]])
+            part = _gram(units, r_units, out=sims[a:b])
+            at = np.arange(b - a), part.argmax(axis=1)
+            best[a:b], top[a:b] = at[1], part[at]
+            part[at] = -np.inf
+            gap[a:b] = top[a:b] - part.max(axis=1)
+            part[at] = top[a:b]
         _split(n, score, blas=True)
-        certified = _certified(c_norms[:n], _CANDIDATE_NORMS) & all_certified
         # a zero candidate scores 0 everywhere, exactly as in float64
-        sure = (c_norms[:n] == 0) | (certified & (gap[:n] > 2 * band * c_norms[:n]))
+        sure = (c_norms[:n] == 0) | (gap[:n] > 2 * band)
         slots[lo : lo + n] = best[:n]
         for i in np.flatnonzero(~sure):
-            near = (np.flatnonzero(sims[i] >= top[i] - 2 * band * c_norms[i])
-                    if certified[i] else np.arange(retained.size))
+            near = np.flatnonzero(sims[i] >= top[i] - 2 * band)
             slots[lo + i] = near[_exact_argmax(hidden, cand[i], retained[near],
                                                c_norms[i], r_norms[near])]
     return slots
@@ -242,6 +217,8 @@ def _merge(hidden: np.ndarray, retained: np.ndarray, candidates: np.ndarray,
 def inner_merge(inp: InnerMergeInput, ratio_r: float) -> InnerMergeResult:
     """Merge the bottom R% of tokens by last-token attention, each into its
     most cosine-similar retained token: _rank, _assign and _merge over the
-    arrays ``inp`` checked on construction."""
+    arrays ``inp`` checked on construction. Any other ``inp`` raises TypeError."""
+    if not isinstance(inp, InnerMergeInput):
+        raise TypeError(f"expected InnerMergeInput, got {type(inp).__name__}")
     retained, candidates = _rank(inp.last_attn, ratio_r)
     return _merge(inp.hidden, retained, candidates, _assign(candidates, retained, inp.hidden))

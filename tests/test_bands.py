@@ -104,14 +104,18 @@ def near_tie_hidden(rng, n, d):
     retained rows. Candidate i has cosine 0.6 with its best retained row
     and 0.6 - delta_i with a runner-up, delta_i in [0.3, 1.2] * g(d); the
     best row is the pair's first or second at random, and rows are scaled
-    by powers of two."""
+    by powers of two: 2**-3 to 2**3, and 2**-100 and 2**100, which lie
+    outside [2**-60, 2**60] and inside float32's normal range. With n >= 9
+    every scale occurs among the retained rows and among the candidates."""
     e1, e2, e3 = orthonormal(rng, n, d, 3)
     p, q = 0.6, 0.6 - 0.7 * g(d)
     cand = p * e1 + q * e2 + np.sqrt(1 - p**2 - q**2) * e3
     flip = rng.random(n) < 0.5
     pair = np.stack([np.where(flip[:, None], e2, e1), np.where(flip[:, None], e1, e2)], axis=1)
     hidden = np.concatenate([pair.reshape(2 * n, d), cand])
-    hidden = (hidden * 2.0 ** rng.integers(-3, 4, (3 * n, 1))).astype(np.float32)
+    scales = 2.0 ** np.array([-100, *range(-3, 4), 100])
+    scale = np.concatenate([rng.permutation(np.resize(scales, m)) for m in (2 * n, n)])
+    hidden = (hidden * scale[:, None]).astype(np.float32)
     retained, candidates = np.arange(2 * n), np.arange(2 * n, 3 * n)
     best = 2 * np.arange(n) + flip
     h = hidden.astype(np.float64)

@@ -414,6 +414,21 @@ class TestCompressedIO:
         with pytest.raises(DataError, match="int64"):
             load_compressed(tmp_path)
 
+    @pytest.mark.parametrize("record, edit, shown", [
+        (0, {"frame": -1, "members": [[-3, -7]]}, "frame -1"),
+        (1, {"spatial_index": -2}, "spatial_index -2"),
+        (2, {"members": [[0, 3], [-3, -7]]}, "members -7"),
+    ], ids=["frame", "slot", "members"])
+    def test_load_negative_coordinate_names_file(self, tmp_path, record, edit, shown):
+        save_compressed(small_cv(), small_report(), tmp_path)
+        meta = tmp_path / "compressed.json"
+        doc = json.loads(meta.read_text(encoding="utf-8"))
+        doc["provenance"][record].update(edit)
+        meta.write_text(json.dumps(doc), encoding="utf-8")
+        message = f"{meta}: provenance coordinates must be non-negative: {shown}"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            load_compressed(tmp_path)
+
     @pytest.mark.parametrize("edit,field,shown", [
         (lambda prov: prov[0].update(frame=0.7), "frame", "0.7"),
         (lambda prov: prov[1].update(spatial_index=True), "spatial_index", "True"),

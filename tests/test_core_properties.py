@@ -1,5 +1,5 @@
 """Properties: compressed.json against the json module, the coordinate
-checks of CompressedVideo against a per-coordinate loop, the provenance
+checks of CompressedVideo against per-coordinate loops, the provenance
 arrays against the records, and spatial_merge's coverage of the stream."""
 
 import json
@@ -33,9 +33,9 @@ from tokmerge.core import PROVENANCE_KINDS, TEMPORAL_MERGE_MODES, report_to_dict
 from support import arrays, small_report  # noqa: E402
 
 
-# small values make repeats likely; the full int64 range exercises the
-# encoder with large frame and slot values
-coordinates = st.one_of(st.integers(0, 40), st.integers(-2**63, 2**63 - 1))
+# small values make repeats likely; the full non-negative int64 range
+# exercises the encoder with large frame and slot values
+coordinates = st.one_of(st.integers(0, 40), st.integers(0, 2**63 - 1))
 
 
 @st.composite
@@ -74,9 +74,9 @@ def reports(draw, final):
 @example(((), small_report(final=0)))
 @example(((TokenProvenance(0, 5, "selected", ()), TokenProvenance(2**40, 0, "selected", ())),
           small_report(final=2)))
-@example(((TokenProvenance(-2**63, 2**63 - 1, "cluster_rep", ((2**63 - 1, -2**63), (0, 0))),
-           TokenProvenance(-2**63 + 1, 0, "temporal_rep", ()),
-           TokenProvenance(2**63 - 1, -1, "selected", ((-1, 2**63 - 1),))),
+@example(((TokenProvenance(0, 2**63 - 1, "cluster_rep", ((2**63 - 1, 0), (1, 1))),
+           TokenProvenance(1, 0, "temporal_rep", ()),
+           TokenProvenance(2**63 - 1, 2**63 - 2, "selected", ((2**63 - 2, 2**63 - 1),))),
           small_report()))
 def test_compressed_json_matches_json_module(case):
     prov, report = case  # final_count is the number of records, as save_compressed requires
@@ -91,6 +91,33 @@ def test_compressed_json_matches_json_module(case):
         save_compressed(cv, report, out)
         written = (Path(out) / "compressed.json").read_text(encoding="utf-8")
     assert written == json.dumps(doc, indent=1) + "\n"
+
+
+def negative_message(prov):
+    """The refusal of the first coordinate column, in frame, slot, members
+    order, whose smallest value is negative; None when there is none."""
+    columns = {"frame": [p.frame for p in prov], "spatial_index": [p.spatial_index for p in prov],
+               "members": [v for p in prov for m in p.members for v in m]}
+    for field, values in columns.items():
+        if min(values, default=0) < 0:
+            return f"provenance coordinates must be non-negative: {field} {min(values)}"
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(provenances(coord=st.one_of(st.integers(-3, 40), st.integers(-2**63, 2**63 - 1))))
+@example((TokenProvenance(-2**63, 2**63 - 1, "cluster_rep", ((2**63 - 1, -2**63), (0, 0))),
+          TokenProvenance(-2**63 + 1, 0, "temporal_rep", ()),
+          TokenProvenance(2**63 - 1, -1, "selected", ((-1, 2**63 - 1),))))
+@example((TokenProvenance(0, 0, "cluster_rep", ((-3, -7),)),))
+def test_negative_coordinate_refused(prov):
+    tokens = np.zeros((len(prov), 1), dtype=np.float32)
+    message = negative_message(prov)
+    if message is None:
+        CompressedVideo(tokens, arrays(prov))
+    else:
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            CompressedVideo(tokens, arrays(prov))
 
 
 def first_repeat_message(prov):

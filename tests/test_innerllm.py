@@ -4,6 +4,7 @@ import math
 import re
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -212,19 +213,6 @@ class TestAssignment:
         assert_matches_reference(assign(candidates, retained, hidden),
                                  candidates, retained, hidden)
 
-    @pytest.mark.parametrize("scale", [1e-160, 1e200])
-    def test_float64_beyond_float32_range(self, monkeypatch, scale):
-        # norms outside the certified range skip the float32 decision
-        rng = np.random.default_rng(3)
-        hidden = rng.standard_normal((12, 5))
-        hidden[[1, 8]] *= scale
-        retained, candidates = np.arange(6), np.arange(6, 12)
-        calls = count_rechecks(monkeypatch)
-        with np.errstate(over="ignore", invalid="ignore"):
-            got = assign(candidates, retained, hidden)
-            np.testing.assert_array_equal(got, reference_assign(candidates, retained, hidden))
-        assert len(calls) == 6  # one uncertified retained row rechecks every row
-
 
 class TestMerge:
     def test_no_candidates_identity(self):
@@ -359,6 +347,44 @@ class TestInput:
         rng = np.random.default_rng(4)
         inner_merge(InnerMergeInput(rng.standard_normal((10, 3)), rng.random(10)), 50)
         assert checked == [(10, 3), (10,)]
+
+    def test_inner_merge_takes_only_its_input_type(self):
+        # an object with the same fields would skip check_hidden
+        dumps = SimpleNamespace(hidden=np.full((4, 2), 1e200), last_attn=np.ones(4))
+        with pytest.raises(TypeError, match="^expected InnerMergeInput, got SimpleNamespace$"):
+            inner_merge(dumps, 50.0)
+
+    @pytest.mark.parametrize("dump", [
+        "float64-underflow", "float64-near-float32-max", "float16", "int32", "big-endian-float32"])
+    def test_dumps_reach_assign_as_float32_rows(self, monkeypatch, dump):
+        # rows 1 (retained) and 8 (a candidate) narrow to zero rows or lie
+        # near float32's maximum; every dump is scored as check_hidden's rows
+        rng = np.random.default_rng(3)
+        hidden = rng.standard_normal((12, 5))
+        if dump == "float64-underflow":
+            hidden[[1, 8]] *= 1e-160
+        elif dump == "float64-near-float32-max":
+            hidden[[1, 8]] *= 3e38 / np.abs(hidden[[1, 8]]).max(axis=1, keepdims=True)
+        else:
+            hidden = (20 * hidden).astype({"float16": np.float16, "int32": np.int32,
+                                           "big-endian-float32": ">f4"}[dump])
+        seen, assign_rows = [], innerllm._assign
+
+        def spy(candidates, retained, rows):
+            seen.append((rows.dtype, rows.flags.c_contiguous))
+            return assign_rows(candidates, retained, rows)
+        monkeypatch.setattr(innerllm, "_assign", spy)
+        last = np.arange(12, 0, -1.0)  # retained 0-5, candidates 6-11
+        result = inner_merge(InnerMergeInput(hidden, last), 50)
+        assert seen == [(np.float32, True)]
+        checked = innerllm.check_hidden(hidden)
+        if dump == "float64-underflow":
+            assert not checked[[1, 8]].any()
+        retained, candidates = np.arange(6), np.arange(6, 12)
+        expect = cosine_argmax_oracle(candidates, retained, checked)
+        assert result.assignment == expect
+        targets = np.array([expect[c] for c in candidates.tolist()])
+        assert same_bits(result.updated, reference_merge(checked, retained, candidates, targets))
 
     @pytest.mark.parametrize("which", ["hidden", "last_attn"])
     def test_complex_dump_rejected(self, which):

@@ -301,35 +301,31 @@ def clustering_inputs():
     return tmr, imp, CompressionConfig(target_ratio=0.3)
 
 
-def assign_inputs(uncertified):
-    """Hidden states of 40 retained tokens and 23 candidates, each candidate
-    near a retained token and scaled by 1e-3 to 1e3. Two retained tokens
-    are exact copies, so their candidates tie and are rechecked, which
-    takes each row's own norm and gap; with ``uncertified``, float64 rows
-    scaled to 1e200 and 1e-160 leave every row to the recheck."""
+def assign_inputs(tied):
+    """Float32 hidden states of 40 retained tokens and 23 candidates, each
+    candidate near a retained token and scaled by 1e-3 to 1e3. Two retained
+    tokens are exact copies, so their candidates tie and are rechecked,
+    which takes each row's own norm and gap; with ``tied``, every candidate
+    is a copy of one of them, so every row ties exactly and is rechecked."""
     rng = np.random.default_rng(22)
     hidden = rng.standard_normal((63, 12))
     hidden[31], hidden[17] = hidden[3], hidden[9]
     near = rng.integers(0, 40, 23)
     near[::5] = 3
     hidden[40:] = hidden[near] + 1e-3 * rng.standard_normal((23, 12))
+    if tied:
+        hidden[40:] = hidden[np.resize([3, 9], 23)]
     hidden[40:] *= 10.0 ** rng.integers(-3, 4, (23, 1))
-    if uncertified:
-        hidden[[5, 44]] *= 1e200
-        hidden[[6, 50]] *= 1e-160
-    else:
-        hidden = hidden.astype(np.float32)
-    return np.arange(40, 63), np.arange(40), hidden
+    return np.arange(40, 63), np.arange(40), hidden.astype(np.float32)
 
 
 def blas_stage_outputs():
     """Outputs of the three matrix-product stages: Q/K importance scores,
     clustered spatial-merge tokens and provenance, and inner-merge
-    assignments on float32 and on uncertified float64 states."""
+    assignments on near and on exactly tied float32 states."""
     tmr, imp, cfg = clustering_inputs()
     cv = spatial_merge(tmr, imp, cfg)
-    with np.errstate(over="ignore", invalid="ignore"):  # the uncertified rows
-        slots = [innerllm._assign(*assign_inputs(u)) for u in (False, True)]
+    slots = [innerllm._assign(*assign_inputs(t)) for t in (False, True)]
     return [importance_from_qk(*qk_dumps(), (2, 3), (1, 3)).scores,
             cv.tokens, *cv.provenance_arrays, *slots]
 
@@ -351,9 +347,9 @@ class TestBlasStages:
         innerllm._assign(*assign_inputs(False))
         assert 0 < len(calls) < 23  # near ties rechecked, the rest decided in float32
         calls.clear()
-        with np.errstate(over="ignore", invalid="ignore"):
-            innerllm._assign(*assign_inputs(True))
+        slots = innerllm._assign(*assign_inputs(True))
         assert len(calls) == 23
+        assert set(slots.tolist()) == {3, 9}  # each copy's smaller index
 
     @pytest.mark.parametrize("chunk", [7, 2048])
     def test_outputs_equal_for_every_worker_count(
