@@ -165,12 +165,16 @@ def _split(n: int, fn, *, blas: bool = False) -> None:
 
 
 def _checked(arr, name: str | None = None, dtype=None) -> np.ndarray:
-    """``arr`` as an array, narrowed to C-order ``dtype`` (overflow ignored) if given.
+    """``arr`` as an array, narrowed to C-order ``dtype`` (float32 or wider;
+    overflow ignored) if given.
 
     DataError, prefixed with ``name`` when given, for a dtype that is not
     real (a float cast would keep only a complex array's real part, and
     parse or reject a string array), else for the first entry, by flat
-    offset, that is NaN or +-inf or became +-inf only by the narrowing."""
+    offset, that is NaN or +-inf or became +-inf only by the narrowing.
+    Bool and integer values are finite and narrow without overflow, so only
+    floats are tested, by their min and max, which propagate NaN and +-inf
+    and allocate nothing per entry."""
     source = np.asarray(arr)
     prefix = f"{name}: " if name else ""
     if source.dtype.kind not in "biuf":
@@ -179,7 +183,8 @@ def _checked(arr, name: str | None = None, dtype=None) -> np.ndarray:
     if dtype is not None:
         with np.errstate(over="ignore"):
             arr = source.astype(dtype, order="C", copy=False)
-    if not np.isfinite(arr).all():
+    bounds = [arr.min(initial=0), arr.max(initial=0)] if source.dtype.kind == "f" else []
+    if not np.isfinite(bounds).all():
         offset = int(np.argmin(np.isfinite(arr.ravel())))
         if np.isfinite(source.flat[offset]):
             raise DataError(f"{prefix}value out of {arr.dtype} range at flat offset {offset}")

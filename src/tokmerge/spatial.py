@@ -157,25 +157,20 @@ def _cluster(tokens: np.ndarray, k: int, c: int) -> tuple[np.ndarray, np.ndarray
         return np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
     tokens = np.asarray(tokens, dtype=np.float64)
     sq = _row_dots(tokens, tokens)
-    d2 = np.clip(sq[:, None] + sq - 2.0 * _gram(tokens, tokens), 0.0, None)
-    np.fill_diagonal(d2, np.inf)
     # Equal tokens are at distance 0, however the Gram matrix rounds: a token
     # equal (bitwise after + 0.0) to an earlier one takes the first such
-    # token's row and column. The norms and Gram entries err by about
-    # d * 2**-53 relative at most, in any order, so two equal rows x lie within
-    # (4d + 2) * 2**-53 * |x|**2 of 0 in d2; pairs within twice that are compared.
+    # token's row and column. Equal rows have equal _row_dots bits, so only
+    # rows of equal squared norm are compared, exactly.
     first = np.arange(n)
-    near = d2 <= (8 * tokens.shape[1] + 8) * 2.0**-53 * sq[:, None]
-    for j in np.flatnonzero(near.any(axis=1)):
-        same = np.flatnonzero(near[j, :j])
-        same = same[(tokens[same] == tokens[j]).all(axis=1)]
-        first[j] = same[0] if same.size else j
-    dup = np.flatnonzero(first != np.arange(n))
-    if dup.size:
-        d2[dup] = d2[first[dup]]
-        d2[:, dup] = d2[:, first[dup]]
+    by_norm = np.argsort(sq, kind="stable")
+    for j in by_norm[1:][sq[by_norm[1:]] == sq[by_norm[:-1]]]:
+        same = np.flatnonzero(sq[:j] == sq[j])
+        first[j] = same[(tokens[same] == tokens[j]).all(axis=1)].min(initial=j)
+    d2 = np.clip(sq[:, None] + sq - 2.0 * _gram(tokens, tokens), 0.0, None)
+    if (first < np.arange(n)).any():
+        d2 = d2[np.ix_(first, first)]
         d2[first[:, None] == first] = 0.0
-        np.fill_diagonal(d2, np.inf)
+    np.fill_diagonal(d2, np.inf)
 
     # ascending partial sort keeps the k-NN mean bit-reproducible
     knn = np.sort(np.partition(d2, k - 1, axis=1)[:, :k], axis=1)

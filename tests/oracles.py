@@ -3,7 +3,10 @@ temporal stage, then the spatial stage, then the inner merge.
 
 Each oracle states its stage's rule on its own: this module imports only
 numpy, the standard library and tokmerge's exception types, never the
-stage code it is compared with.
+stage code it is compared with. Its products are elementwise or
+``einsum`` sums, never BLAS, so an oracle gives the same bits under every
+BLAS kernel; the exceptions, ``frame_attention``, ``reference_similarities``
+and ``reference_assign`` on it, say so.
 """
 
 import math
@@ -14,15 +17,16 @@ from tokmerge import DataError
 
 
 def direct_cosine_mask(data, tau):
-    """Per-slot cosine between consecutive frames via explicit loops."""
+    """Per-slot cosine between consecutive frames via explicit loops, from
+    elementwise float64 dot products."""
     b, n_v, _ = data.shape
     rows = np.zeros((b - 1, n_v), dtype=bool)
     for m in range(b - 1):
         for k in range(n_v):
             u = data[m, k].astype(np.float64)
             v = data[m + 1, k].astype(np.float64)
-            nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-            sim = 0.0 if nu == 0 or nv == 0 else float(u @ v) / (nu * nv)
+            nu, nv = math.sqrt((u * u).sum()), math.sqrt((v * v).sum())
+            sim = 0.0 if nu == 0 or nv == 0 else float((u * v).sum()) / (nu * nv)
             rows[m, k] = sim > tau
     return rows
 
@@ -111,7 +115,10 @@ def reference_merged_values(data, s, e, red, mode):
 
 
 def dpc_oracle(tokens, k, c):
-    """Direct evaluation of the density-peak rules with the stated tie-breaks."""
+    """Direct evaluation of the density-peak rules with the stated tie-breaks.
+
+    The dot products are elementwise, so d2 is symmetric bit for bit and two
+    mutually nearest tokens tie in density under every BLAS kernel."""
     tokens = np.asarray(tokens, dtype=np.float64)
     n = len(tokens)
     if n == 1:  # no neighbour: the one token is its own center
@@ -121,8 +128,8 @@ def dpc_oracle(tokens, k, c):
         for j in range(n):
             if i != j:
                 # same d^2 expression as the implementation (dot identity)
-                d2[i, j] = max(tokens[i] @ tokens[i] + tokens[j] @ tokens[j]
-                               - 2.0 * (tokens[i] @ tokens[j]), 0.0)
+                d2[i, j] = max((tokens[i] * tokens[i]).sum() + (tokens[j] * tokens[j]).sum()
+                               - 2.0 * (tokens[i] * tokens[j]).sum(), 0.0)
     rho = np.empty(n)
     for i in range(n):
         nearest = np.sort(np.array([d2[i, j] for j in range(n) if j != i]))[:k]
@@ -148,7 +155,11 @@ def dpc_oracle(tokens, k, c):
 
 
 def frame_attention(q, k):
-    """Row-softmax of q @ k.T / sqrt(d) for one frame; rows sum to 1."""
+    """Row-softmax of q @ k.T / sqrt(d) for one frame; rows sum to 1.
+
+    Kernel-dependent: the logits are the float64 BLAS product that
+    ``importance_from_qk`` takes, so the two agree bit for bit under each
+    kernel, and the bits may differ from one kernel to another."""
     q = np.asarray(q, dtype=np.float64)
     k = np.asarray(k, dtype=np.float64)
     if q.ndim != 2 or q.shape != k.shape:
@@ -269,7 +280,12 @@ def reference_rank(scores, ratio_r):
 
 def reference_similarities(candidates, retained, hidden):
     """The former dense similarity matrix: one float64 N_c x N_r BLAS
-    product, ``dots / (cn * rn)`` with a zero denominator as 0."""
+    product, ``dots / (cn * rn)`` with a zero denominator as 0.
+
+    Kernel-dependent: the product and norms are BLAS, rounded as the kernel
+    sums, so a row may be compared with it only where its best similarity
+    clears the runner-up by more than that rounding
+    (``support.assert_matches_reference`` checks the other rows exactly)."""
     candidates = np.asarray(candidates, dtype=np.int64)
     retained = np.asarray(retained, dtype=np.int64)
     hidden = np.asarray(hidden, dtype=np.float64)
@@ -283,7 +299,8 @@ def reference_similarities(candidates, retained, hidden):
 
 
 def reference_assign(candidates, retained, hidden):
-    """The former dense assignment: first maximum of each row."""
+    """The former dense assignment: first maximum of each row of the
+    kernel-dependent ``reference_similarities``."""
     sims = reference_similarities(candidates, retained, hidden)
     return np.asarray(retained, dtype=np.int64)[np.argmax(sims, axis=1)]
 
@@ -325,14 +342,15 @@ def reference_merge(hidden, retained, candidates, targets):
 
 
 def cosine_argmax_oracle(candidates, retained, hidden):
-    """Exhaustive pairwise cosine with smaller-retained-index tie-break."""
+    """Exhaustive pairwise cosine with smaller-retained-index tie-break, from
+    elementwise float64 dot products."""
     out = {}
     for c in candidates:
         best, best_sim = None, -np.inf
         for r in retained:
             u, v = hidden[c].astype(np.float64), hidden[r].astype(np.float64)
-            nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-            sim = 0.0 if nu == 0 or nv == 0 else float(u @ v) / (nu * nv)
+            nu, nv = math.sqrt((u * u).sum()), math.sqrt((v * v).sum())
+            sim = 0.0 if nu == 0 or nv == 0 else float((u * v).sum()) / (nu * nv)
             if sim > best_sim:
                 best, best_sim = r, sim
         out[int(c)] = int(best)

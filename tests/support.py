@@ -4,10 +4,13 @@ runner. The oracles themselves live in ``oracles.py``."""
 
 import hashlib
 import json
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
-from oracles import exact_cosine_argmax, reference_similarities
+from oracles import dpc_oracle, exact_cosine_argmax, reference_similarities
 from tokmerge import CompressedVideo, CompressionReport, TokenProvenance, core, spatial
 from tokmerge.cli import main
 
@@ -124,6 +127,74 @@ def duplicate_corpus_digest(cluster=spatial._cluster):
         for part in cluster(vectors[rng.integers(0, 12, 60)], 7, 15):
             digest.update(np.asarray(part, dtype=np.int64).tobytes())
     return digest.hexdigest()
+
+
+def clustering_disagreements():
+    """Criterion 4's corpus, 200 seeded DPC-KNN problems with N <= 8 tokens of
+    d <= 5: the positions of those on which spatial._cluster and dpc_oracle
+    give different centers or assignments."""
+    rng = np.random.default_rng(77)
+    found = []
+    for i in range(200):
+        n = int(rng.integers(1, 9))
+        d = int(rng.integers(1, 6))
+        tokens = rng.standard_normal((n, d))
+        c = int(rng.integers(1, n + 1))
+        k = int(rng.integers(1, n)) if n > 1 else 1
+        (centers, assignment), (expect_centers, expect_assignment) = (
+            spatial._cluster(tokens, k, c), dpc_oracle(tokens, k, c))
+        if list(centers) != expect_centers or not np.array_equal(assignment, expect_assignment):
+            found.append(i)
+    return found
+
+
+def mutual_nearest_misses(d=64):
+    """Mutual-nearest pairs whose smaller index spatial._cluster does not
+    rank first, as (pair count, position) for corpora of 50 to 79 pairs,
+    clustered at k = 1 with one center a pair. Each pair is a float64
+    vector of d normal entries and the same vector moved by about 1, far
+    from every other pair, at shuffled positions. Its two tokens are each
+    other's nearest neighbour, so their densities tie exactly when the
+    distance matrix is symmetric, and the index order puts the smaller one
+    first: it becomes the center, and the other one's delta is the pair's
+    distance. The corpora have 100 rows or more because a BLAS product of
+    two separate copies of the tokens is not bitwise symmetric from about
+    that size on, under every kernel tried, and that is what this catches."""
+    found = []
+    for pairs in range(50, 80):
+        rng = np.random.default_rng(pairs)
+        base = rng.standard_normal((pairs, d))
+        at = rng.permutation(2 * pairs).reshape(2, pairs)
+        tokens = np.empty((2 * pairs, d))
+        tokens[at[0]] = base
+        tokens[at[1]] = base + rng.standard_normal((pairs, d)) / np.sqrt(d)
+        centers, _ = spatial._cluster(tokens, 1, pairs)
+        found += [(pairs, int(i)) for i in np.setdiff1d(at.min(axis=0), centers)]
+    return found
+
+
+def kernel_facts():
+    """What must not follow the BLAS kernel or numpy's SIMD dispatch, for the
+    kernel-matrix test to compare across interpreters: each golden case's
+    output digests, criterion 4's disagreements, the duplicate-corpus
+    digest and the mutual-nearest misses."""
+    golden = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in sorted(CASES):
+            (Path(tmp) / case).mkdir()
+            golden[case] = compress_case(case, Path(tmp) / case)
+    return {"golden": golden, "criterion 4": clustering_disagreements(),
+            "duplicates": duplicate_corpus_digest(), "pairs": mutual_nearest_misses()}
+
+
+def traced_peak(fn, *args):
+    """The tracemalloc peak, in bytes, of ``fn(*args)``."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def pooled_scores(raw, grid, pooled_grid=None):

@@ -26,12 +26,15 @@ from tokmerge import (
     compress,
     generate,
     importance_from_attention,
+    importance_from_qk,
     save_compressed,
     validate_config,
 )
 from tokmerge.core import report_from_dict, report_to_dict
+from tokmerge.innerllm import check_hidden
 from oracles import reference_mask
-from support import BAD_REPORT_COUNTS, arrays, bad_report_doc, small_cv, small_report
+from support import (BAD_REPORT_COUNTS, arrays, bad_report_doc, small_cv, small_report,
+                     traced_peak)
 
 
 class TestTokenStreamIO:
@@ -534,3 +537,27 @@ class TestCompressedIO:
     def test_ratios_disagreeing_with_counts_rejected(self, prune, overall, message):
         with pytest.raises(DataError, match=f"^{message}$"):
             CompressionReport(10, 8, 3, prune, overall, (), 1.0, 1.0)
+
+
+# Each dump check, the dumps it is given at B frames, and the slots or rows
+# those dumps hold per unit of B: an attention dump holds 196 float32
+# entries per slot, and Q/K and hidden dumps 256 per row.
+DUMP_CHECKS = {
+    "attention": (lambda attn: importance_from_attention(attn, (14, 14)),
+                  lambda b, rng: [rng.random((b, 196, 196), dtype=np.float32)], 196),
+    "qk": (lambda q, k: importance_from_qk(q, k, (4, 4)),
+           lambda b, rng: rng.standard_normal((2, 8 * b, 16, 256), dtype=np.float32), 8 * 16),
+    "hidden": (check_hidden,
+               lambda b, rng: [rng.standard_normal((128 * b, 256), dtype=np.float32)], 128),
+}
+
+
+@pytest.mark.parametrize("check", sorted(DUMP_CHECKS))
+def test_dump_checks_grow_with_slots_not_entries(check):
+    """From B to 4B frames, a dump check's traced peak grows by at most 64
+    bytes (eight float64 values) per added slot or row; one bool per dump
+    entry, for the finiteness test, would be 196 or 256."""
+    run, dumps, units = DUMP_CHECKS[check]
+    rng = np.random.default_rng(0)
+    small, large = (traced_peak(run, *dumps(b, rng)) for b in (8, 32))
+    assert large - small <= 64 * 24 * units

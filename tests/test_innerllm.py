@@ -2,7 +2,6 @@
 
 import math
 import re
-import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -18,9 +17,9 @@ from tokmerge import (
     validate_config,
 )
 from tokmerge.cost import layer_token_counts
-from tokmerge.innerllm import _assign, _merge, _rank
+from tokmerge.innerllm import _assign, _merge, _rank, check_hidden
 from oracles import cosine_argmax_oracle, reference_assign, reference_merge, reference_rank
-from support import assert_matches_reference, same_bits
+from support import assert_matches_reference, same_bits, traced_peak
 
 
 def assign(candidates, retained, hidden):
@@ -99,13 +98,13 @@ class TestRanking:
 
 class TestAssignment:
     def test_single_retained_token(self):
-        hidden = np.random.default_rng(1).standard_normal((5, 4))
+        hidden = check_hidden(np.random.default_rng(1).standard_normal((5, 4)))
         slots = _assign(np.array([1, 2, 3, 4]), np.array([0]), hidden)
         assert slots.dtype == np.int64
         np.testing.assert_array_equal(slots, [0, 0, 0, 0])
 
     def test_exact_match_wins(self):
-        hidden = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 2.0]])
+        hidden = check_hidden([[1.0, 0.0], [0.0, 1.0], [0.0, 2.0]])
         targets = assign(np.array([2]), np.array([0, 1]), hidden)
         np.testing.assert_array_equal(targets, [1])  # cos = 1 with token 1
 
@@ -113,7 +112,7 @@ class TestAssignment:
         rng = np.random.default_rng(2)
         for _ in range(40):
             n = int(rng.integers(2, 9))
-            hidden = rng.standard_normal((n, 4))
+            hidden = check_hidden(rng.standard_normal((n, 4)))
             retained, candidates = reference_rank(rng.random(n), 50)
             if candidates.size == 0:
                 continue
@@ -125,8 +124,8 @@ class TestAssignment:
         # candidate 3 is the zero vector: every similarity is 0, so the
         # smallest retained index wins; retained 0 is zero too and never
         # beats a positive similarity
-        hidden = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.2], [0.0, 0.0],
-                           [-2.0, 0.3]])
+        hidden = check_hidden([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.2], [0.0, 0.0],
+                               [-2.0, 0.3]])
         retained, candidates = np.array([0, 1, 2]), np.array([3, 4])
         got = assign(candidates, retained, hidden)
         np.testing.assert_array_equal(got, [0, 2])
@@ -134,7 +133,7 @@ class TestAssignment:
                 == cosine_argmax_oracle(candidates, retained, hidden))
 
     def test_no_candidates(self):
-        slots = _assign(np.array([], dtype=np.int64), np.array([0]), np.ones((1, 2)))
+        slots = _assign(np.array([], dtype=np.int64), np.array([0]), check_hidden(np.ones((1, 2))))
         assert slots.dtype == np.int64 and slots.size == 0
 
     @pytest.mark.parametrize("n,d", [(64, 16), (3174, 896)])
@@ -191,8 +190,8 @@ class TestAssignment:
         hidden[1, 0], hidden[1, 1] = cos_a, math.sqrt(1 - cos_a**2)
         hidden[2, 0], hidden[2, 2] = cos_b, math.sqrt(1 - cos_b**2)
         hidden[3, 0] = 1.0                  # the candidate
-        for dtype in (np.float64, np.float32):
-            h = hidden.astype(dtype)
+        for dtype in (np.float64, np.float32):  # the dump's dtype, narrowed by check_hidden
+            h = check_hidden(hidden.astype(dtype))
             calls = count_rechecks(monkeypatch)
             got = assign(np.array([3]), np.array([0, 1, 2]), h)
             assert_matches_reference(got, np.array([3]), np.array([0, 1, 2]), h)
@@ -402,12 +401,7 @@ class TestMemory:
         monkeypatch.setattr(innerllm, "_ASSIGN_CHUNK", chunk)
         rng = np.random.default_rng(12)
         inp = InnerMergeInput(rng.standard_normal((n, d), dtype=np.float32), rng.random(n))
-        tracemalloc.start()
-        try:
-            inner_merge(inp, 50)
-            return tracemalloc.get_traced_memory()[1] / 2**20
-        finally:
-            tracemalloc.stop()
+        return traced_peak(inner_merge, inp, 50) / 2**20
 
     def test_peak_grows_with_chunk_not_n_squared(self, monkeypatch):
         # 2,048 x 2,048 similarities take 16 MB in float32 and 32 MB in

@@ -1,9 +1,9 @@
 """The test suite's layout: shared code lives in ``oracles.py`` and
 ``support.py``, so no test module imports another, and the oracles import
-none of the stage code they are compared with. The package's layout: the
-CLI runs the pipeline through ``pipeline``, never stage by stage, one
-module writes the inner merge's outputs, and every vector product goes
-through core's two kernels."""
+none of the stage code they are compared with and read BLAS only where they
+say so. The package's layout: the CLI runs the pipeline through
+``pipeline``, never stage by stage, one module writes the inner merge's
+outputs, and every vector product goes through core's two kernels."""
 
 import ast
 import sys
@@ -54,27 +54,42 @@ def test_one_source_file_names_inner_json():
 
 
 PRODUCTS = {"einsum", "matmul", "dot", "vdot", "inner", "tensordot", "vecdot", "linalg"}
+BLAS = PRODUCTS - {"einsum"}  # einsum without optimize sums elementwise
 KERNELS = {"_row_dots", "_gram"}  # core's row-wise dot and matrix-product kernels
+# the oracles whose docstrings name them kernel-dependent
+KERNEL_DEPENDENT_ORACLES = {"frame_attention", "reference_similarities"}
 
 
-def products(path):
-    """``file:line name`` of each ``@`` and each attribute or import named in
-    PRODUCTS in ``path``, outside the bodies of core's KERNELS."""
+def products(path, names=PRODUCTS, allowed=()):
+    """``file:line name`` of each ``@`` and each attribute or import in
+    ``names`` in ``path``, outside the bodies of the functions ``allowed``."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    kernels = {id(node) for fn in ast.walk(tree) if path.name == "core.py"
-               and isinstance(fn, ast.FunctionDef) and fn.name in KERNELS for node in ast.walk(fn)}
+    skip = {id(node) for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name in allowed for node in ast.walk(fn)}
     for node in ast.walk(tree):
-        if id(node) in kernels:
+        if id(node) in skip:
             continue
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
             yield f"{path.name}:{node.lineno} @"
-        elif isinstance(node, ast.Attribute) and node.attr in PRODUCTS:
+        elif isinstance(node, ast.Attribute) and node.attr in names:
             yield f"{path.name}:{node.lineno} {node.attr}"
-        elif isinstance(node, ast.alias) and PRODUCTS & set(node.name.split(".")):
+        elif isinstance(node, ast.alias) and names & set(node.name.split(".")):
             yield f"{path.name}:{node.lineno} {node.name}"
 
 
 def test_products_only_in_core_kernels():
     """Every dot product, Gram matrix and norm the error bands and ties read
     is taken by core._row_dots or core._gram, the seams a test can replace."""
-    assert sorted(found for path in SRC.glob("*.py") for found in products(path)) == []
+    found = [products(path, allowed=KERNELS if path.name == "core.py" else ())
+             for path in SRC.glob("*.py")]
+    assert sorted(line for lines in found for line in lines) == []
+
+
+def test_oracles_read_blas_only_where_named():
+    """The oracles give the same bits under every BLAS kernel: ``@``, ``dot``,
+    ``matmul`` and ``linalg`` appear only in the oracles named kernel-dependent."""
+    oracles = TESTS / "oracles.py"
+    assert sorted(products(oracles, BLAS, KERNEL_DEPENDENT_ORACLES)) == []
+    tree = ast.parse(oracles.read_text(encoding="utf-8"))
+    docs = {fn.name: ast.get_docstring(fn) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)}
+    assert all("Kernel-dependent" in docs[name] for name in KERNEL_DEPENDENT_ORACLES)

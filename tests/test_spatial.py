@@ -1,5 +1,6 @@
 """Spatial stage tests: attention, pooling, selection, DPC-KNN, budget."""
 
+import json
 import math
 import os
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy._core._multiarray_umath import __cpu_features__
 
 import tokmerge
 from tokmerge import (
@@ -29,7 +31,15 @@ from tokmerge import (
 )
 from oracles import (dpc_oracle, frame_attention, importance_scores, pool_importance,
                      reassembly_oracle, spread_bins, top_k_oracle)
-from support import cluster_means, duplicate_corpus_digest, pooled_scores
+from support import (CASES, cluster_means, duplicate_corpus_digest, mutual_nearest_misses,
+                     pooled_scores)
+
+
+# The kernel matrix: OpenBLAS kernels forced by name (SkylakeX only where the
+# CPU has AVX-512, which it needs), then numpy's AVX-512 loops switched off.
+BLAS_SETTINGS = [{"OPENBLAS_CORETYPE": kernel} for kernel in ("Prescott", "Haswell", "SkylakeX")
+                 if kernel != "SkylakeX" or __cpu_features__["AVX512_SKX"]]
+BLAS_SETTINGS.append({"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"})
 
 
 def select(scores, keep):
@@ -331,16 +341,31 @@ class TestDpcKnn:
 
 
     def test_duplicates_cluster_alike_under_every_blas_kernel(self):
-        """Equal tokens are at distance 0 whichever kernel OpenBLAS runs the
-        Gram matrix with, so a corpus of duplicates clusters as the oracle
-        does, here and in interpreters pinned to two other kernels."""
-        code = "import support; print(support.duplicate_corpus_digest())"
+        """The kernel matrix. Equal tokens are at distance 0 whichever kernel
+        OpenBLAS runs the Gram matrix with, so a corpus of duplicates
+        clusters as the oracle does, and each mutual-nearest pair's smaller
+        index is its center; here, and in fresh interpreters under each
+        BLAS_SETTINGS entry, which also reproduce the golden digests and
+        criterion 4's agreement with dpc_oracle."""
+        expect = {"golden": CASES, "criterion 4": [],
+                  "duplicates": duplicate_corpus_digest(dpc_oracle), "pairs": []}
+        assert duplicate_corpus_digest() == expect["duplicates"]
+        assert mutual_nearest_misses() == []
+        # the CLI prints as it writes; the facts are the last line
+        code = "import json, support; print(json.dumps(support.kernel_facts()))"
         paths = [str(Path(tokmerge.__file__).parents[1]), str(Path(__file__).parent)]
-        digests = {subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, check=True,
-            env=dict(os.environ, PYTHONPATH=os.pathsep.join(paths), OPENBLAS_CORETYPE=kernel),
-        ).stdout.strip() for kernel in ("Prescott", "Haswell")}
-        assert digests == {duplicate_corpus_digest()} == {duplicate_corpus_digest(dpc_oracle)}
+        runs = [subprocess.Popen(
+            [sys.executable, "-c", code], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True, env=dict(os.environ, PYTHONPATH=os.pathsep.join(paths), **setting),
+        ) for setting in BLAS_SETTINGS]
+        try:
+            for setting, run in zip(BLAS_SETTINGS, runs):
+                out, err = run.communicate(timeout=120)
+                assert run.returncode == 0, err
+                assert json.loads(out.splitlines()[-1]) == expect, setting
+        finally:
+            for run in runs:
+                run.kill()
 
 
 class TestMergeClusters:
