@@ -120,9 +120,6 @@ def cmd_compress(args) -> int:
     inner = bool(args.hidden or args.last_attn)
     if inner and not (args.hidden and args.last_attn):
         raise ConfigError("--hidden and --last-attn must be given together")
-    if inner and not cfg.inner_enabled:
-        raise ConfigError("--hidden/--last-attn ask for the inner merge, "
-                          "but the config sets inner_enabled to false")
     cv, report = compress(stream, cfg, _importance(args, stream, cfg.pooled_grid), args.profile)
     del stream  # the outer phase ends here: the stream and its mapped file are released
     if inner:
@@ -133,7 +130,7 @@ def cmd_compress(args) -> int:
             if rows != report.final_count:
                 raise DataError(f"{path}: {rows} rows, but the compressed video has "
                                 f"final_count {report.final_count} tokens")
-        inner_input = InnerMergeInput._of_checked(hidden, last)  # checked on load
+        inner_input = InnerMergeInput(hidden, last)
     out = Path(args.out)
     save_compressed(cv, report, out)
     del cv  # the inner merge runs with only its own dumps resident
@@ -269,7 +266,6 @@ def build_parser() -> _Parser:
     p.add_argument("--frames", type=int, help="frame count override")
     p.add_argument("--inner-layer", dest="inner_layer_K", metavar="INNER_LAYER", type=int)
     p.add_argument("--inner-ratio", dest="inner_ratio_R", metavar="INNER_RATIO", type=float)
-    p.add_argument("--no-inner", dest="inner_enabled", action="store_false", default=None)
     p.set_defaults(func=cmd_flops)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus")

@@ -359,7 +359,6 @@ class CompressionConfig:
     temporal_merge_mode: str = "mean"
     pooled_grid: tuple[int, int] | None = None
     knn_k: int | None = None  # None = auto: max(2, floor(sqrt(N))), capped at N-1
-    inner_enabled: bool = True
     inner_layer_K: int = 18
     inner_ratio_R: float = 50.0
 
@@ -392,9 +391,6 @@ class CompressionConfig:
         if knn_k is not None and knn_k < 1:
             raise ConfigError(f"knn_k must be >= 1 or \"auto\", got {knn_k}")
         object.__setattr__(self, "knn_k", None if knn_k is None else int(knn_k))
-
-        if not isinstance(self.inner_enabled, bool):
-            raise ConfigError(f"inner_enabled must be a boolean, got {self.inner_enabled!r}")
 
         k = self.inner_layer_K
         if not _is_integer(k) or k < 0:
@@ -577,6 +573,22 @@ class CompressedVideo:
         return self.tokens.shape[0]
 
 
+def _finite(value, key: str) -> float:
+    """``value`` as a float if it is a finite number, else DataError."""
+    try:
+        finite = _is_number(value) and math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        finite = False
+    if not finite:
+        raise DataError(f"report ratios and FLOPs must be finite numbers: {key} {value!r}")
+    return float(value)
+
+
+def _flops_ratio(report: CompressionReport) -> float:
+    """The document's ``flops.ratio``: prefill over baseline, 0.0 on a zero baseline."""
+    return report.prefill_flops / report.baseline_flops if report.baseline_flops else 0.0
+
+
 @dataclass(frozen=True)
 class CompressionReport:
     """Per-video counts, ratios, segment boundaries, and FLOPs: int64 integers
@@ -599,14 +611,7 @@ class CompressionReport:
                           "segments", "report segments").reshape(-1, 3).tolist()
         object.__setattr__(self, "segment_boundaries", tuple(map(tuple, segments)))
         for key in (*_REPORT_RATIOS, "prefill_flops", "baseline_flops", "per_video_histogram_bin"):
-            value = getattr(self, key)
-            try:
-                finite = _is_number(value) and math.isfinite(value)
-            except OverflowError:  # an integer too large for a float
-                finite = False
-            if not finite:
-                raise DataError(f"report ratios and FLOPs must be finite numbers: {key} {value!r}")
-            object.__setattr__(self, key, float(value))
+            object.__setattr__(self, key, _finite(getattr(self, key), key))
         if self.original_count < 1 or self.final_count < 0:
             raise DataError(f"counts must have original_count >= 1 and final_count >= 0, "
                             f"got {self.original_count} and {self.final_count}")
@@ -624,7 +629,6 @@ class CompressionReport:
 
 def report_to_dict(report: CompressionReport) -> dict:
     """Serialize a report to the fixed JSON document schema."""
-    baseline = report.baseline_flops
     return {
         "original_count": report.original_count,
         "after_temporal_count": report.after_temporal_count,
@@ -634,24 +638,29 @@ def report_to_dict(report: CompressionReport) -> dict:
         "segments": [{"start": s, "end": e, "gain": g}
                      for s, e, g in report.segment_boundaries],
         "flops": {
-            "baseline": baseline,
+            "baseline": report.baseline_flops,
             "prefill": report.prefill_flops,
-            "ratio": report.prefill_flops / baseline if baseline else 0.0,
+            "ratio": _flops_ratio(report),
         },
     }
 
 
 def report_from_dict(doc: dict) -> CompressionReport:
-    """The report of a report_to_dict document, whose values CompressionReport checks; a
+    """The report of a report_to_dict document, whose values CompressionReport checks,
+    and whose ``flops.ratio`` must be exactly the ratio report_to_dict writes; a
     missing key or a non-object raises DataError ``malformed report document: ...``."""
     try:
         values = dict(
             {key: doc[key] for key in (*_REPORT_COUNTS, *_REPORT_RATIOS)},
             segment_boundaries=[(seg["start"], seg["end"], seg["gain"]) for seg in doc["segments"]],
             prefill_flops=doc["flops"]["prefill"], baseline_flops=doc["flops"]["baseline"])
+        ratio = doc["flops"]["ratio"]
     except (KeyError, TypeError) as exc:
         raise DataError(f"malformed report document: {exc}") from exc
-    return CompressionReport(**values)
+    report = CompressionReport(**values)
+    if _finite(ratio, "flops.ratio") != _flops_ratio(report):
+        raise DataError("flops.ratio inconsistent with prefill and baseline")
+    return report
 
 
 def report_document(doc: dict):

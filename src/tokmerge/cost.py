@@ -69,9 +69,9 @@ def decode_flops(profile: ModelProfile, n: list[int], r_dec: int = DECODE_TOKENS
 
 
 def check_inner_layer(profile: ModelProfile, cfg: CompressionConfig) -> None:
-    """Raise ConfigError unless the config's inner merge (when enabled)
-    runs after a layer the profile has, below its last one."""
-    if cfg.inner_enabled and cfg.inner_layer_K >= profile.layers_T:
+    """Raise ConfigError unless the config's inner merge runs after a layer
+    the profile has, below its last one."""
+    if cfg.inner_layer_K >= profile.layers_T:
         raise ConfigError(f"inner_layer_K {cfg.inner_layer_K} must be below the "
                           f"{profile.layers_T} layers of profile {profile.name}")
 
@@ -80,14 +80,11 @@ def layer_token_counts(profile: ModelProfile, retained_tokens: int,
                        cfg: CompressionConfig) -> list[int]:
     """Per-layer schedule: full count through layer K, then the count the
     config's inner merge keeps, innerllm.retained_count (the full count
-    everywhere when the inner merge is disabled)."""
+    everywhere at R = 0)."""
     check_inner_layer(profile, cfg)
-    t = profile.layers_T
-    if not cfg.inner_enabled:
-        return [retained_tokens] * t
     reduced = retained_count(retained_tokens, cfg.inner_ratio_R)
     return [retained_tokens if i <= cfg.inner_layer_K else reduced
-            for i in range(1, t + 1)]
+            for i in range(1, profile.layers_T + 1)]
 
 
 def retained_for_ratio(profile: ModelProfile, ratio: float, frames: int | None = None) -> int:

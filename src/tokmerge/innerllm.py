@@ -63,15 +63,6 @@ class InnerMergeInput:
         object.__setattr__(self, "hidden", hidden)
         object.__setattr__(self, "last_attn", attn)
 
-    @classmethod
-    def _of_checked(cls, hidden: np.ndarray, last_attn: np.ndarray) -> InnerMergeInput:
-        """The input of arrays that check_hidden and check_last_attn
-        returned, with equal row counts, not checked a second time."""
-        inp = object.__new__(cls)
-        object.__setattr__(inp, "hidden", hidden)
-        object.__setattr__(inp, "last_attn", last_attn)
-        return inp
-
 
 @dataclass(frozen=True)
 class InnerMergeResult:

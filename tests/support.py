@@ -9,6 +9,7 @@ import tracemalloc
 from pathlib import Path
 
 import numpy as np
+from numpy._core._multiarray_umath import __cpu_features__
 
 from oracles import dpc_oracle, exact_cosine_argmax, reference_similarities
 from tokmerge import CompressedVideo, CompressionReport, TokenProvenance, core, spatial
@@ -171,6 +172,14 @@ def mutual_nearest_misses(d=64):
         centers, _ = spatial._cluster(tokens, 1, pairs)
         found += [(pairs, int(i)) for i in np.setdiff1d(at.min(axis=0), centers)]
     return found
+
+
+# The kernel matrix: OpenBLAS kernels forced by name (SkylakeX only where the
+# CPU has AVX-512, which it needs), then numpy's AVX-512 loops switched off.
+# tests/test_spatial.py's kernel-matrix test and tests/kernel_matrix.py run these.
+BLAS_SETTINGS = [{"OPENBLAS_CORETYPE": kernel} for kernel in ("Prescott", "Haswell", "SkylakeX")
+                 if kernel != "SkylakeX" or __cpu_features__["AVX512_SKX"]]
+BLAS_SETTINGS.append({"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"})
 
 
 def kernel_facts():

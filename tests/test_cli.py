@@ -37,7 +37,7 @@ from tokmerge import (
 from tokmerge import cli, innerllm
 from tokmerge.core import save_inner
 from tokmerge.cli import main
-from support import BAD_REPORT_COUNTS, bad_report_doc
+from support import BAD_REPORT_COUNTS, bad_report_doc, same_bits
 
 
 def write_corpus(tmp_path, name="corpus", frames=8, grid=(2, 3), dim=32,
@@ -217,7 +217,7 @@ class TestCompress:
     def test_flops_ratio_is_the_cost_report_ratio(self, tmp_path, inner):
         spec, stream, tokens = write_corpus(tmp_path)
         _, attn = write_attention(tmp_path, stream)
-        raw = {"target_ratio": 0.3, "inner_enabled": inner}
+        raw = {"target_ratio": 0.3, "inner_ratio_R": 50 if inner else 0}
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(raw))
         out = tmp_path / "out"
@@ -297,9 +297,10 @@ class TestCompress:
         meta = json.loads((out / "inner.json").read_text())
         assert len(meta["retained_indices"]) == n - n // 2
 
-    def test_inner_dumps_checked_once(self, tmp_path, monkeypatch):
-        """Each dump's values are checked when it is loaded, and not again
-        by the inner merge."""
+    def test_inner_dumps_checked_on_load_and_by_the_input(self, tmp_path, monkeypatch):
+        """Each dump's values are checked when it is loaded, so a fault names
+        the file, then once more by InnerMergeInput, and not by the inner
+        merge itself."""
         spec, stream, tokens = write_corpus(tmp_path)
         rng = np.random.default_rng(3)
         np.save(tmp_path / "hidden.npy", rng.standard_normal((self.FINAL_COUNT, 8)))
@@ -309,12 +310,19 @@ class TestCompress:
         def counting(arr, *args, **kwargs):
             checked.append(np.shape(arr))
             return check(arr, *args, **kwargs)
+
+        def merge_counted(*args):
+            before = len(checked)
+            result = inner_merge(*args)
+            assert len(checked) == before
+            return result
         monkeypatch.setattr(innerllm, "_checked", counting)
+        monkeypatch.setattr(cli, "inner_merge", merge_counted)
         assert main(["compress", "--tokens", str(tokens), "--grid", "2x3",
                      "--out", str(tmp_path / "out"),
                      "--hidden", str(tmp_path / "hidden.npy"),
                      "--last-attn", str(tmp_path / "last.npy")]) == 0
-        assert checked == [(self.FINAL_COUNT, 8), (self.FINAL_COUNT,)]
+        assert checked == [(self.FINAL_COUNT, 8), (self.FINAL_COUNT,)] * 2
 
     @pytest.mark.parametrize("hidden_rows,last_rows", [(24, 18), (18, 17), (0, 18)])
     def test_inner_dumps_not_final_count_exit_2(self, tmp_path, capsys,
@@ -369,22 +377,38 @@ class TestCompress:
         assert f"{tmp_path / bad_file}: " in err and message in err
         assert not out.exists()
 
-    def test_inner_dumps_with_inner_disabled_exit_1(self, tmp_path, capsys):
+    def test_inner_dumps_at_zero_ratio_keep_every_token(self, tmp_path):
+        """R = 0 runs a merge with no candidates: every token is retained
+        unchanged but for -0.0, which becomes +0.0."""
         spec, stream, tokens = write_corpus(tmp_path)
         rng = np.random.default_rng(3)
-        np.save(tmp_path / "hidden.npy", rng.standard_normal((24, 8)))
-        np.save(tmp_path / "last.npy", rng.random(24))
+        hidden = rng.standard_normal((self.FINAL_COUNT, 8)).astype(np.float32)
+        hidden[::3, 1] = -0.0
+        np.save(tmp_path / "hidden.npy", hidden)
+        np.save(tmp_path / "last.npy", rng.random(self.FINAL_COUNT))
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"inner_enabled": False}))
+        cfg_path.write_text(json.dumps({"inner_ratio_R": 0}))
         out = tmp_path / "out"
         rc = main(["compress", "--tokens", str(tokens), "--grid", "2x3",
                    "--config", str(cfg_path), "--out", str(out),
                    "--hidden", str(tmp_path / "hidden.npy"),
                    "--last-attn", str(tmp_path / "last.npy")])
+        assert rc == 0
+        assert json.loads((out / "inner.json").read_text()) == {
+            "retained_indices": list(range(self.FINAL_COUNT)), "assignment": {},
+            "layer_K": 18, "ratio_R": 0.0}
+        assert same_bits(np.load(out / "inner_tokens.npy"), hidden + np.float32(0.0))
+
+    def test_config_inner_enabled_exit_1(self, tmp_path, capsys):
+        spec, stream, tokens = write_corpus(tmp_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"inner_enabled": False}))
+        rc = main(["compress", "--tokens", str(tokens), "--grid", "2x3",
+                   "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert rc == 1
-        err = capsys.readouterr().err
-        assert "--hidden/--last-attn" in err and "inner_enabled" in err
-        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "tokmerge: error: unknown config field(s): ['inner_enabled']\n")
+        assert not (tmp_path / "o").exists()
 
 
     def run_with_dump(self, tmp_path, ratio, dump_args):
@@ -714,19 +738,26 @@ class TestFlops:
 
     def test_full_ratio_inner_off(self, capsys):
         rc = main(["flops", "--profile", "llava-ov-7b", "--ratio", "1.0",
-                   "--no-inner"])
+                   "--inner-ratio", "0"])
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
         assert round(doc["prefill_flops"] / 1e12, 1) == 40.8
 
     @pytest.mark.parametrize("frames", ["1", "8", "64"])
     def test_full_ratio_prices_against_the_same_frames(self, capsys, frames):
-        rc = main(["flops", "--profile", "llava-ov-7b", "--ratio", "1.0", "--no-inner",
+        rc = main(["flops", "--profile", "llava-ov-7b", "--ratio", "1.0", "--inner-ratio", "0",
                    "--frames", frames])
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["ratio"] == 1.0
         assert doc["baseline_flops"] == doc["prefill_flops"]
+
+    def test_no_inner_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["flops", "--profile", "llava-ov-7b", "--ratio", "1.0", "--no-inner"])
+        assert exc.value.code == 1
+        assert capsys.readouterr().err.endswith(
+            "tokmerge: error: unrecognized arguments: --no-inner\n")
 
     def test_inner_layer_beyond_profile_exit_1(self, capsys):
         rc = main(["flops", "--profile", "llava-ov-7b", "--ratio", "0.1",

@@ -230,7 +230,6 @@ class TestConfig:
         assert cfg.inner_ratio_R == 50
         assert cfg.temporal_merge_mode == "mean"
         assert cfg.knn_k is None
-        assert cfg.inner_enabled
         assert cfg == CompressionConfig()
 
     def test_tau_out_of_range(self):
@@ -253,6 +252,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown"):
             validate_config({"tua": 0.8})
 
+    @pytest.mark.parametrize("value", [True, False])
+    def test_inner_enabled_is_an_unknown_field(self, value):
+        """The inner merge has no on/off field: inner_ratio_R 0 prices the
+        schedule without it."""
+        with pytest.raises(ConfigError, match=r"^unknown config field\(s\): \['inner_enabled'\]$"):
+            validate_config({"inner_enabled": value})
+
     def test_bad_mode(self):
         assert_rejected({"temporal_merge_mode": "median"},
                         "temporal_merge_mode must be one of ('mean', 'first'), got 'median'")
@@ -274,7 +280,7 @@ class TestConfig:
         ({"target_ratio": 3.0}, "target_ratio must be in (0, 1], got 3.0"),
         ({"knn_k": 0}, 'knn_k must be >= 1 or "auto", got 0'),
         ({"knn_k": 2.0}, 'knn_k must be an integer or "auto", got 2.0'),
-        ({"inner_enabled": "no"}, "inner_enabled must be a boolean, got 'no'"),
+        ({"inner_ratio_R": -0.5}, "inner_ratio_R must be in [0, 100), got -0.5"),
         ({"inner_layer_K": -3}, "inner_layer_K must be a non-negative integer, got -3"),
         ({"inner_ratio_R": True}, "inner_ratio_R must be a number, got True"),
     ])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tokmerge import (
+    PROFILES,
     ConfigError,
     decode_flops,
     get_profile,
@@ -93,7 +94,7 @@ class TestPipelineReport:
         assert report.per_layer_tokens[18:] == (784,) * 10
 
     def test_inner_disabled_ten_percent(self):
-        cfg = validate_config({"inner_enabled": False})
+        cfg = validate_config({"inner_ratio_R": 0})
         report = pipeline_cost_report(OV7B, cfg, 627)
         # reference-scale value: prints as 3.4 TFLOPs at one decimal
         assert tflops(report.prefill_flops) == 3.4
@@ -101,7 +102,7 @@ class TestPipelineReport:
 
     def test_72b_baseline(self):
         p72 = get_profile("llava-ov-72b")
-        cfg = validate_config({"inner_enabled": False})
+        cfg = validate_config({"inner_ratio_R": 0})
         report = pipeline_cost_report(p72, cfg, 6272)
         assert tflops(report.prefill_flops) == 429.3
 
@@ -116,7 +117,7 @@ class TestPipelineReport:
         cfg = validate_config({"inner_layer_K": 2, "inner_ratio_R": 25})
         # the inner merge's count: 101 - floor(25 * 101 / 100) = 76
         assert layer_token_counts(OV7B, 101, cfg) == [101, 101] + [76] * 26
-        off = validate_config({"inner_enabled": False, "inner_layer_K": 2})
+        off = validate_config({"inner_ratio_R": 0, "inner_layer_K": 2})
         assert layer_token_counts(OV7B, 101, off) == [101] * 28
 
     def test_inner_layer_beyond_profile_rejected(self):
@@ -125,11 +126,24 @@ class TestPipelineReport:
             layer_token_counts(OV7B, 101, validate_config({"inner_layer_K": 28}))
         with pytest.raises(ConfigError, match="inner_layer_K 40 must be below"):
             pipeline_cost_report(OV7B, validate_config({"inner_layer_K": 40}), 101)
-        # the last layer is the deepest K that still merges; K is unchecked when off
+        # the last layer is the deepest K that still merges; K is checked at R = 0 too
         assert layer_token_counts(OV7B, 101, validate_config({"inner_layer_K": 27})) == (
             [101] * 27 + [51])
-        off = validate_config({"inner_enabled": False, "inner_layer_K": 40})
-        assert layer_token_counts(OV7B, 101, off) == [101] * 28
+        with pytest.raises(ConfigError, match="inner_layer_K 40 must be below"):
+            layer_token_counts(OV7B, 101, validate_config({"inner_ratio_R": 0, "inner_layer_K": 40}))
+
+    @pytest.mark.parametrize("name", sorted(PROFILES))
+    def test_zero_inner_ratio_prices_the_full_count_at_every_layer(self, name):
+        """R = 0 is the schedule without the inner merge: every layer keeps
+        all n tokens."""
+        profile = get_profile(name)
+        cfg = validate_config({"inner_ratio_R": 0})
+        full = profile.default_frames_B * profile.tokens_per_frame_Nv
+        for n in (1, 2, 99, 627, full, 10**7):
+            report = pipeline_cost_report(profile, cfg, n)
+            assert report.per_layer_tokens == (n,) * profile.layers_T
+            assert report.prefill_flops == prefill_flops(profile, [n] * profile.layers_T)
+            assert report.decode_flops == decode_flops(profile, [n] * profile.layers_T)
 
     def test_retained_must_be_positive(self):
         with pytest.raises(ConfigError):

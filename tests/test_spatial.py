@@ -10,7 +10,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from numpy._core._multiarray_umath import __cpu_features__
 
 import tokmerge
 from tokmerge import (
@@ -31,15 +30,8 @@ from tokmerge import (
 )
 from oracles import (dpc_oracle, frame_attention, importance_scores, pool_importance,
                      reassembly_oracle, spread_bins, top_k_oracle)
-from support import (CASES, cluster_means, duplicate_corpus_digest, mutual_nearest_misses,
-                     pooled_scores)
-
-
-# The kernel matrix: OpenBLAS kernels forced by name (SkylakeX only where the
-# CPU has AVX-512, which it needs), then numpy's AVX-512 loops switched off.
-BLAS_SETTINGS = [{"OPENBLAS_CORETYPE": kernel} for kernel in ("Prescott", "Haswell", "SkylakeX")
-                 if kernel != "SkylakeX" or __cpu_features__["AVX512_SKX"]]
-BLAS_SETTINGS.append({"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"})
+from support import (BLAS_SETTINGS, CASES, cluster_means, duplicate_corpus_digest,
+                     mutual_nearest_misses, pooled_scores)
 
 
 def select(scores, keep):

@@ -135,20 +135,56 @@ BAD_REPORT_REALS = {
     "nan-flops": (("flops", "prefill"), float("nan"), "prefill_flops nan"),
     "string-infinity": (("flops", "baseline"), "Infinity", "baseline_flops 'Infinity'"),
     "json-infinity": (("flops", "baseline"), float("inf"), "baseline_flops inf"),
+    "string-flops-ratio": (("flops", "ratio"), "0.15", "flops.ratio '0.15'"),
+    "nan-flops-ratio": (("flops", "ratio"), float("nan"), "flops.ratio nan"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_REPORT_REALS))
 def test_report_real_refused_alike_everywhere(tmp_path, capsys, case):
     keys, value, shown = BAD_REPORT_REALS[case]
-    message = NUMBERS + shown
+    assert_refused_everywhere(tmp_path, capsys, keys, value, NUMBERS + shown)
+
+
+# small_report's ratio is 1.5e11 / 1e12 = 0.15: (the value written in its
+# place, or None to delete the key; the DataError report_from_dict raises)
+BAD_FLOPS_RATIOS = {
+    "half": (0.5, "flops.ratio inconsistent with prefill and baseline"),
+    "next-float": (np.nextafter(1.5e11 / 1e12, 1.0).item(),
+                   "flops.ratio inconsistent with prefill and baseline"),
+    "missing": (None, "malformed report document: 'ratio'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FLOPS_RATIOS))
+def test_flops_ratio_must_be_prefill_over_baseline(tmp_path, capsys, case):
+    value, message = BAD_FLOPS_RATIOS[case]
+    assert_refused_everywhere(tmp_path, capsys, ("flops", "ratio"), value, message)
+
+
+def test_flops_ratio_is_zero_on_a_zero_baseline():
+    report = dataclasses.replace(small_report(), prefill_flops=0, baseline_flops=0)
+    doc = report_to_dict(report)
+    assert doc["flops"]["ratio"] == 0.0 and report_from_dict(doc) == report
+    doc["flops"]["ratio"] = 1.0
+    with pytest.raises(DataError, match="^flops.ratio inconsistent with prefill and baseline$"):
+        report_from_dict(doc)
+
+
+def assert_refused_everywhere(tmp_path, capsys, keys, value, message):
+    """small_report's compressed.json with the value at ``keys`` replaced by
+    ``value`` (deleted for None) is refused with ``message`` by
+    report_from_dict, load_compressed and ``tokmerge report``."""
     save_compressed(small_cv(), small_report(), tmp_path / "v")
     meta = tmp_path / "v" / "compressed.json"
     doc = json.loads(meta.read_text(encoding="utf-8"))
     target = doc["report"]
     for key in keys[:-1]:
         target = target[key]
-    target[keys[-1]] = value
+    if value is None:
+        del target[keys[-1]]
+    else:
+        target[keys[-1]] = value
     meta.write_text(json.dumps(doc), encoding="utf-8")
 
     with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
