@@ -17,6 +17,7 @@ import ctypes
 import functools
 import json
 import math
+import mmap
 import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -60,6 +61,8 @@ class VideoTokenStream:
     grid: tuple[int, int]
     # float32 sum of squares of every token, (B, N_v), read-only
     sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
+    # the file mapping _release may drop pages of (see _file_mapping)
+    _mapping: tuple | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         arr = np.asarray(self.data)
@@ -75,18 +78,23 @@ class VideoTokenStream:
         if arr.dtype != np.float32:
             arr = _checked(arr, dtype=np.float32)
         arr = np.ascontiguousarray(arr)
+        arr.setflags(write=False)
+        object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "_mapping", _file_mapping(arr))
         # A NaN or +-inf entry makes its token's sum of squares non-finite,
         # so finite norms certify finite float32 data. A non-finite norm
         # without a non-finite entry is the sum overflowing float32 on large
         # finite entries (a single one beyond ~1.8e19 suffices); those are
         # accepted. Other dtypes were checked as they were narrowed.
         sq_norms = np.empty((b, n_v), dtype=np.float32)
-        _split(b, lambda lo, hi: _row_dots(arr[lo:hi], arr[lo:hi], out=sq_norms[lo:hi]))
+
+        def norms(x, lo, hi):
+            _row_dots(x[lo:hi], x[lo:hi], out=sq_norms[lo:hi])
+            return lo, hi
+        _sweep(self, b, norms)
         if not np.isfinite(sq_norms).all():
             _checked(arr)
-        arr.setflags(write=False)
         sq_norms.setflags(write=False)
-        object.__setattr__(self, "data", arr)
         object.__setattr__(self, "sq_norms", sq_norms)
         object.__setattr__(self, "grid", (int(h), int(w)))
 
@@ -162,6 +170,85 @@ def _split(n: int, fn, *, blas: bool = False) -> None:
         rest = pool.map(piece, cuts[1:-1], cuts[2:])
         fn(0, cuts[1])
         list(rest)
+
+
+# Bytes of frames a _sweep chunk reads before it releases them: about the most
+# of a mapped token file one worker keeps resident (the temporal mean's chunk
+# is one segment's block instead).
+_SWEEP_BYTES = 1 << 23
+
+
+def _file_mapping(arr: np.ndarray) -> tuple | None:
+    """``(mapping, offset of arr in it)`` when ``arr`` views a shared
+    read-only file mapping, an ``np.memmap`` of mode ``"r"`` as
+    ``np.load(mmap_mode="r")`` makes, on a platform with ``madvise``; else
+    None. Dropping such a mapping's pages loses nothing, since a later read
+    faults the file's contents back in; in-memory arrays and copy-on-write
+    ``"c"`` maps would lose their contents, so they have no mapping here."""
+    base, mode = arr, None
+    while isinstance(base, np.ndarray):
+        mode = base.mode if isinstance(base, np.memmap) else mode
+        base = base.base
+    if mode != "r" or not (isinstance(base, mmap.mmap) and hasattr(mmap, "MADV_DONTNEED")):
+        return None
+    return base, arr.ctypes.data - np.frombuffer(base, np.uint8).ctypes.data
+
+
+def _release(stream: VideoTokenStream, first: int, stop: int) -> None:
+    """Drop the whole pages inside frames [first, stop) of the stream's file
+    mapping from the process's resident set (``madvise(MADV_DONTNEED)``).
+    The page cache keeps them, so a later read, on any thread, faults them
+    back in without I/O. A no-op when the stream has no such mapping
+    (``_file_mapping``)."""
+    if stream._mapping is None:
+        return
+    mapping, offset = stream._mapping
+    frame, page = stream.data[0].nbytes, mmap.PAGESIZE
+    start = -(-(offset + first * frame) // page) * page
+    end = (offset + stop * frame) // page * page
+    if start < end:
+        mapping.madvise(mmap.MADV_DONTNEED, start, end - start)
+
+
+def _sweep(stream: VideoTokenStream, n: int, fn, cuts=None, split: bool = True) -> None:
+    """Run ``fn(stream.data, lo, hi)`` over ``range(n)`` in ``_split``
+    pieces (one piece on the calling thread unless ``split``), each piece
+    in consecutive chunks. ``fn`` returns the frames ``(first, stop)`` its
+    chunk is done reading, which are released (``_release``) as soon as it
+    returns; once every piece is done the stream's whole frame range is. A
+    chunk ends at every item offset in ``cuts``; by default an item is a
+    frame and the cuts are ``_SWEEP_BYTES`` of frames apart. So a pass over
+    a mapped token file keeps about one chunk of it resident per worker."""
+    if cuts is None:
+        cuts = np.arange(0, n, max(1, _SWEEP_BYTES // stream.data[0].nbytes))
+
+    def piece(lo, hi):
+        edges = np.unique([lo, hi, *cuts[(cuts > lo) & (cuts < hi)]]).tolist()
+        for a, b in zip(edges, edges[1:]):
+            _release(stream, *fn(stream.data, a, b))
+    if split:
+        _split(n, piece)
+    else:
+        piece(0, n)
+    _release(stream, 0, stream.frames)
+
+
+def _gather(stream: VideoTokenStream, frames: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """A new (M, d) float32 array of the stream's tokens at the (frame, slot)
+    pairs, ``frames`` ascending, gathered on the calling thread by
+    ``_sweep`` frame chunk by frame chunk."""
+    b, n_v, d = stream.data.shape
+    out = np.empty((len(frames), d), dtype=np.float32)
+    at = np.searchsorted(frames, np.arange(b + 1))
+    flat = np.asarray(frames, dtype=np.int64) * n_v + slots
+
+    def rows(x, lo, hi):  # the rows in frames [lo, hi)
+        # the indices are in range; take's default mode="raise" would buffer out
+        np.take(x.reshape(b * n_v, d), flat[at[lo] : at[hi]], axis=0,
+                out=out[at[lo] : at[hi]], mode="clip")
+        return lo, hi
+    _sweep(stream, b, rows, split=False)
+    return out
 
 
 def _checked(arr, name: str | None = None, dtype=None) -> np.ndarray:

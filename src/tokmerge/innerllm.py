@@ -98,10 +98,14 @@ def _rank(scores: np.ndarray, ratio_r: float) -> tuple[np.ndarray, np.ndarray]:
 
 def _unit_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Float64 norms of gathered float32 ``rows`` and the rows scaled in
-    place to float32 unit rows: each row times its float64 reciprocal norm,
-    rounded to float32. A zero row stays zero."""
+    place to float32 unit rows: each row times its float64 reciprocal norm
+    rounded to float32, multiplied in float32; a block with a reciprocal
+    outside float32's normal range is multiplied in float64 and rounded
+    once. A zero row stays zero."""
     norms = _row_norms(rows)
     scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
+    if ((scale == 0) | ((scale >= 2.0**-126) & (scale < 2.0**127))).all():
+        scale = scale.astype(np.float32)
     return norms, np.multiply(rows, scale[:, None], out=rows, casting="same_kind")
 
 
@@ -138,22 +142,24 @@ def _assign(candidates: np.ndarray, retained: np.ndarray, hidden: np.ndarray) ->
     """
     d = hidden.shape[1]
     # Error band. Let u = 2**-24. Both operands of the float32 product are
-    # unit rows: a float32 entry times a float64 reciprocal norm (relative
-    # error below (d + 4) * 2**-53), rounded to float32 (relative error u).
-    # So each entry lies within about 1.01*u of the exact unit vector's
-    # entry for d <= 2**21, and by Cauchy-Schwarz the rounded inputs move a
-    # score by at most about 2.03*u. Whatever its summation order, the
-    # float32 product of the rounded rows errs by at most
-    # g * sum|c_i*r_i| <= 1.01 * g with g = d*u / (1 - d*u) <= 8/7 * d*u for
-    # d*u <= 1/8. Subnormal entries and products add at most 3*d * 2**-150,
-    # far below u. So a score is within 2.03*u + 1.16*d*u of the exact
-    # cosine, and the float64 cosine, in any summation order, within about
-    # (2*d + 6) * 2**-53 of it. All together stay below (2*d + 3) * u, and
-    # 1e-12 is a further margin. So when the best float32 score leads every
-    # other by more than twice the band, the float64 cosine has its unique
-    # maximum there too; and a retained token scoring more than twice the
-    # band below the best can never be the float64 maximum.
-    band = (2 * d + 3) * 2.0**-24 + 1e-12 if d <= 2**21 else np.inf
+    # unit rows: a float32 entry times its float64 reciprocal norm (relative
+    # error below (d + 4) * 2**-53) rounded to float32 (relative error u),
+    # the product rounded to float32 (relative error u; a block multiplied
+    # in float64 rounds once). So each entry lies within about 2.01*u of
+    # the exact unit vector's entry for d <= 2**21, and by Cauchy-Schwarz
+    # the rounded inputs move a score by at most about 4.03*u. Whatever its
+    # summation order, the float32 product of the rounded rows errs by at
+    # most g * sum|c_i*r_i| <= 1.01 * g with g = d*u / (1 - d*u) <= 8/7 * d*u
+    # for d*u <= 1/8. Subnormal entries and products add at most
+    # 3*d * 2**-150, far below u. So a score is within 4.03*u + 1.16*d*u of
+    # the exact cosine, and the float64 cosine, in any summation order,
+    # within about (2*d + 6) * 2**-53 of it. All together stay below
+    # (2*d + 4) * u for every d >= 1, and 1e-12 is a further margin. So when
+    # the best float32 score leads every other by more than twice the band,
+    # the float64 cosine has its unique maximum there too; and a retained
+    # token scoring more than twice the band below the best can never be
+    # the float64 maximum.
+    band = (2 * d + 4) * 2.0**-24 + 1e-12 if d <= 2**21 else np.inf
     r_norms, r_units = _unit_rows(hidden[retained])
     slots = np.empty(candidates.size, dtype=np.int64)
     block = np.empty((min(candidates.size, _ASSIGN_CHUNK), retained.size), dtype=np.float32)

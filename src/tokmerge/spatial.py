@@ -21,6 +21,7 @@ from .core import (
     DataError,
     ProvenanceArrays,
     _checked,
+    _gather,
     _gram,
     _group_mean,
     _row_dots,
@@ -291,7 +292,7 @@ def spatial_merge(
     is_rep = rep[keep]
     # one gather from the stream at every output coordinate; representative
     # rows take their values
-    tokens = stream.data.reshape(b * n_v, -1).take(frames * n_v + slots, axis=0)
+    tokens = _gather(stream, frames, slots)
     tokens[is_rep] = values
     counts = np.zeros(frames.size, dtype=np.int64)
     counts[is_rep] = cluster_rows * length[seg[is_center]] - 1

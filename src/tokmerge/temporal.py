@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import TEMPORAL_MERGE_MODES, DataError, VideoTokenStream, _cosine, _row_dots, _split
+from .core import TEMPORAL_MERGE_MODES, DataError, VideoTokenStream, _cosine, _gather, _row_dots, _sweep
 
 
 # Squared norms below this floor are left to the exact recheck, so that
@@ -44,10 +44,13 @@ def pairwise_redundancy(stream: VideoTokenStream, tau: float) -> np.ndarray:
     tau is recomputed with the float64 definition, so the mask is the one
     the definition gives.
     """
-    x = stream.data
-    b, n_v, d = x.shape
+    b, n_v, d = stream.frames, stream.tokens_per_frame, stream.dim
     dots = np.empty((b - 1, n_v), dtype=np.float32)
-    _split(b - 1, lambda lo, hi: _row_dots(x[lo:hi], x[lo + 1 : hi + 1], out=dots[lo:hi]))
+
+    def pairs(x, lo, hi):  # pairs [lo, hi) read frames [lo, hi + 1)
+        _row_dots(x[lo:hi], x[lo + 1 : hi + 1], out=dots[lo:hi])
+        return lo, hi  # frame hi starts the next chunk
+    _sweep(stream, b - 1, pairs)
     na, nb = stream.sq_norms[:-1], stream.sq_norms[1:]
     with np.errstate(invalid="ignore", divide="ignore"):
         prod = na.astype(np.float64) * nb
@@ -69,7 +72,8 @@ def pairwise_redundancy(stream: VideoTokenStream, tau: float) -> np.ndarray:
     frame, slot = np.nonzero(~sure)
     for lo in range(0, frame.size, _RECHECK_CHUNK):
         f, k = frame[lo : lo + _RECHECK_CHUNK], slot[lo : lo + _RECHECK_CHUNK]
-        mask[f, k] = np.clip(_cosine(x[f, k], x[f + 1, k]), -1.0, 1.0) > tau
+        sim = _cosine(_gather(stream, f, k), _gather(stream, f + 1, k))
+        mask[f, k] = np.clip(sim, -1.0, 1.0) > tau
     mask.setflags(write=False)
     return mask
 
@@ -233,26 +237,25 @@ def apply_temporal_merge(
             f"pruned {pruned} occurrences but plan promised {plan.total_gain}; "
             "plan/mask mismatch")
 
-    data = stream.data
     seg, slot = np.nonzero(redundant)
     if mode == "first":
-        merged = data[bounds[seg] - 1, slot]
+        merged = _gather(stream, bounds[seg] - 1, slot)
     else:
         merged = np.empty((seg.size, stream.dim), dtype=np.float32)
-        first_row = np.searchsorted(seg, np.arange(bounds.size))
         # core._group_mean gives the same bits, but 1.3-1.8x slower (ROADMAP)
 
-        def mean_rows(lo, hi):
-            # for each segment with merged rows in [lo, hi), the slot span of
-            # those rows, summed in float64 frame by frame from +0.0 (numpy's
+        def mean_rows(x, lo, hi):
+            # merged rows [lo, hi), all of one segment: the slot span of those
+            # rows, summed in float64 frame by frame from +0.0 (numpy's
             # reduction does so unless a frame holds one value, which it sums
             # pairwise; accumulate is sequential)
-            for k in np.unique(seg[lo:hi]):
-                r0, r1 = max(lo, first_row[k]), min(hi, first_row[k + 1])
-                s, e, red = bounds[k], bounds[k + 1], slot[r0:r1]
-                block = data[s - 1 : e - 1, red[0] : red[-1] + 1]
-                acc = (block.sum(axis=0, dtype=np.float64) if block[0].size > 1
-                       else 0.0 + np.add.accumulate(block, dtype=np.float64)[-1])
-                np.divide(acc[red - red[0]], e - s, out=merged[r0:r1])
-        _split(seg.size, mean_rows)
+            k = seg[lo]
+            s, e, red = bounds[k], bounds[k + 1], slot[lo:hi]
+            block = x[s - 1 : e - 1, red[0] : red[-1] + 1]
+            acc = (block.sum(axis=0, dtype=np.float64) if block[0].size > 1
+                   else 0.0 + np.add.accumulate(block, dtype=np.float64)[-1])
+            np.divide(acc[red - red[0]], e - s, out=merged[lo:hi])
+            return s - 1, e - 1
+        # a chunk ends at every segment's first merged row
+        _sweep(stream, seg.size, mean_rows, np.searchsorted(seg, np.arange(bounds.size)))
     return TemporalMergeResult(stream, plan, redundant, merged)

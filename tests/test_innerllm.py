@@ -29,7 +29,7 @@ def assign(candidates, retained, hidden):
 
 
 def band(d):
-    return (2 * d + 3) * 2.0**-24 + 1e-12
+    return (2 * d + 4) * 2.0**-24 + 1e-12
 
 
 def count_rechecks(monkeypatch):
@@ -211,6 +211,26 @@ class TestAssignment:
         retained, candidates = reference_rank(rng.random(n), 50)
         assert_matches_reference(assign(candidates, retained, hidden),
                                  candidates, retained, hidden)
+
+    def test_unit_rows_multiply_in_float32(self):
+        def reciprocals(rows):
+            exact = rows.astype(np.float64)
+            norms = np.sqrt(np.einsum("nd,nd->n", exact, exact))
+            return norms, np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
+
+        rng = np.random.default_rng(12)
+        rows = (rng.standard_normal((6, 20)) * 2.0 ** np.arange(-60, 60, 20)[:, None]).astype(np.float32)
+        rows[1] = 0.0
+        norms, scale = reciprocals(rows)
+        got_norms, units = innerllm._unit_rows(rows.copy())
+        assert same_bits(got_norms, norms)
+        assert same_bits(units, rows * scale.astype(np.float32)[:, None])
+        # a reciprocal beyond float32's normal range: the block multiplies in float64
+        rows[2] = 1e-42
+        scale = reciprocals(rows)[1]
+        assert scale[2] > 2.0**127
+        units = innerllm._unit_rows(rows.copy())[1]
+        assert same_bits(units, (rows.astype(np.float64) * scale[:, None]).astype(np.float32))
 
 
 class TestMerge:

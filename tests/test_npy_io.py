@@ -1,10 +1,13 @@
-"""Array file I/O: read-only mapped loading and writes by atomic replace.
+"""Array file I/O: read-only mapped loading, the release of mapped pages,
+and writes by atomic replace.
 
 Native float32 token files are mapped instead of copied, so every writer
 must rename a finished temporary file over its target rather than truncate
-the file a live stream may still map.
+the file a live stream may still map. Each pass over a mapped file releases
+the pages it has read, so the file does not stay resident.
 """
 
+import mmap
 import os
 import subprocess
 import sys
@@ -18,18 +21,26 @@ import pytest
 import tokmerge
 from tokmerge import (
     CompressedVideo,
+    CompressionConfig,
     CompressionReport,
     DataError,
+    ImportanceMap,
     SynthSpec,
     TokenProvenance,
     VideoTokenStream,
+    apply_temporal_merge,
+    compress,
+    core,
     generate,
     load_compressed,
     load_token_stream,
+    optimal_segmentation,
+    pairwise_redundancy,
     save_compressed,
+    spatial_merge,
 )
 from tokmerge.cli import main
-from tokmerge.core import replace_file
+from tokmerge.core import TEMPORAL_MERGE_MODES, replace_file
 from support import arrays
 
 GRID = (2, 3)
@@ -273,3 +284,108 @@ class TestReplacingWrites:
             replace_file(path, "\ud800")
         assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
         assert path.read_text(encoding="utf-8") == "{}\n"
+
+
+# ---------------------------------------------------------------------------
+# Residency of a mapped token file
+# ---------------------------------------------------------------------------
+
+def mapped_rss(path) -> int:
+    """Resident bytes of this process's mappings of ``path``, by the Rss
+    lines of /proc/self/smaps."""
+    rss, inside, name = 0, False, os.path.realpath(path)
+    for line in Path("/proc/self/smaps").read_text().splitlines():
+        key = line.split(maxsplit=1)[0]
+        if not key.endswith(":"):  # a mapping's header: range, perms, ..., path
+            inside = line.endswith(" " + name)
+        elif inside and key == "Rss:":
+            rss += int(line.split()[1]) * 1024
+    return rss
+
+
+def write_static(path, frames, dim, segment=16):
+    """A highly redundant (frames, 196, dim) float32 token file on a 14x14
+    grid, in segments of ``segment`` frames; its size in bytes."""
+    spec = SynthSpec(frames=frames, grid=(14, 14), dim=dim,
+                     segments=((segment, 1.0),) * (frames // segment), noise_sigma=0.01, seed=3)
+    np.save(path, generate(spec)[0].data)
+    return path.stat().st_size
+
+
+@pytest.mark.skipif(not Path("/proc/self/smaps").exists(), reason="reads /proc/self (Linux)")
+class TestResidency:
+    @pytest.mark.parametrize("mode", TEMPORAL_MERGE_MODES)
+    def test_each_stage_leaves_the_file_released(self, tmp_path, mode):
+        path = tmp_path / "tokens.npy"
+        size = write_static(path, 64, 64)
+        resident = {}
+        stream = load_token_stream(path, (14, 14))
+        resident["load"] = mapped_rss(path)
+        mask = pairwise_redundancy(stream, 0.8)
+        resident["mask"] = mapped_rss(path)
+        tmr = apply_temporal_merge(stream, optimal_segmentation(mask), mask, mode)
+        resident["temporal merge"] = mapped_rss(path)
+        cv = spatial_merge(tmr, None, CompressionConfig())
+        resident["spatial merge"] = mapped_rss(path)
+        assert size >= 3 * 2**20 and cv.count == 4 * 196
+        # the pages holding the header and the file's last bytes
+        assert max(resident.values()) <= 2 * mmap.PAGESIZE, resident
+
+    def test_compress_keeps_a_chunk_resident(self, tmp_path):
+        # a fresh interpreter, whose VmHWM starts at exec, on two CPUs
+        path = tmp_path / "tokens.npy"
+        size = write_static(path, 192, 448)
+        script = textwrap.dedent("""
+            import os
+            import sys
+            from pathlib import Path
+            from tokmerge.cli import main
+
+            def status(key):
+                for line in Path("/proc/self/status").read_text().splitlines():
+                    if line.startswith(key + ":"):
+                        return int(line.split()[1]) * 1024
+
+            if hasattr(os, "sched_setaffinity"):
+                os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2])
+            start = status("VmRSS")
+            assert main(sys.argv[1:]) == 0
+            print(status("VmHWM") - start)
+        """)
+        env = dict(os.environ, PYTHONPATH=str(Path(tokmerge.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "compress", "--tokens", str(path), "--grid", "14x14",
+             "--out", str(tmp_path / "out")], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        growth = int(proc.stdout.splitlines()[-1])
+        assert size >= 64 * 2**20
+        assert growth < size / 2, (growth, size)
+
+    def test_only_shared_read_only_maps_are_released(self, tmp_path):
+        arr = tokens(frames=64)
+        np.save(tmp_path / "f32.npy", arr)
+        np.save(tmp_path / "f64.npy", arr.astype(np.float64))
+        streams = {
+            "in memory": VideoTokenStream(arr.copy(), GRID),
+            "narrowed float64 file": load_token_stream(tmp_path / "f64.npy", GRID),
+            "copy-on-write map": VideoTokenStream(np.load(tmp_path / "f32.npy", mmap_mode="c"), GRID),
+            "mapped float32 file": load_token_stream(tmp_path / "f32.npy", GRID),
+        }
+        assert [k for k, s in streams.items() if s._mapping is not None] == ["mapped float32 file"]
+        imp = ImportanceMap(np.random.default_rng(1).random((64, 6)), GRID)
+        outputs = set()
+        for name, stream in streams.items():
+            save_compressed(*compress(stream, CompressionConfig(target_ratio=0.5), imp),
+                            tmp_path / name)
+            outputs.add(tuple((tmp_path / name / f).read_bytes()
+                              for f in ("tokens.npy", "compressed.json")))
+        assert len(outputs) == 1
+
+    def test_copy_on_write_changes_survive_a_release(self, tmp_path):
+        np.save(tmp_path / "tokens.npy", tokens(frames=64))
+        cow = np.load(tmp_path / "tokens.npy", mmap_mode="c")
+        cow += 1  # private pages the file does not hold
+        stream = VideoTokenStream(cow, GRID)
+        core._release(stream, 0, stream.frames)
+        assert stream.data.nbytes > 4 * mmap.PAGESIZE
+        np.testing.assert_array_equal(stream.data, tokens(frames=64) + 1)
