@@ -21,6 +21,7 @@ from .core import (
     DataError,
     _load_json,
     _load_npy,
+    _out_dir,
     load_token_stream,
     replace_file,
     report_document,
@@ -180,8 +181,7 @@ def cmd_synth(args) -> int:
         seed=args.seed,
     )
     stream, truth = generate(spec)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     replace_file(out / "tokens.npy", stream.data)
     replace_file(out / "truth_mask.npy", truth)
     replace_file(out / "spec.json", json.dumps({
@@ -211,8 +211,7 @@ def cmd_report(args) -> int:
         raise DataError(f"no report documents found under {root}")
 
     counts, edges = np.histogram(ratios, bins=HIST_BINS, range=(0.0, 1.0))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     # the csv module's default dialect: comma-separated, CRLF line ends
     replace_file(out / "histogram.csv", "bin_low,bin_high,count\r\n" + "".join(
         f"{lo:.2f},{hi:.2f},{c}\r\n" for lo, hi, c in zip(edges[:-1], edges[1:], counts)))

@@ -764,28 +764,51 @@ INNER_TOKENS_FILE = "inner_tokens.npy"
 INNER_META_FILE = "inner.json"
 
 
-def _record_template(kind: str, n_members: int) -> str:
-    """A provenance record as ``json.dumps(doc, indent=1)`` nests it in
-    compressed.json, with ``%d`` for each of its integers."""
-    members = ",\n".join(["    [\n     %d,\n     %d\n    ]"] * n_members)
-    members = f"[\n{members}\n   ]" if n_members else "[]"
-    return (f'  {{\n   "frame": %d,\n   "spatial_index": %d,\n   "kind": "{kind}",'
-            f'\n   "members": {members}\n  }}')
-
-
 def _provenance_json(pa: ProvenanceArrays) -> str:
-    """The provenance list as compressed.json holds it: every integer in
-    document order, formatted into one template per (kind, member count)."""
+    """The provenance list as compressed.json holds it, by one ``%``
+    template per (kind, form, count). A record whose members form runs (one
+    slot, consecutive frames, all in the record) of 4 or more frames on
+    average leaves ``%%s`` per run, which a second ``%`` pass fills with the
+    run's slot joined into pieces of its frame span; every other record
+    takes each integer of its members by ``%d``."""
     if not pa.frames.size:
         return "[]"
-    values = np.insert(pa.members.ravel(), np.repeat(2 * pa.member_offsets[:-1], 2),
+    frames, slots = pa.members.T  # the members' coordinates
+    offsets, counts = pa.member_offsets, np.diff(pa.member_offsets)
+    runs = np.zeros_like(counts)  # the run count of each record formatted by runs, else 0
+    if counts.max() >= 4:
+        first = np.ones(frames.size, dtype=bool)  # a run's first member
+        first[1:] = (slots[1:] != slots[:-1]) | (frames[1:] != frames[:-1] + 1)
+        first[offsets[:-1][counts > 0]] = True
+        total = np.concatenate(([0], np.cumsum(first)))
+        n_runs = total[offsets[1:]] - total[offsets[:-1]]
+        runs = np.where((counts > 0) & (counts >= 4 * n_runs), n_runs, 0)
+    by_run, kept = np.repeat(runs > 0, counts), np.where(runs > 0, 0, counts)
+    values = np.insert(pa.members[~by_run].ravel(), np.repeat(2 * (np.cumsum(kept) - kept), 2),
                        np.stack((pa.frames, pa.slots), axis=1).ravel())
-    counts = np.diff(pa.member_offsets)
     width = int(counts.max()) + 1
-    keys, which = np.unique(pa.kinds * width + counts, return_inverse=True)
-    templates = np.array([_record_template(PROVENANCE_KINDS[k // width], k % width)
-                          for k in keys.tolist()], dtype=object)
-    return ("[\n" + ",\n".join(templates[which].tolist()) + "\n ]") % tuple(values.tolist())
+
+    def template(key):  # a record as json.dumps(doc, indent=1) nests it
+        (kind, by_runs), n = divmod(key // width, 2), key % width
+        members = ",\n".join(["%%s" if by_runs else "    [\n     %d,\n     %d\n    ]"] * n)
+        members = f"[\n{members}\n   ]" if n else "[]"
+        return (f'  {{\n   "frame": %d,\n   "spatial_index": %d,\n   "kind": '
+                f'"{PROVENANCE_KINDS[kind]}",\n   "members": {members}\n  }}')
+    keys, which = np.unique((2 * pa.kinds + (runs > 0)) * width + runs + kept, return_inverse=True)
+    templates = np.array(list(map(template, keys.tolist())), dtype=object)
+    text = ("[\n" + ",\n".join(templates[which].tolist()) + "\n ]") % tuple(values.tolist())
+    if not by_run.any():
+        return text
+    starts = np.flatnonzero(first)
+    lengths = np.diff(starts, append=frames.size)[by_run[starts]]
+    starts = starts[by_run[starts]]
+
+    @functools.cache
+    def pieces(start, length):  # a run's text around its slot
+        return ["    [\n     %d,\n     " % start, *("\n    ],\n    [\n     %d,\n     " % f
+                for f in range(start + 1, start + length)), "\n    ]"]
+    return text % tuple(str(s).join(pieces(f, n)) for f, n, s in zip(
+        frames[starts].tolist(), lengths.tolist(), slots[starts].tolist()))
 
 
 def _check_final_count(cv: CompressedVideo, report: CompressionReport) -> None:
@@ -794,37 +817,72 @@ def _check_final_count(cv: CompressedVideo, report: CompressionReport) -> None:
                         f"{cv.count} rows of {TOKENS_FILE}")
 
 
+def _out_dir(path) -> Path:
+    """The output directory ``path``, made with its parents; DataError when
+    it, or the first of its parents that exists, is not a directory."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        there = next(p for p in (out, *out.parents) if os.path.lexists(p))
+        raise DataError(f"output directory {out} cannot be made: "
+                        f"{there} exists and is not a directory") from None
+    return out
+
+
+def _save_pair(array_path, array: np.ndarray, record_path, record) -> None:
+    """Write ``array`` to ``array_path`` while ``record()`` formats its JSON
+    text, as the two pieces of ``_split(2, ...)`` (the write on the worker;
+    one usable CPU runs both in turn), then write the text to
+    ``record_path``: a record is written only once its array is in place."""
+    text = []
+    jobs = (lambda: text.append(record()), lambda: replace_file(array_path, array))
+
+    def run(lo, hi):
+        for job in jobs[lo:hi]:
+            job()
+    _split(2, run)
+    replace_file(record_path, text[0])
+
+
 def save_compressed(cv: CompressedVideo, report: CompressionReport, out_dir) -> None:
-    """Write tokens.npy plus a compressed.json carrying provenance + report.
+    """Write tokens.npy, then a compressed.json carrying provenance + report.
 
     compressed.json is byte-identical to ``json.dump(doc, fh, indent=1)``
     plus a newline, for ``doc = {"provenance": [{"frame", "spatial_index",
     "kind", "members": [[f, s], ...]}, ...], "report": report_to_dict(report)}``;
-    the provenance is formatted from its arrays rather than by the
-    pure-Python indenting encoder. Loading the directory back reproduces
-    the inputs bit-exactly (float32 tokens; JSON floats round-trip via repr).
+    the provenance is formatted from its arrays (``_provenance_json``) while
+    tokens.npy is written. Loading the directory back reproduces the inputs
+    bit-exactly (float32 tokens; JSON floats round-trip via repr). DataError,
+    writing nothing, when ``out_dir`` or a parent is not a directory.
     """
     _check_final_count(cv, report)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    replace_file(out / TOKENS_FILE, cv.tokens)
-    provenance = _provenance_json(cv.provenance_arrays)
-    report_json = json.dumps(report_to_dict(report), indent=1).replace("\n", "\n ")
-    replace_file(out / META_FILE,
-                 f'{{\n "provenance": {provenance},\n "report": {report_json}\n}}\n')
+    out = _out_dir(out_dir)
+
+    def record():
+        report_json = json.dumps(report_to_dict(report), indent=1).replace("\n", "\n ")
+        return (f'{{\n "provenance": {_provenance_json(cv.provenance_arrays)},\n'
+                f' "report": {report_json}\n}}\n')
+    _save_pair(out / TOKENS_FILE, cv.tokens, out / META_FILE, record)
 
 
 def save_inner(result, cfg: CompressionConfig, out_dir) -> None:
-    """Write an ``innerllm.InnerMergeResult`` into save_compressed's ``out_dir``:
-    inner_tokens.npy holds ``result.updated``, and inner.json the retained indices,
-    the assignment in its key order, and the config's layer K and ratio R."""
-    replace_file(Path(out_dir, INNER_TOKENS_FILE), result.updated)
-    replace_file(Path(out_dir, INNER_META_FILE), json.dumps({
-        "retained_indices": [int(i) for i in result.retained_indices],
-        "assignment": {str(k): v for k, v in result.assignment.items()},
-        "layer_K": cfg.inner_layer_K,
-        "ratio_R": cfg.inner_ratio_R,
-    }, indent=1) + "\n")
+    """Write an ``innerllm.InnerMergeResult`` into save_compressed's ``out_dir``
+    as save_compressed writes its pair: inner_tokens.npy holds ``result.updated``,
+    and inner.json, byte-identical to ``json.dumps(doc, indent=1)`` plus a
+    newline, the retained indices, the assignment in its key order, and the
+    config's layer K and ratio R."""
+    def record():
+        retained = list(map(int, result.retained_indices))
+        pairs = [v for kv in result.assignment.items() for v in kv]
+        retained_t, pairs_t = (f"{o}\n  " + ",\n  ".join([item] * n) + f"\n {c}" if n else o + c
+                               for n, item, (o, c) in ((len(retained), "%d", "[]"),
+                                                       (len(pairs) // 2, '"%d": %d', "{}")))
+        return (f'{{\n "retained_indices": {retained_t},\n "assignment": {pairs_t},\n'
+                f' "layer_K": %d,\n "ratio_R": %r\n}}\n'
+                ) % (*retained, *pairs, cfg.inner_layer_K, cfg.inner_ratio_R)
+    out = Path(out_dir)
+    _save_pair(out / INNER_TOKENS_FILE, result.updated, out / INNER_META_FILE, record)
 
 
 def load_compressed(out_dir) -> tuple[CompressedVideo, CompressionReport]:

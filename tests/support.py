@@ -5,6 +5,7 @@ runner. The oracles themselves live in ``oracles.py``."""
 import hashlib
 import json
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -22,6 +23,18 @@ def same_bits(a, b):
     return a.dtype == b.dtype and np.array_equal(
         a.view(np.uint32 if a.dtype == np.float32 else np.uint64),
         b.view(np.uint32 if b.dtype == np.float32 else np.uint64))
+
+
+def count_thread_starts(monkeypatch):
+    """Count every ``threading.Thread.start`` from now on; the count so
+    far is the one item of the returned list."""
+    started, start = [0], threading.Thread.start
+
+    def counting(self):
+        started[0] += 1
+        start(self)
+    monkeypatch.setattr(threading.Thread, "start", counting)
+    return started
 
 
 def arrays(records):

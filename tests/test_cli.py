@@ -126,6 +126,23 @@ class TestCompress:
                    "--out", str(tmp_path / "o"), "--target-ratio", "0.2"])
         assert rc == 2
 
+    @pytest.mark.parametrize("under", [False, True])
+    def test_out_not_a_directory_exit_2(self, tmp_path, capsys, under):
+        """An --out that is a file, or lies under one, is refused by name
+        before any output is written."""
+        spec, stream, tokens = write_corpus(tmp_path)
+        _, attn = write_attention(tmp_path, stream)
+        taken = tmp_path / "taken"
+        taken.write_bytes(b"keep")
+        out = taken / "sub" if under else taken
+        before = sorted(tmp_path.rglob("*"))
+        rc = main(["compress", "--tokens", str(tokens), "--grid", "2x3", "--attn", str(attn),
+                   "--target-ratio", "0.3", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (f"tokmerge: error: output directory {out} cannot be "
+                                           f"made: {taken} exists and is not a directory\n")
+        assert sorted(tmp_path.rglob("*")) == before and taken.read_bytes() == b"keep"
+
     def test_byte_identical_reruns(self, tmp_path):
         spec, stream, tokens = write_corpus(tmp_path)
         _, attn = write_attention(tmp_path, stream)
@@ -872,6 +889,22 @@ class TestSynthAndReport:
         assert rc == 1
         assert capsys.readouterr().err == f"tokmerge: error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["synth", "report"])
+    def test_out_a_file_exit_2(self, tmp_path, capsys, command):
+        spec, stream, tokens = write_corpus(tmp_path)
+        reports = tmp_path / "reports"
+        assert main(["compress", "--tokens", str(tokens), "--grid", "2x3",
+                     "--out", str(reports)]) == 0
+        taken = tmp_path / "taken"
+        taken.write_bytes(b"keep")
+        before = sorted(tmp_path.rglob("*"))
+        flags = {"synth": ["--frames", "4", "--grid", "2x2", "--dim", "4", "--segments", "4:0.5"],
+                 "report": ["--reports", str(reports)]}[command]
+        assert main([command, *flags, "--out", str(taken)]) == 2
+        assert capsys.readouterr().err == (f"tokmerge: error: output directory {taken} cannot "
+                                           f"be made: {taken} exists and is not a directory\n")
+        assert sorted(tmp_path.rglob("*")) == before and taken.read_bytes() == b"keep"
 
     def test_report_single_video(self, tmp_path, capsys):
         spec, stream, tokens = write_corpus(tmp_path)

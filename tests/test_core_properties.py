@@ -1,6 +1,7 @@
-"""Properties: compressed.json against the json module, the coordinate
-checks of CompressedVideo against per-coordinate loops, the provenance
-arrays against the records, and spatial_merge's coverage of the stream."""
+"""Properties: compressed.json and inner.json against the json module, the
+coordinate checks of CompressedVideo against per-coordinate loops, the
+provenance arrays against the records, and spatial_merge's coverage of the
+stream."""
 
 import json
 import math
@@ -21,15 +22,21 @@ from tokmerge import (  # noqa: E402
     CompressionReport,
     DataError,
     ImportanceMap,
+    InnerMergeInput,
+    SynthSpec,
     TokenProvenance,
     VideoTokenStream,
     apply_temporal_merge,
+    compress,
+    generate,
+    inner_merge,
     optimal_segmentation,
     pairwise_redundancy,
     save_compressed,
     spatial_merge,
 )
-from tokmerge.core import PROVENANCE_KINDS, TEMPORAL_MERGE_MODES, report_to_dict  # noqa: E402
+from tokmerge.core import (  # noqa: E402
+    PROVENANCE_KINDS, TEMPORAL_MERGE_MODES, report_to_dict, save_inner)
 from support import arrays, small_report  # noqa: E402
 
 
@@ -79,7 +86,12 @@ def reports(draw, final):
            TokenProvenance(2**63 - 1, 2**63 - 2, "selected", ((2**63 - 2, 2**63 - 1),))),
           small_report()))
 def test_compressed_json_matches_json_module(case):
-    prov, report = case  # final_count is the number of records, as save_compressed requires
+    assert_saved_like_json_module(*case)
+
+
+def assert_saved_like_json_module(prov, report):
+    """save_compressed's compressed.json is json.dumps(doc, indent=1) plus a
+    newline; ``report.final_count`` is ``len(prov)``, as save_compressed requires."""
     cv = CompressedVideo(np.zeros((len(prov), 3), dtype=np.float32), arrays(prov))
     doc = {
         "provenance": [{"frame": p.frame, "spatial_index": p.spatial_index,
@@ -90,6 +102,80 @@ def test_compressed_json_matches_json_module(case):
     with tempfile.TemporaryDirectory() as out:
         save_compressed(cv, report, out)
         written = (Path(out) / "compressed.json").read_text(encoding="utf-8")
+    assert written == json.dumps(doc, indent=1) + "\n"
+
+
+@st.composite
+def run_provenances(draw):
+    """Records whose members are runs of 1-40 consecutive frames of one slot,
+    cut into records anywhere, so a run may continue across a record
+    boundary; the frames may end at the largest int64."""
+    runs = draw(st.lists(st.tuples(st.integers(1, 40), st.integers(0, 2), st.integers(0, 2)),
+                         min_size=1, max_size=12))  # (length, gap before, slot)
+    members, frame = [], 0
+    for length, gap, slot in runs:
+        frame += gap
+        members += [(frame + i, 1000 + slot) for i in range(length)]
+        frame += length
+    shift = draw(st.sampled_from([0, 2**63 - 1 - members[-1][0]]))
+    members = [(f + shift, s) for f, s in members]
+    cuts = sorted(draw(st.lists(st.integers(0, len(members)), max_size=8)))
+    bounds = [0, *cuts, len(members)]
+    return tuple(TokenProvenance(i, 0, draw(st.sampled_from(PROVENANCE_KINDS)),
+                                 tuple(members[a:b]))
+                 for i, (a, b) in enumerate(zip(bounds, bounds[1:])))
+
+
+def run_records(*records):
+    """Records (kind, [(first frame, length, slot), ...]) as TokenProvenance."""
+    return tuple(TokenProvenance(i, 0, kind, tuple((f + j, s) for f, n, s in runs
+                                                  for j in range(n)))
+                 for i, (kind, runs) in enumerate(records))
+
+
+def pipeline_output(target_ratio):
+    """(provenance, report) of compress on a synth corpus with long redundant
+    runs: every record a temporal rep at ratio 1, cluster reps below it."""
+    spec = SynthSpec(frames=24, grid=(3, 4), dim=8, segments=((10, 0.75), (8, 0.5), (6, 1.0)),
+                     noise_sigma=0.01, seed=4)
+    stream, _ = generate(spec)
+    imp = ImportanceMap(np.random.default_rng(4).random((24, 12)), (3, 4))
+    cv, report = compress(stream, CompressionConfig(target_ratio=target_ratio), imp)
+    return cv.provenance, report
+
+
+@settings(max_examples=200, deadline=None)
+@given(run_provenances().flatmap(lambda prov: st.tuples(st.just(prov), reports(len(prov)))))
+@example((run_records(("cluster_rep", [(0, 31, 5), (40, 2, 6), (50, 1, 7), (60, 12, 8)])),
+          small_report(final=1)))  # long and short runs in one record
+@example((run_records(("temporal_rep", [(0, 6, 5)]), ("temporal_rep", [(6, 6, 5)]),
+                      ("selected", [])), small_report()))  # a run across a record boundary
+@example((run_records(("cluster_rep", [(0, 3, 5), (3, 5, 6)]), ("cluster_rep", [(9, 3, 5)]),
+                      ("temporal_rep", [(20, 4, 5)])), small_report()))  # mean 4, then 3
+@example(pipeline_output(1.0))
+@example(pipeline_output(0.3))
+def test_run_shaped_compressed_json_matches_json_module(case):
+    assert_saved_like_json_module(*case)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 30), st.one_of(st.floats(0, 99.9), st.sampled_from([0.0, 1e-05, 50.0])),
+       st.integers(0, 40), st.integers(0, 2**32 - 1))
+@example(1, 50.0, 18, 0)  # a single token
+@example(7, 0.0, 0, 1)  # R = 0: "assignment": {}
+@example(9, 1e-05, 3, 2)  # a ratio whose repr has an exponent
+@example(30, 99.9, 40, 3)
+def test_inner_json_matches_json_module(n, ratio, layer, seed):
+    rng = np.random.default_rng(seed)
+    hidden = rng.standard_normal((n, 4)).astype(np.float32)
+    result = inner_merge(InnerMergeInput(hidden, rng.random(n)), ratio)
+    cfg = CompressionConfig(inner_layer_K=layer, inner_ratio_R=ratio)
+    doc = {"retained_indices": result.retained_indices.tolist(),
+           "assignment": {str(k): v for k, v in result.assignment.items()},
+           "layer_K": layer, "ratio_R": cfg.inner_ratio_R}
+    with tempfile.TemporaryDirectory() as out:
+        save_inner(result, cfg, out)
+        written = Path(out, "inner.json").read_text(encoding="utf-8")
     assert written == json.dumps(doc, indent=1) + "\n"
 
 

@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from tokmerge import (
     CompressionReport,
     DataError,
     ImportanceMap,
+    InnerMergeInput,
     SynthSpec,
     TokenProvenance,
     VideoTokenStream,
@@ -32,6 +34,7 @@ from tokmerge import (
     compress,
     core,
     generate,
+    inner_merge,
     load_compressed,
     load_token_stream,
     optimal_segmentation,
@@ -40,8 +43,8 @@ from tokmerge import (
     spatial_merge,
 )
 from tokmerge.cli import main
-from tokmerge.core import TEMPORAL_MERGE_MODES, replace_file
-from support import arrays
+from tokmerge.core import TEMPORAL_MERGE_MODES, replace_file, save_inner
+from support import arrays, count_thread_starts
 
 GRID = (2, 3)
 
@@ -61,6 +64,23 @@ def small_output():
         temporal_prune_ratio=1 - 8 / 12, overall_retained_ratio=3 / 12,
         segment_boundaries=((1, 3, 4), (3, 4, 0)),
         prefill_flops=1.5e11, baseline_flops=1e12)
+
+
+def other_output():
+    """small_output's shape with other tokens and provenance."""
+    cv, report = small_output()
+    prov = [TokenProvenance(1, slot, "temporal_rep", ((2, slot),)) for slot in range(3)]
+    return CompressedVideo(cv.tokens + 1, arrays(prov)), report
+
+
+def small_inner():
+    """An inner merge of three tokens at R = 50: one candidate."""
+    hidden = np.arange(12, dtype=np.float32).reshape(3, 4)
+    return inner_merge(InnerMergeInput(hidden, np.array([0.5, 0.1, 0.4])), 50.0)
+
+
+def written(path):
+    return {p.name: p.read_bytes() for p in Path(path).iterdir()}
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +296,65 @@ class TestReplacingWrites:
         with pytest.raises(OSError, match="disk full"):
             save_compressed(*small_output(), tmp_path)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_failed_array_write_on_the_worker(self, tmp_path, monkeypatch):
+        """tokens.npy is written on a _split worker while compressed.json is
+        formatted; the worker's error reaches the caller, which writes no
+        record and leaves no thread behind."""
+        monkeypatch.setattr(core, "_cpu_count", lambda: 2)
+        save_compressed(*small_output(), tmp_path)
+        before, threads, writers = written(tmp_path), threading.active_count(), []
+
+        def partial_save(fh, arr):
+            writers.append(threading.get_ident())
+            fh.write(b"\x93NUMPY")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "save", partial_save)
+        with pytest.raises(OSError, match="disk full"):
+            save_compressed(*other_output(), tmp_path)
+        assert writers and threading.get_ident() not in writers
+        assert written(tmp_path) == before  # no *.tmp file either
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_failed_formatting_keeps_old_record(self, tmp_path, monkeypatch, cpus):
+        monkeypatch.setattr(core, "_cpu_count", lambda: cpus)
+        save_compressed(*small_output(), tmp_path)
+        record, threads = (tmp_path / "compressed.json").read_bytes(), threading.active_count()
+
+        def fail(pa):
+            raise RuntimeError("formatting failed")
+        monkeypatch.setattr(core, "_provenance_json", fail)
+        with pytest.raises(RuntimeError, match="formatting failed"):
+            save_compressed(*other_output(), tmp_path)
+        assert (tmp_path / "compressed.json").read_bytes() == record
+        assert sorted(written(tmp_path)) == ["compressed.json", "tokens.npy"]
+        assert threading.active_count() == threads
+
+    def test_one_cpu_starts_no_thread(self, tmp_path, monkeypatch):
+        outputs = {}
+        for cpus in (2, 1):
+            monkeypatch.setattr(core, "_cpu_count", lambda: cpus)
+            starts = count_thread_starts(monkeypatch)
+            save_compressed(*small_output(), tmp_path / str(cpus))
+            save_inner(small_inner(), CompressionConfig(), tmp_path / str(cpus))
+            assert (starts[0] > 0) == (cpus > 1)
+            outputs[cpus] = written(tmp_path / str(cpus))
+        assert len(outputs[1]) == 4 and outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_each_record_written_after_its_array(self, tmp_path, monkeypatch, cpus):
+        monkeypatch.setattr(core, "_cpu_count", lambda: cpus)
+        order, replace = [], core.replace_file
+
+        def logged(path, content):
+            replace(path, content)
+            order.append(Path(path).name)
+        monkeypatch.setattr(core, "replace_file", logged)
+        save_compressed(*small_output(), tmp_path)
+        save_inner(small_inner(), CompressionConfig(), tmp_path)
+        assert order == ["tokens.npy", "compressed.json", "inner_tokens.npy", "inner.json"]
 
     def test_failed_text_write_keeps_old_file(self, tmp_path):
         path = tmp_path / "doc.json"

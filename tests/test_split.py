@@ -33,7 +33,8 @@ from tokmerge import (
 )
 from tokmerge.cli import main
 from oracles import reference_merged_values
-from support import CASES, SYNTH, compress_case, merged_segments, same_bits
+from support import (CASES, SYNTH, compress_case, count_thread_starts, merged_segments,
+                     same_bits)
 
 WORKER_COUNTS = (1, 2, 3)
 
@@ -55,13 +56,7 @@ def force_blas(monkeypatch):
 @pytest.fixture
 def thread_starts(monkeypatch):
     """The number of threads started so far, as a one-item list."""
-    started, start = [0], threading.Thread.start
-
-    def counting(self):
-        started[0] += 1
-        start(self)
-    monkeypatch.setattr(threading.Thread, "start", counting)
-    return started
+    return count_thread_starts(monkeypatch)
 
 
 def record_split(n):
